@@ -1,0 +1,523 @@
+"""Batch command-line front end.
+
+Subcommands: simulate, washout, exponents, sliding, classify, periodic,
+neither-nor, fig1, fig2.  Results go to CSV (and optionally SVG) files in
+the output directory; a one-screen summary is printed.  Exit codes: 0 on
+success, 1 on domain or convergence errors, 2 on usage errors.  The
+CHEMODDE_OUT environment variable overrides --out.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+
+from . import analysis, dynamics, exponents, svg, washout
+from .config import RunConfig, load_config
+from .core import ChemostatParams, InitialHistory, Monod, PiecewiseLinear, Sinusoid
+from .errors import ChemoddeError, ConvergenceError, DomainError, ParameterError, UsageError
+
+DEFAULT_HORIZON = 2000
+
+
+# ---------------------------------------------------------------------------
+# emitters
+# ---------------------------------------------------------------------------
+
+
+def emit_csv(path, names, columns) -> None:
+    """Write aligned columns as CSV: header row, shortest-roundtrip floats,
+    newline-terminated, locale-independent."""
+    columns = [np.asarray(c) for c in columns]
+    if len(names) != len(columns) or not columns:
+        raise UsageError("emit_csv needs one name per column")
+    n = len(columns[0])
+    if n == 0 or any(len(c) != n for c in columns):
+        raise UsageError("emit_csv needs non-empty columns of equal length")
+    lines = [",".join(names)]
+    for i in range(n):
+        lines.append(",".join(_format_cell(c[i]) for c in columns))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _format_cell(v) -> str:
+    f = float(v)
+    if math.isfinite(f) and f == int(f) and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+def emit_svg(path, title, series) -> None:
+    Path(path).write_text(svg.line_chart(title, series))
+
+
+# ---------------------------------------------------------------------------
+# shared helpers
+# ---------------------------------------------------------------------------
+
+
+def _out_dir(args) -> Path:
+    out = os.environ.get("CHEMODDE_OUT") or args.out
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _load(args) -> RunConfig:
+    if not args.config:
+        raise UsageError("this subcommand needs --config PATH")
+    cfg = load_config(args.config)
+    if args.horizon is not None:
+        cfg = RunConfig(cfg.params, cfg.init, args.horizon, cfg.tol, cfg.window_min)
+    if args.tol is not None:
+        cfg = RunConfig(cfg.params, cfg.init, cfg.horizon, args.tol, cfg.window_min)
+    return cfg
+
+
+def _need_init(cfg: RunConfig) -> InitialHistory:
+    if cfg.init is None:
+        raise UsageError("this subcommand needs init.s and init.x in the config")
+    return cfg.init
+
+
+def _horizon(cfg: RunConfig) -> int:
+    return cfg.horizon if cfg.horizon is not None else DEFAULT_HORIZON
+
+
+def _simulation_bundle(params, init, horizon):
+    z = washout.washout_sequence(params, horizon)
+    traj = dynamics.simulate(params, init, horizon, z=z)
+    deficit = dynamics.conservation_deficit(traj, z)
+    t = np.arange(-params.r, horizon + 1)
+    s0 = np.array([params.input.value_at(int(u)) for u in t])
+    zv = np.array([z.at(int(u)) for u in t])
+    # y and the deficit start at t = 0; pad the history window with nan
+    y = np.concatenate([np.full(params.r, np.nan), traj.y.values])
+    d = np.concatenate([np.full(params.r, np.nan), deficit.values])
+    return traj, z, {
+        "t": t,
+        "s0": s0,
+        "z": zv,
+        "s": traj.s.values,
+        "x": traj.x.values,
+        "y": y,
+        "deficit": d,
+    }
+
+
+def _timeseries_svg(path, title, cols):
+    emit_svg(
+        path,
+        title,
+        [
+            ("feed s0", cols["t"], cols["s0"], svg.STYLE_FEED),
+            ("substrate s", cols["t"], cols["s"], svg.STYLE_SUBSTRATE),
+            ("biomass x", cols["t"], cols["x"], svg.STYLE_BIOMASS),
+        ],
+    )
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _load(args)
+    horizon = _horizon(cfg)
+    traj, z, cols = _simulation_bundle(cfg.params, _need_init(cfg), horizon)
+    out = _out_dir(args)
+    emit_csv(out / "simulate.csv", list(cols.keys()), list(cols.values()))
+    if args.svg:
+        _timeseries_svg(out / "simulate.svg", "simulation", cols)
+    feas = dynamics.check_positivity_preconditions(cfg.params, cfg.init, z)
+    print(f"simulated {horizon} steps; wrote {out / 'simulate.csv'}")
+    print(
+        f"feasibility: p'(0)*z_sup = {feas.pz_product:.6g} "
+        f"({'ok' if feas.hypothesis_pz else 'VIOLATED'}), "
+        f"initial mass {feas.initial_mass:.6g} vs z0 {feas.z0:.6g} "
+        f"({'ok' if feas.mass_ok else 'VIOLATED'})"
+    )
+    if traj.first_negative_s is not None:
+        print(f"warning: substrate went negative at t = {traj.first_negative_s}")
+    print(f"final state: s = {traj.s.at(horizon):.6g}, x = {traj.x.at(horizon):.6g}")
+    return 0
+
+
+def _cmd_washout(args) -> int:
+    cfg = _load(args)
+    horizon = _horizon(cfg)
+    z = washout.washout_sequence(cfg.params, horizon)
+    t = np.arange(-cfg.params.r, horizon + 1)
+    s0 = np.array([cfg.params.input.value_at(int(u)) for u in t])
+    out = _out_dir(args)
+    emit_csv(out / "washout.csv", ["t", "s0", "z"], [t, s0, z.z.values])
+    print(f"wrote {out / 'washout.csv'}")
+    print(f"z_sup = {z.z_sup:.9g}, tail error bound = {z.tail_error_bound:.3e}")
+    return 0
+
+
+def _cmd_exponents(args) -> int:
+    cfg = _load(args)
+    horizon = _horizon(cfg)
+    params = cfg.params
+    z = washout.washout_sequence(params, horizon)
+    corr = exponents.phi_sequence(params, z, horizon)
+    growth = exponents.growth_factors(params, z, corr.phi)
+    window_min = cfg.window_min or exponents.default_window_min(params.r)
+    est = exponents.bohl_bounds(growth, window_min)
+    t = corr.phi.times()
+    zv = np.array([z.at(int(u)) for u in t])
+    out = _out_dir(args)
+    emit_csv(
+        out / "exponents.csv",
+        ["t", "z", "phi", "growth_factor"],
+        [t, zv, corr.phi.values, growth.values],
+    )
+    print(f"wrote {out / 'exponents.csv'}")
+    print(
+        f"window means: lower = {est.lower:.9g}, upper = {est.upper:.9g} "
+        f"(T = {est.window_min}, horizon = {horizon})"
+    )
+    return 0
+
+
+def _cmd_sliding(args) -> int:
+    cfg = _load(args)
+    horizon = _horizon(cfg)
+    params = cfg.params
+    z = washout.washout_sequence(params, horizon)
+    corr = exponents.phi_sequence(params, z, horizon)
+    p = params.uptake.evaluate
+    omE = 1.0 - params.E
+    # factor at k uses the delayed pair (phi, z) at k - r
+    logs = np.array(
+        [
+            math.log(omE * (1.0 + corr.phi.at(k - params.r) * p(z.at(k - params.r))))
+            for k in range(0, horizon + 1)
+        ]
+    )
+    prefix = np.concatenate([[0.0], np.cumsum(logs)])
+    t = np.arange(0, horizon + 1)
+    stat = np.array([math.exp(prefix[u + 1] - prefix[u // 2]) for u in t])
+    out = _out_dir(args)
+    emit_csv(out / "sliding.csv", ["t", "sliding_product"], [t, stat])
+    if args.svg:
+        emit_svg(
+            out / "sliding.svg",
+            "sliding half-window product",
+            [
+                ("product", t, stat, svg.STYLE_SUBSTRATE),
+                ("threshold 1", t, np.ones_like(stat), svg.STYLE_FEED),
+            ],
+        )
+    print(f"wrote {out / 'sliding.csv'}")
+    return 0
+
+
+def _cmd_classify(args) -> int:
+    cfg = _load(args)
+    report = analysis.classify(
+        cfg.params,
+        horizon=_horizon(cfg),
+        window_min=cfg.window_min,
+        tol=cfg.tol or 1e-12,
+    )
+    out = _out_dir(args)
+    payload = {
+        "verdict": report.verdict,
+        "basis": report.basis,
+        "lower": report.lower,
+        "upper": report.upper,
+        "mean": report.mean,
+        "eta_persist": report.eta_persist,
+        "eta_extinct": report.eta_extinct,
+        "window_min": report.window_min,
+        "horizon": report.horizon,
+        "borderline": report.borderline,
+        "note": report.note,
+    }
+    (out / "classify.json").write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {out / 'classify.json'}")
+    print(f"verdict: {report.verdict} (basis {report.basis}, lower {report.lower:.6g}, upper {report.upper:.6g})")
+    return 0
+
+
+def _cmd_periodic(args) -> int:
+    cfg = _load(args)
+    init = _need_init(cfg)
+    result = analysis.find_periodic_orbit(
+        cfg.params,
+        init,
+        tol=cfg.tol or 1e-9,
+        max_periods=args.max_periods,
+    )
+    out = _out_dir(args)
+    if isinstance(result, analysis.WashoutConvergence):
+        payload = {
+            "outcome": "washout",
+            "periods_used": result.periods_used,
+            "max_x_last_period": result.max_x_last_period,
+        }
+        (out / "periodic_report.json").write_text(json.dumps(payload, indent=2) + "\n")
+        print(
+            f"trajectory converged to the washout solution after "
+            f"{result.periods_used} periods (max x {result.max_x_last_period:.3e})"
+        )
+        return 0
+    phase = np.arange(result.period)
+    s0 = np.array([cfg.params.input.value_at(int(u)) for u in phase])
+    emit_csv(
+        out / "periodic_orbit.csv",
+        ["phase", "s0", "s", "x"],
+        [phase, s0, result.s, result.x],
+    )
+    payload = {
+        "outcome": "orbit",
+        "period": result.period,
+        "residual": result.residual,
+        "min_x": result.delta,
+        "periods_used": result.periods_used,
+    }
+    (out / "periodic_report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    if args.svg:
+        emit_svg(
+            out / "periodic_orbit.svg",
+            f"periodic orbit (period {result.period})",
+            [
+                ("feed s0", phase, s0, svg.STYLE_FEED),
+                ("substrate s", phase, result.s, svg.STYLE_SUBSTRATE),
+                ("biomass x", phase, result.x, svg.STYLE_BIOMASS),
+            ],
+        )
+    print(f"wrote {out / 'periodic_orbit.csv'}")
+    print(
+        f"found period-{result.period} orbit: min x = {result.delta:.6g}, "
+        f"residual = {result.residual:.3e}, periods used = {result.periods_used}"
+    )
+    return 0
+
+
+def _cmd_neither_nor(args) -> int:
+    report = analysis.neither_nor_demo(args.E, args.r, args.n_max, x_init=args.x0)
+    out = _out_dir(args)
+    payload = {
+        "trivial": report.trivial,
+        "check_a_ok": report.check_a_ok,
+        "check_b_ok": report.check_b_ok,
+        "check_c_ok": report.check_c_ok,
+        "check_a": [asdict(c) for c in report.check_a],
+        "low_block_infima": list(report.low_block_infima),
+        "first_negative_s": report.first_negative_s,
+        "nonfinite_states": report.nonfinite_states,
+        "classification": None
+        if report.classification is None
+        else {
+            "verdict": report.classification.verdict,
+            "lower": report.classification.lower,
+            "upper": report.classification.upper,
+        },
+    }
+    (out / "neither_nor.json").write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {out / 'neither_nor.json'}")
+    if report.trivial:
+        print("trivial case: biomass history is identically zero, x stays 0")
+        return 0
+    print(
+        f"checks: block-end floor {report.check_a_ok}, "
+        f"low-block infima decreasing {report.check_b_ok}, "
+        f"classification inconclusive {report.check_c_ok}"
+    )
+    if report.feasibility is not None and not report.feasibility.hypothesis_pz:
+        print(
+            "note: this input violates the positivity bound "
+            f"(p'(0)*z_sup = {report.feasibility.pz_product:.3g} > 1), as designed"
+        )
+    if report.first_negative_s is not None:
+        print(f"warning: substrate went negative at t = {report.first_negative_s}")
+    return 0
+
+
+FIG1_FEED_HIGH = 3.0
+FIG1_FEED_LOW = 0.05
+
+
+def fig1_params() -> ChemostatParams:
+    """Constant feed, then a linear ramp down to a level far below the
+    persistence threshold.  r = 5, E = 1/5.5, saturating uptake."""
+    return ChemostatParams(
+        E=1.0 / 5.5,
+        r=5,
+        uptake=Monod(p_max=1.0, k_s=1.0),
+        input=PiecewiseLinear(
+            breakpoints=((0.0, FIG1_FEED_HIGH), (500.0, FIG1_FEED_HIGH), (1500.0, FIG1_FEED_LOW))
+        ),
+    )
+
+
+def fig1_init() -> InitialHistory:
+    return InitialHistory.constant(5, 0.25, 0.5)
+
+
+def _cmd_fig1(args) -> int:
+    params = fig1_params()
+    horizon = args.horizon or DEFAULT_HORIZON
+    traj, z, cols = _simulation_bundle(params, fig1_init(), horizon)
+    corr = exponents.phi_sequence(params, z, horizon)
+    p = params.uptake.evaluate
+    omE = 1.0 - params.E
+    logs = np.array(
+        [
+            math.log(omE * (1.0 + corr.phi.at(k - params.r) * p(z.at(k - params.r))))
+            for k in range(0, horizon + 1)
+        ]
+    )
+    prefix = np.concatenate([[0.0], np.cumsum(logs)])
+    t = np.arange(0, horizon + 1)
+    stat = np.array([math.exp(prefix[u + 1] - prefix[u // 2]) for u in t])
+
+    out = _out_dir(args)
+    emit_csv(out / "fig1_timeseries.csv", list(cols.keys()), list(cols.values()))
+    emit_csv(out / "fig1_sliding.csv", ["t", "sliding_product"], [t, stat])
+    if args.svg:
+        _timeseries_svg(out / "fig1_timeseries.svg", "constant-then-ramp feed", cols)
+        emit_svg(
+            out / "fig1_sliding.svg",
+            "sliding half-window product",
+            [
+                ("product", t, stat, svg.STYLE_SUBSTRATE),
+                ("threshold 1", t, np.ones_like(stat), svg.STYLE_FEED),
+            ],
+        )
+    print(f"wrote {out / 'fig1_timeseries.csv'} and {out / 'fig1_sliding.csv'}")
+    print(
+        f"biomass: min over constant phase = {np.min(traj.x.window(100, 500)):.6g}, "
+        f"final = {traj.x.at(horizon):.3e}"
+    )
+    return 0
+
+
+def fig2_params(offset: float) -> ChemostatParams:
+    """Sinusoidal feed sin(2*pi*t/500)/4 + offset with r = 5, E = 1/8."""
+    return ChemostatParams(
+        E=1.0 / 8.0,
+        r=5,
+        uptake=Monod(p_max=1.0, k_s=1.0),
+        input=Sinusoid(amplitude=0.25, period_steps=500, offset=offset),
+    )
+
+
+def fig2_init() -> InitialHistory:
+    return InitialHistory.constant(5, 0.5, 0.2)
+
+
+def _cmd_fig2(args) -> int:
+    params = fig2_params(args.offset)
+    horizon = args.horizon or 20_000
+    traj, z, cols = _simulation_bundle(params, fig2_init(), horizon)
+    report = analysis.classify(params)
+    out = _out_dir(args)
+    emit_csv(out / "fig2_timeseries.csv", list(cols.keys()), list(cols.values()))
+    if args.svg:
+        _timeseries_svg(out / "fig2_timeseries.svg", f"periodic feed, offset {args.offset}", cols)
+    print(f"wrote {out / 'fig2_timeseries.csv'}")
+    print(
+        f"periodic mean of (1-E)(1+phi p(z)) = {report.mean:.4f} -> verdict {report.verdict}"
+    )
+    print(f"final biomass x({horizon}) = {traj.x.at(horizon):.3e}")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# dispatch
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="chemodde", description=__doc__)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+
+    def common(p, needs_config=True):
+        if needs_config:
+            p.add_argument("--config", help="path to a key = value config file")
+        p.add_argument("--out", default=".", help="output directory (env CHEMODDE_OUT overrides)")
+        p.add_argument("--horizon", type=int, default=None, help="steps past time 0")
+        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--svg", action="store_true", help="also write SVG charts")
+
+    for name, fn in (
+        ("simulate", _cmd_simulate),
+        ("washout", _cmd_washout),
+        ("exponents", _cmd_exponents),
+        ("sliding", _cmd_sliding),
+        ("classify", _cmd_classify),
+    ):
+        p = sub.add_parser(name)
+        common(p)
+        p.set_defaults(fn=fn)
+
+    p = sub.add_parser("periodic")
+    common(p)
+    p.add_argument("--max-periods", type=int, default=400)
+    p.set_defaults(fn=_cmd_periodic)
+
+    p = sub.add_parser("neither-nor")
+    common(p, needs_config=False)
+    p.add_argument("--E", type=float, default=0.5)
+    p.add_argument("--r", type=int, default=0)
+    p.add_argument("--n-max", dest="n_max", type=int, default=5)
+    p.add_argument("--x0", type=float, default=None, help="initial biomass level")
+    p.set_defaults(fn=_cmd_neither_nor)
+
+    p = sub.add_parser("fig1")
+    common(p, needs_config=False)
+    p.set_defaults(fn=_cmd_fig1)
+
+    p = sub.add_parser("fig2")
+    common(p, needs_config=False)
+    p.add_argument("--offset", type=float, default=0.6)
+    p.set_defaults(fn=_cmd_fig2)
+
+    return parser
+
+
+def run(argv) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if not getattr(args, "command", None):
+            parser.print_help()
+            return 2
+        return args.fn(args)
+    except (UsageError, ParameterError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (DomainError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ChemoddeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def main() -> None:
+    sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

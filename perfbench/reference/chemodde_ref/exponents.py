@@ -1,0 +1,358 @@
+"""Delay-correction ratios, biomass product form, and Bohl-exponent bounds.
+
+The delayed system is turned into a product form through the linear
+comparison equation
+
+    c[t+1] = (1-E)*c[t] + c[t-r]*p(z[t-r])*(1-E)**(r+1),
+
+whose delay-correction ratio
+
+    phi[t-r] = (c[t-r] / c[t]) * (1-E)**r
+
+rewrites it as c[t+1] = (1-E) * (1 + phi[t-r]*p(z[t-r])) * c[t].  Dividing
+consecutive window products yields the fixed-point identity
+
+    phi[t+1] = prod_{k=t+1-r}^{t} (1 + phi[k]*p(z[k]))**-1,
+
+and the same ratio built from the biomass, psi[t] = x[t]/x[t+r]*(1-E)**r,
+gives the exact product formula
+
+    x[t+1] = x[0] * (1-E)**(t+1) * prod_{k=-r}^{t-r} (1 + psi[k]*p(s[k])).
+
+For r = 0 both ratios are identically 1 and everything collapses to the
+undelayed theory.  Persistence and extinction are read off windowed
+geometric means of the growth factors a[k] = (1-E)*(1 + phi[k]*p(z[k])):
+liminf > 1 forces persistence, limsup < 1 forces extinction.  Finite data
+only supports windowed estimates of those limits, reported together with
+the window parameters that produced them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import ChemostatParams
+from .dynamics import Trajectory
+from .errors import ConvergenceError, DomainError, UsageError
+from .series import TimeSeries
+from .washout import WashoutSolution
+
+
+@dataclass(frozen=True)
+class CorrectionSequences:
+    """phi on [-r, horizon] with its generating solution in log form.
+
+    log_c holds log(c[t]) on [-r, horizon + r]; the ratio definition of phi
+    only ever uses differences of log_c, so the generator never overflows
+    no matter how fast c grows or shrinks.  cross_check_error is the
+    largest discrepancy between the ratio construction and the direct
+    fixed-point recursion seeded from the same initial window.
+    """
+
+    phi: TimeSeries
+    log_c: TimeSeries
+    psi: TimeSeries | None = None
+    cross_check_error: float = 0.0
+
+
+def correction_recursion(f_at, r: int, t_stop: int, seed, t_start: int = 0):
+    """Run phi[t+1] = prod_{k=t+1-r}^{t} (1 + phi[k]*f(k))**-1 forward.
+
+    seed holds phi on the window [t_start - r + 1, t_start]; values are
+    produced up to time t_stop.  Returns a dict {time: phi}.  This is the
+    generic engine reused by the synthetic comparison-lemma suites.
+    """
+    phi = {t_start - r + 1 + i: float(seed[i]) for i in range(r)}
+    if r == 0:
+        phi[t_start] = 1.0
+        for t in range(t_start, t_stop + 1):
+            phi[t] = 1.0
+        return phi
+    for t in range(t_start, t_stop):
+        prod = 1.0
+        for k in range(t + 1 - r, t + 1):
+            prod *= 1.0 + phi[k] * f_at(k)
+        phi[t + 1] = 1.0 / prod
+    return phi
+
+
+def phi_sequence(
+    params: ChemostatParams,
+    z: WashoutSolution,
+    horizon: int,
+    c_seed: float = 1.0,
+) -> CorrectionSequences:
+    """phi on [-r, horizon] from the log-form generator recursion.
+
+    The generator is seeded with c = c_seed on [-r, 0] (any positive seed
+    gives the same ratios up to transient; the conventional choice c[0] = 1
+    is the default).  The log recursion
+
+        log c[t+1] = log c[t] + log((1-E) * (1 + p(z[t-r]) * ratio))
+        ratio      = exp(log c[t-r] - log c[t]) * (1-E)**r
+
+    is stable because the exponent difference is exactly phi[t-r], which
+    stays in (0, 1].  The direct fixed-point recursion is run alongside as
+    a cross-check and its worst deviation is recorded.
+    """
+    r = params.r
+    if horizon < 0:
+        raise UsageError(f"horizon must be >= 0, got {horizon}")
+    if not z.covers(-r, horizon):
+        raise UsageError(f"washout solution must cover [-{r}, {horizon}]")
+    if not c_seed > 0:
+        raise UsageError(f"c_seed must be positive, got {c_seed}")
+
+    omE = 1.0 - params.E
+    lomE = math.log(omE)
+    omE_r = omE**r
+    p = params.uptake.evaluate
+
+    n = horizon + 2 * r + 1  # log c on [-r, horizon + r]
+    log_c = np.empty(n)
+    log_c[: r + 1] = math.log(c_seed)
+    for t in range(0, horizon + r):
+        i = t + r
+        ratio = math.exp(log_c[i - r] - log_c[i]) * omE_r
+        log_c[i + 1] = log_c[i] + lomE + math.log1p(p(z.at(t - r)) * ratio)
+
+    idx = np.arange(horizon + r + 1)  # positions of times -r..horizon
+    phi_vals = np.exp(log_c[idx] - log_c[idx + r]) * omE_r
+    phi = TimeSeries(phi_vals, t_start=-r)
+
+    cross = 0.0
+    if r > 0 and horizon > 0:
+        seed = [phi.at(t) for t in range(1 - r, 1)]
+        direct = correction_recursion(lambda k: p(z.at(k)), r, horizon, seed)
+        cross = max(abs(direct[t] - phi.at(t)) for t in range(1, horizon + 1))
+
+    return CorrectionSequences(phi=phi, log_c=TimeSeries(log_c, t_start=-r), cross_check_error=cross)
+
+
+def psi_sequence(traj: Trajectory) -> TimeSeries:
+    """psi[t] = x[t] / x[t+r] * (1-E)**r on [-r, horizon - r].
+
+    Requires strictly positive biomass on the whole stored range; the first
+    offending index is reported otherwise.
+    """
+    r = traj.params.r
+    x = traj.x.values
+    bad = np.flatnonzero(~(x > 0.0))
+    if bad.size:
+        raise DomainError(
+            f"biomass is not positive at t={int(bad[0]) - r}; psi is undefined"
+        )
+    if r == 0:
+        return TimeSeries(np.ones(len(x)), t_start=0)
+    vals = x[:-r] / x[r:] * (1.0 - traj.params.E) ** r
+    return TimeSeries(vals, t_start=-r)
+
+
+def reconstruct_biomass(traj: Trajectory, psi: TimeSeries) -> TimeSeries:
+    """Biomass via the product formula, on [0, horizon].
+
+    x_hat[t+1] = x[0] * (1-E)**(t+1) * prod_{k=-r}^{t-r} (1+psi[k]*p(s[k])),
+    accumulated as a sum of logs.  Reproduces the direct recursion to
+    rounding error and is the second route of the product/recursion pair.
+    """
+    params = traj.params
+    r = params.r
+    horizon = traj.horizon
+    if not psi.covers(-r, horizon - r):
+        raise UsageError(f"psi must cover [-{r}, {horizon - r}]")
+    x0 = traj.x.at(0)
+    if x0 == 0.0:
+        return TimeSeries(np.zeros(horizon + 1), t_start=0)
+
+    p = params.uptake.evaluate
+    s_vals = traj.s.window(-r, horizon - r)
+    terms = psi.window(-r, horizon - r) * np.array([p(v) for v in s_vals])
+    if np.any(terms <= -1.0):
+        raise DomainError("product formula left its domain: some 1 + psi*p(s) <= 0")
+    log_growth = np.cumsum(np.log1p(terms))  # index j: sum over k in [-r, -r+j]
+    t = np.arange(1, horizon + 1)
+    vals = np.empty(horizon + 1)
+    vals[0] = x0
+    vals[1:] = x0 * np.exp(t * math.log(1.0 - params.E) + log_growth[:horizon])
+    return TimeSeries(vals, t_start=0)
+
+
+def growth_factors(params: ChemostatParams, z: WashoutSolution, phi: TimeSeries) -> TimeSeries:
+    """a[k] = (1-E) * (1 + phi[k] * p(z[k])) on phi's range."""
+    p = params.uptake.evaluate
+    zv = np.array([z.at(t) for t in range(phi.t_start, phi.t_end + 1)])
+    vals = (1.0 - params.E) * (1.0 + phi.values * np.array([p(v) for v in zv]))
+    return TimeSeries(vals, t_start=phi.t_start)
+
+
+@dataclass(frozen=True)
+class BohlEstimate:
+    """Windowed bounds for the asymptotic geometric means of a growth
+    sequence.  lower/upper are the min/max window geometric means over all
+    windows (t1, t2] with t1 > gap_min and t2 - t1 > window_min; they are
+    finite-horizon estimators (lower is upper-biased, upper lower-biased)
+    of the true liminf/limsup."""
+
+    lower: float
+    upper: float
+    window_min: int
+    gap_min: int
+    horizon: int
+
+
+def default_window_min(r: int) -> int:
+    return max(2 * r, 50)
+
+
+def bohl_bounds(
+    growth,
+    window_min: int,
+    gap_min: int | None = None,
+    method: str = "auto",
+    n_window_lengths: int = 64,
+) -> BohlEstimate:
+    """Extremal window geometric means of a positive growth sequence.
+
+    The sequence is scanned over windows (t1, t2] with t1 > gap_min,
+    t2 - t1 > window_min, via prefix sums of logs: "full" visits every
+    window pair (quadratic), "windowed" only a geometric ladder of window
+    lengths (linear times n_window_lengths, min/max still over all
+    placements of each length); "auto" picks full below 6000 samples.
+    """
+    vals = growth.values if isinstance(growth, TimeSeries) else np.asarray(growth, float)
+    if gap_min is None:
+        gap_min = window_min
+    n = len(vals)
+    if window_min < 1:
+        raise UsageError(f"window_min must be >= 1, got {window_min}")
+    if n < gap_min + window_min + 3:
+        raise UsageError(
+            f"sequence of length {n} too short for window_min={window_min}, gap_min={gap_min}"
+        )
+    if np.any(~(vals > 0.0)):
+        k = int(np.flatnonzero(~(vals > 0.0))[0])
+        raise DomainError(f"growth factor at position {k} is not positive")
+
+    prefix = np.concatenate([[0.0], np.cumsum(np.log(vals))])
+    if method == "auto":
+        method = "full" if n <= 6000 else "windowed"
+
+    lo, hi = np.inf, -np.inf
+    if method == "full":
+        for t1 in range(gap_min + 1, n - window_min - 1):
+            t2 = np.arange(t1 + window_min + 1, n)
+            means = (prefix[t2 + 1] - prefix[t1 + 1]) / (t2 - t1)
+            lo = min(lo, float(means.min()))
+            hi = max(hi, float(means.max()))
+    elif method == "windowed":
+        max_len = n - gap_min - 2
+        lengths = np.unique(
+            np.geomspace(window_min + 1, max_len, n_window_lengths).astype(int)
+        )
+        for w in lengths:
+            t1 = np.arange(gap_min + 1, n - w)
+            means = (prefix[t1 + w + 1] - prefix[t1 + 1]) / w
+            lo = min(lo, float(means.min()))
+            hi = max(hi, float(means.max()))
+    else:
+        raise UsageError(f"unknown bohl_bounds method {method!r}")
+
+    return BohlEstimate(
+        lower=math.exp(lo),
+        upper=math.exp(hi),
+        window_min=window_min,
+        gap_min=gap_min,
+        horizon=n - 1,
+    )
+
+
+@dataclass(frozen=True)
+class PeriodicCorrection:
+    """Converged one-period phi profile, aligned so phi[k] sits at phase
+    k = t mod period."""
+
+    phi: np.ndarray
+    period: int
+    sweeps: int
+    residual: float
+
+    def __post_init__(self):
+        arr = np.asarray(self.phi, dtype=float)
+        arr.flags.writeable = False
+        object.__setattr__(self, "phi", arr)
+
+
+def periodic_phi(
+    params: ChemostatParams,
+    z: WashoutSolution,
+    tol: float = 1e-12,
+    max_sweeps: int = 10_000,
+) -> PeriodicCorrection:
+    """Periodic delay-correction profile by fixed-point sweeping.
+
+    Starting from phi = 1 on the initial window, the fixed-point recursion
+    is iterated period after period until two consecutive periods agree in
+    sup norm below tol.  Convergence is driven by the same attraction that
+    makes the ratio construction forget its seed; the identity
+    phi[t+1] * prod (1 + phi[k] p(z[k])) = 1 holds at every phase of the
+    returned profile (wrapping around the period).
+    """
+    omega = z.period
+    if omega is None:
+        raise UsageError("periodic_phi requires a periodic washout solution")
+    r = params.r
+    p = params.uptake.evaluate
+    pz = np.array([p(z.at(t)) for t in range(omega)])
+
+    if r == 0:
+        return PeriodicCorrection(np.ones(omega), omega, sweeps=1, residual=0.0)
+
+    window = {1 - r + i: 1.0 for i in range(r)}  # phi on [1-r, 0]
+    current = np.ones(omega)
+    t = 0
+    for sweep in range(1, max_sweeps + 1):
+        previous = current.copy()
+        for _ in range(omega):
+            prod = 1.0
+            for k in range(t + 1 - r, t + 1):
+                prod *= 1.0 + window[k] * pz[k % omega]
+            nxt = 1.0 / prod
+            window[t + 1] = nxt
+            del window[t + 1 - r]
+            current[(t + 1) % omega] = nxt
+            t += 1
+        residual = float(np.max(np.abs(current - previous)))
+        if sweep >= 2 and residual < tol:
+            return PeriodicCorrection(current, omega, sweeps=sweep, residual=residual)
+    raise ConvergenceError(
+        f"periodic phi did not converge within {max_sweeps} sweeps "
+        f"(last residual {residual:.3e})",
+        residual=residual,
+    )
+
+
+def periodic_mean(
+    params: ChemostatParams, z: WashoutSolution, phi_profile
+) -> float:
+    """Geometric mean over one period of (1-E) * (1 + phi * p(z)).
+
+    In the periodic case this single number is both the lower and upper
+    asymptotic window mean: > 1 means persistence, <= 1 extinction.
+    """
+    omega = z.period
+    if omega is None:
+        raise UsageError("periodic_mean requires a periodic washout solution")
+    prof = phi_profile.phi if isinstance(phi_profile, PeriodicCorrection) else np.asarray(phi_profile, float)
+    if len(prof) != omega:
+        raise UsageError(
+            f"phi profile has length {len(prof)}, expected the input period {omega}"
+        )
+    p = params.uptake.evaluate
+    omE = 1.0 - params.E
+    total = 0.0
+    for k in range(omega):
+        total += math.log(omE * (1.0 + prof[k] * p(z.at(k))))
+    return math.exp(total / omega)

@@ -1,0 +1,109 @@
+"""Minimal self-contained SVG line charts.
+
+One file, no external references: an axes box, tick labels, one polyline
+per series and a small legend.  Line styles follow the house convention
+for chemostat plots: feed dashed black, substrate dotted blue, biomass
+solid red.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import UsageError
+
+WIDTH = 720
+HEIGHT = 420
+MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 58, 16, 34, 40
+
+STYLE_FEED = ("black", "8 5")
+STYLE_SUBSTRATE = ("blue", "2 4")
+STYLE_BIOMASS = ("red", None)
+
+
+def _fmt(v: float) -> str:
+    return f"{v:.6g}"
+
+
+def line_chart(title: str, series) -> str:
+    """Render series = [(label, xs, ys, (color, dasharray)), ...] to SVG text.
+
+    Non-finite points are dropped per series.  Raises UsageError when there
+    is nothing to draw.
+    """
+    cleaned = []
+    for label, xs, ys, style in series:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        if keep.any():
+            cleaned.append((label, xs[keep], ys[keep], style))
+    if not cleaned:
+        raise UsageError("nothing to plot: all series are empty or non-finite")
+
+    x_min = min(float(xs.min()) for _, xs, _, _ in cleaned)
+    x_max = max(float(xs.max()) for _, xs, _, _ in cleaned)
+    y_min = min(float(ys.min()) for _, _, ys, _ in cleaned)
+    y_max = max(float(ys.max()) for _, _, ys, _ in cleaned)
+    if x_max == x_min:
+        x_max = x_min + 1.0
+    if y_max == y_min:
+        y_max = y_min + 1.0
+    pad = 0.05 * (y_max - y_min)
+    y_min -= pad
+    y_max += pad
+
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+
+    def sx(x):
+        return MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
+
+    def sy(y):
+        return MARGIN_T + (y_max - y) / (y_max - y_min) * plot_h
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+        f'fill="none" stroke="#444" stroke-width="1"/>',
+    ]
+
+    for i in range(5):
+        fx = x_min + (x_max - x_min) * i / 4
+        fy = y_min + (y_max - y_min) * i / 4
+        out.append(
+            f'<text x="{sx(fx):.1f}" y="{HEIGHT - MARGIN_B + 16:.1f}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="10">{_fmt(fx)}</text>'
+        )
+        out.append(
+            f'<text x="{MARGIN_L - 6:.1f}" y="{sy(fy) + 3:.1f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="10">{_fmt(fy)}</text>'
+        )
+
+    for label, xs, ys, (color, dash) in cleaned:
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        out.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.4"{dash_attr} '
+            f'points="{pts}"/>'
+        )
+
+    ly = MARGIN_T + 14
+    for label, _, _, (color, dash) in cleaned:
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        lx = WIDTH - MARGIN_R - 150
+        out.append(
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 30}" y2="{ly - 4}" '
+            f'stroke="{color}" stroke-width="1.6"{dash_attr}/>'
+        )
+        out.append(
+            f'<text x="{lx + 36}" y="{ly}" font-family="sans-serif" font-size="11">{label}</text>'
+        )
+        ly += 16
+
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

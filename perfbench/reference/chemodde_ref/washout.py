@@ -1,0 +1,147 @@
+"""The washout sequence: substrate dynamics in the absence of biomass.
+
+The unique bounded solution of
+
+    z[t+1] = (1-E) * z[t] + E * s0[t],   t in Z,
+
+is the geometric average of the past input,
+
+    z[t+1] = E * sum_{k <= t} (1-E)**(t-k) * s0[k],
+
+and every other solution converges to it at rate (1-E) per step.  Two
+constructions are provided: a truncated backward sum with an explicit
+geometric tail bound, and an exact closed form for periodic inputs.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import ChemostatParams
+from .errors import UsageError
+from .series import TimeSeries
+
+
+@dataclass(frozen=True)
+class WashoutSolution:
+    """Washout values on [-r, horizon], plus periodic structure if any.
+
+    z                -- stored values as a TimeSeries starting at -r
+    z_sup            -- supremum over the stored range
+    tail_error_bound -- bound on the truncation error of z[-r]
+                        (0 for the exact periodic construction)
+    period           -- exact period in steps, or None
+    profile          -- one-period values aligned to phase t % period
+    """
+
+    z: TimeSeries
+    z_sup: float
+    tail_error_bound: float
+    period: int | None = None
+    profile: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.profile is not None:
+            arr = np.asarray(self.profile, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, "profile", arr)
+
+    def at(self, t: int) -> float:
+        """Washout value at time t; periodic solutions wrap to any t."""
+        if self.period is not None:
+            return float(self.profile[t % self.period])
+        return self.z.at(t)
+
+    def covers(self, t_from: int, t_to: int) -> bool:
+        return self.period is not None or self.z.covers(t_from, t_to)
+
+
+def default_tail_depth(E: float) -> int:
+    """Truncation depth making the geometric tail factor (1-E)**depth < 1e-26."""
+    return int(math.ceil(60.0 / -math.log1p(-E)))
+
+
+def washout_sequence(
+    params: ChemostatParams, horizon: int, tail_depth: int | None = None
+) -> WashoutSolution:
+    """Washout values on [-r, horizon] from a truncated backward sum.
+
+    z[-r] is initialised by summing the input over k in
+    [-r-1-tail_depth, -r-1] (negative times resolved by the input's
+    backward-extension convention), then the forward recursion fills the
+    rest.  The discarded tail is bounded by (1-E)**tail_depth * sup(s0),
+    recorded on the result.
+    """
+    r = params.r
+    if horizon < r:
+        raise UsageError(f"horizon {horizon} must be >= delay r={r}")
+    if tail_depth is None:
+        tail_depth = default_tail_depth(params.E)
+    if tail_depth < 0:
+        raise UsageError(f"tail_depth must be >= 0, got {tail_depth}")
+
+    E = params.E
+    omE = 1.0 - E
+    s0 = params.input.value_at
+
+    acc = 0.0
+    for k in range(-r - 1 - tail_depth, -r):
+        acc = omE * acc + E * s0(k)
+
+    values = np.empty(horizon + r + 1)
+    values[0] = acc
+    z = acc
+    for t in range(-r, horizon):
+        z = omE * z + E * s0(t)
+        values[t + r + 1] = z
+
+    sup_s0 = params.input.bounds()[1]
+    return WashoutSolution(
+        z=TimeSeries(values, t_start=-r),
+        z_sup=float(np.max(values)),
+        tail_error_bound=omE**tail_depth * sup_s0,
+    )
+
+
+def washout_periodic(params: ChemostatParams) -> WashoutSolution:
+    """Exact periodic washout solution for a periodic input.
+
+    With period w, the phase-0 value solves the one-period closure
+    z[0] = (1-E)**w * z[0] + E * sum_j (1-E)**(w-1-j) * s0[j], i.e.
+
+        z[0] = E * sum_{j=0}^{w-1} (1-E)**(w-1-j) * s0[j] / (1 - (1-E)**w),
+
+    and one forward pass gives the rest of the period.  No truncation is
+    involved, so the recorded tail error is zero.
+    """
+    omega = params.input.period
+    if omega is None:
+        raise UsageError("washout_periodic requires a periodic input signal")
+
+    E = params.E
+    omE = 1.0 - E
+    s0 = params.input.value_at
+
+    acc = 0.0
+    for j in range(omega):
+        acc = omE * acc + E * s0(j)
+    z0 = acc / (1.0 - omE**omega)
+
+    profile = np.empty(omega)
+    profile[0] = z0
+    for t in range(omega - 1):
+        profile[t + 1] = omE * profile[t] + E * s0(t)
+
+    r = params.r
+    span = max(omega, r)
+    values = np.array([profile[t % omega] for t in range(-r, span + 1)])
+    return WashoutSolution(
+        z=TimeSeries(values, t_start=-r),
+        z_sup=float(np.max(profile)),
+        tail_error_bound=0.0,
+        period=omega,
+        profile=profile,
+    )
