@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChemostatParams, InitialHistory, LinearUptake, DyadicBlocks
+from .core import ChemostatParams, InitialHistory, LinearUptake, DyadicBlocks, _validate_tol
 from .dynamics import (
     Trajectory,
     _initial_state,
@@ -46,6 +46,12 @@ BASIS_PERIODIC = "PeriodicMean"
 
 # means this close to the threshold 1 are flagged instead of decided
 BORDERLINE_BAND = 1e-9
+
+# biomass below this multiple of sup z over a whole period counts as washed out
+EXTINCTION_FLOOR = 1e-14
+
+# gaps below this are treated as zero when fitting an attraction rate
+GAP_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,7 @@ def classify(
     inputs fall back to windowed lower/upper estimates over `horizon`
     samples with minimum window `window_min` (default max(2r, 50)).
     """
+    _validate_tol(tol)
     omega = params.input.period
     if omega is not None:
         z = washout_periodic(params)
@@ -182,7 +189,6 @@ def find_periodic_orbit(
     init: InitialHistory,
     tol: float = 1e-9,
     max_periods: int = 400,
-    extinction_floor: float | None = None,
 ):
     """Iterate the period map from `init` until it closes or washes out.
 
@@ -190,15 +196,17 @@ def find_periodic_orbit(
     the previous one in sup norm; a residual below tol means the period
     map has reached its fixed point, and one more closed-loop period is
     integrated to verify and extract the profile.  If biomass drops below
-    extinction_floor (default 1e-14 * sup z) the run is declared a washout
-    convergence instead.  Returns PeriodicOrbit or WashoutConvergence.
+    EXTINCTION_FLOOR * sup z for a whole period the run is declared a
+    washout convergence instead.  Returns PeriodicOrbit or
+    WashoutConvergence.
     """
+    _validate_tol(tol)
+    if max_periods < 1:
+        raise UsageError(f"max_periods must be >= 1, got {max_periods}")
     omega = params.input.period
     if omega is None:
         raise UsageError("find_periodic_orbit requires a periodic input signal")
     z = washout_periodic(params)
-    if extinction_floor is None:
-        extinction_floor = 1e-14 * z.z_sup
 
     r = params.r
     s, x, ps = _initial_state(params, init)
@@ -223,7 +231,7 @@ def find_periodic_orbit(
         prev_s, prev_x = state_s, state_x
 
         max_x_period = max(x[-omega:])
-        if max_x_period < extinction_floor:
+        if max_x_period < EXTINCTION_FLOOR * z.z_sup:
             return WashoutConvergence(
                 washout=z, periods_used=n, max_x_last_period=max_x_period
             )
@@ -303,7 +311,6 @@ def attraction_rate(
     traj_a: Trajectory,
     traj_b: Trajectory,
     burn_in: int = 0,
-    gap_floor: float = 1e-300,
 ) -> AttractionRate:
     """Measure the geometric rate at which two runs approach each other."""
     if traj_a.params != traj_b.params:
@@ -315,8 +322,8 @@ def attraction_rate(
     gx = np.abs(traj_a.x.window(0, horizon) - traj_b.x.window(0, horizon))
     gs = np.abs(traj_a.s.window(0, horizon) - traj_b.s.window(0, horizon))
 
-    fit_x = _fit_rate(gx, burn_in, gap_floor)
-    fit_s = _fit_rate(gs, burn_in, gap_floor)
+    fit_x = _fit_rate(gx, burn_in, GAP_FLOOR)
+    fit_s = _fit_rate(gs, burn_in, GAP_FLOOR)
     rho_s = math.exp(fit_s[0]) if fit_s else None
 
     if fit_x is None and fit_s is None:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +75,9 @@ def _load(args) -> RunConfig:
         raise UsageError("this subcommand needs --config PATH")
     cfg = load_config(args.config)
     if args.horizon is not None:
-        cfg = RunConfig(cfg.params, cfg.init, args.horizon, cfg.tol, cfg.window_min)
+        cfg = replace(cfg, horizon=args.horizon)
     if args.tol is not None:
-        cfg = RunConfig(cfg.params, cfg.init, cfg.horizon, args.tol, cfg.window_min)
+        cfg = replace(cfg, tol=args.tol)
     return cfg
 
 
@@ -97,19 +97,30 @@ def _simulation_bundle(params, init, horizon):
     deficit = dynamics.conservation_deficit(traj, z)
     t = np.arange(-params.r, horizon + 1)
     s0 = np.array([params.input.value_at(int(u)) for u in t])
-    zv = np.array([z.at(int(u)) for u in t])
     # y and the deficit start at t = 0; pad the history window with nan
     y = np.concatenate([np.full(params.r, np.nan), traj.y.values])
     d = np.concatenate([np.full(params.r, np.nan), deficit.values])
     return traj, z, {
         "t": t,
         "s0": s0,
-        "z": zv,
+        "z": z.window(-params.r, horizon),
         "s": traj.s.values,
         "x": traj.x.values,
         "y": y,
         "deficit": d,
     }
+
+
+def _sliding_product(params, z, horizon):
+    """Times u in [0, horizon] and the half-window growth product
+    prod_{k=u//2}^{u} a[k - r]: the factor at k uses the delayed pair
+    (phi, z) at k - r."""
+    corr = exponents.phi_sequence(params, z, horizon)
+    growth = exponents.growth_factors(params, z, corr.phi)
+    logs = [math.log(a) for a in growth.values[: horizon + 1].tolist()]
+    prefix = np.concatenate([[0.0], np.cumsum(logs)])
+    t = np.arange(0, horizon + 1)
+    return t, np.array([math.exp(d) for d in (prefix[t + 1] - prefix[t // 2]).tolist()])
 
 
 def _timeseries_svg(path, title, cols):
@@ -120,6 +131,17 @@ def _timeseries_svg(path, title, cols):
             ("feed s0", cols["t"], cols["s0"], svg.STYLE_FEED),
             ("substrate s", cols["t"], cols["s"], svg.STYLE_SUBSTRATE),
             ("biomass x", cols["t"], cols["x"], svg.STYLE_BIOMASS),
+        ],
+    )
+
+
+def _sliding_svg(path, t, stat):
+    emit_svg(
+        path,
+        "sliding half-window product",
+        [
+            ("product", t, stat, svg.STYLE_SUBSTRATE),
+            ("threshold 1", t, np.ones_like(stat), svg.STYLE_FEED),
         ],
     )
 
@@ -173,13 +195,11 @@ def _cmd_exponents(args) -> int:
     growth = exponents.growth_factors(params, z, corr.phi)
     window_min = cfg.window_min or exponents.default_window_min(params.r)
     est = exponents.bohl_bounds(growth, window_min)
-    t = corr.phi.times()
-    zv = np.array([z.at(int(u)) for u in t])
     out = _out_dir(args)
     emit_csv(
         out / "exponents.csv",
         ["t", "z", "phi", "growth_factor"],
-        [t, zv, corr.phi.values, growth.values],
+        [corr.phi.times(), z.window(-params.r, horizon), corr.phi.values, growth.values],
     )
     print(f"wrote {out / 'exponents.csv'}")
     print(
@@ -192,32 +212,12 @@ def _cmd_exponents(args) -> int:
 def _cmd_sliding(args) -> int:
     cfg = _load(args)
     horizon = _horizon(cfg)
-    params = cfg.params
-    z = washout.washout_sequence(params, horizon)
-    corr = exponents.phi_sequence(params, z, horizon)
-    p = params.uptake.evaluate
-    omE = 1.0 - params.E
-    # factor at k uses the delayed pair (phi, z) at k - r
-    logs = np.array(
-        [
-            math.log(omE * (1.0 + corr.phi.at(k - params.r) * p(z.at(k - params.r))))
-            for k in range(0, horizon + 1)
-        ]
-    )
-    prefix = np.concatenate([[0.0], np.cumsum(logs)])
-    t = np.arange(0, horizon + 1)
-    stat = np.array([math.exp(prefix[u + 1] - prefix[u // 2]) for u in t])
+    z = washout.washout_sequence(cfg.params, horizon)
+    t, stat = _sliding_product(cfg.params, z, horizon)
     out = _out_dir(args)
     emit_csv(out / "sliding.csv", ["t", "sliding_product"], [t, stat])
     if args.svg:
-        emit_svg(
-            out / "sliding.svg",
-            "sliding half-window product",
-            [
-                ("product", t, stat, svg.STYLE_SUBSTRATE),
-                ("threshold 1", t, np.ones_like(stat), svg.STYLE_FEED),
-            ],
-        )
+        _sliding_svg(out / "sliding.svg", t, stat)
     print(f"wrote {out / 'sliding.csv'}")
     return 0
 
@@ -228,7 +228,7 @@ def _cmd_classify(args) -> int:
         cfg.params,
         horizon=_horizon(cfg),
         window_min=cfg.window_min,
-        tol=cfg.tol or 1e-12,
+        tol=1e-12 if cfg.tol is None else cfg.tol,
     )
     out = _out_dir(args)
     payload = {
@@ -256,7 +256,7 @@ def _cmd_periodic(args) -> int:
     result = analysis.find_periodic_orbit(
         cfg.params,
         init,
-        tol=cfg.tol or 1e-9,
+        tol=1e-9 if cfg.tol is None else cfg.tol,
         max_periods=args.max_periods,
     )
     out = _out_dir(args)
@@ -370,32 +370,14 @@ def _cmd_fig1(args) -> int:
     params = fig1_params()
     horizon = args.horizon or DEFAULT_HORIZON
     traj, z, cols = _simulation_bundle(params, fig1_init(), horizon)
-    corr = exponents.phi_sequence(params, z, horizon)
-    p = params.uptake.evaluate
-    omE = 1.0 - params.E
-    logs = np.array(
-        [
-            math.log(omE * (1.0 + corr.phi.at(k - params.r) * p(z.at(k - params.r))))
-            for k in range(0, horizon + 1)
-        ]
-    )
-    prefix = np.concatenate([[0.0], np.cumsum(logs)])
-    t = np.arange(0, horizon + 1)
-    stat = np.array([math.exp(prefix[u + 1] - prefix[u // 2]) for u in t])
+    t, stat = _sliding_product(params, z, horizon)
 
     out = _out_dir(args)
     emit_csv(out / "fig1_timeseries.csv", list(cols.keys()), list(cols.values()))
     emit_csv(out / "fig1_sliding.csv", ["t", "sliding_product"], [t, stat])
     if args.svg:
         _timeseries_svg(out / "fig1_timeseries.svg", "constant-then-ramp feed", cols)
-        emit_svg(
-            out / "fig1_sliding.svg",
-            "sliding half-window product",
-            [
-                ("product", t, stat, svg.STYLE_SUBSTRATE),
-                ("threshold 1", t, np.ones_like(stat), svg.STYLE_FEED),
-            ],
-        )
+        _sliding_svg(out / "fig1_sliding.svg", t, stat)
     print(f"wrote {out / 'fig1_timeseries.csv'} and {out / 'fig1_sliding.csv'}")
     print(
         f"biomass: min over constant phase = {np.min(traj.x.window(100, 500)):.6g}, "

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
 
 
@@ -27,9 +29,10 @@ from .errors import ParameterError
 
 class UptakeFunction:
     """Per-capita nutrient uptake rate p(s), nonnegative and nondecreasing
-    with p(0) = 0 and p'(s) <= p'(0)."""
+    with p(0) = 0 and p'(s) <= p'(0).  ``evaluate`` takes a float or an
+    ndarray and gives the same values, bit for bit, either way."""
 
-    def evaluate(self, s: float) -> float:
+    def evaluate(self, s):
         raise NotImplementedError
 
     def derivative(self, s: float) -> float:
@@ -131,6 +134,9 @@ class TabulatedUptake(UptakeFunction):
         return lo
 
     def evaluate(self, s):
+        # scalars skip np.interp, which costs 5x more per call in the integrator
+        if isinstance(s, np.ndarray):
+            return np.interp(s, self.grid, self.values)
         if s <= 0.0:
             return 0.0
         if s >= self.grid[-1]:
@@ -378,6 +384,11 @@ class ChemostatParams:
     def survival(self) -> float:
         """Fraction kept per step, 1 - E."""
         return 1.0 - self.E
+
+
+def _validate_tol(tol):
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ParameterError(f"tolerance must be finite and > 0, got {tol}")
 
 
 def _validate_E_r(E, r):

@@ -157,10 +157,7 @@ def conservation_deficit(traj: Trajectory, z: WashoutSolution) -> TimeSeries:
     compare against that.
     """
     horizon = traj.horizon
-    if not z.covers(0, horizon):
-        raise UsageError("washout solution does not cover the trajectory range")
-    zt = np.array([z.at(t) for t in range(horizon + 1)])
-    d = traj.s.window(0, horizon) + traj.x.window(0, horizon) + traj.y.values - zt
+    d = traj.s.window(0, horizon) + traj.x.window(0, horizon) + traj.y.values - z.window(0, horizon)
     return TimeSeries(d, t_start=0)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChemostatParams
+from .core import ChemostatParams, _validate_tol
 from .dynamics import Trajectory
 from .errors import ConvergenceError, DomainError, UsageError
 from .series import TimeSeries
@@ -101,15 +101,13 @@ def phi_sequence(
     r = params.r
     if horizon < 0:
         raise UsageError(f"horizon must be >= 0, got {horizon}")
-    if not z.covers(-r, horizon):
-        raise UsageError(f"washout solution must cover [-{r}, {horizon}]")
     if not c_seed > 0:
         raise UsageError(f"c_seed must be positive, got {c_seed}")
 
     omE = 1.0 - params.E
     lomE = math.log(omE)
     omE_r = omE**r
-    p = params.uptake.evaluate
+    pz = params.uptake.evaluate(z.window(-r, horizon)).tolist()  # index t: p(z[t - r])
 
     n = horizon + 2 * r + 1  # log c on [-r, horizon + r]
     log_c = np.empty(n)
@@ -117,17 +115,14 @@ def phi_sequence(
     for t in range(0, horizon + r):
         i = t + r
         ratio = math.exp(log_c[i - r] - log_c[i]) * omE_r
-        log_c[i + 1] = log_c[i] + lomE + math.log1p(p(z.at(t - r)) * ratio)
+        log_c[i + 1] = log_c[i] + lomE + math.log1p(pz[t] * ratio)
 
-    idx = np.arange(horizon + r + 1)  # positions of times -r..horizon
-    phi_vals = np.exp(log_c[idx] - log_c[idx + r]) * omE_r
-    phi = TimeSeries(phi_vals, t_start=-r)
+    phi = TimeSeries(np.exp(log_c[: horizon + r + 1] - log_c[r:]) * omE_r, t_start=-r)
 
     cross = 0.0
     if r > 0 and horizon > 0:
-        seed = [phi.at(t) for t in range(1 - r, 1)]
-        direct = correction_recursion(lambda k: p(z.at(k)), r, horizon, seed)
-        cross = max(abs(direct[t] - phi.at(t)) for t in range(1, horizon + 1))
+        direct = correction_recursion(lambda k: pz[k + r], r, horizon, phi.window(1 - r, 0))
+        cross = max(abs(direct[t] - v) for t, v in enumerate(phi.window(1, horizon).tolist(), 1))
 
     return CorrectionSequences(phi=phi, log_c=TimeSeries(log_c, t_start=-r), cross_check_error=cross)
 
@@ -167,9 +162,7 @@ def reconstruct_biomass(traj: Trajectory, psi: TimeSeries) -> TimeSeries:
     if x0 == 0.0:
         return TimeSeries(np.zeros(horizon + 1), t_start=0)
 
-    p = params.uptake.evaluate
-    s_vals = traj.s.window(-r, horizon - r)
-    terms = psi.window(-r, horizon - r) * np.array([p(v) for v in s_vals])
+    terms = psi.window(-r, horizon - r) * params.uptake.evaluate(traj.s.window(-r, horizon - r))
     if np.any(terms <= -1.0):
         raise DomainError("product formula left its domain: some 1 + psi*p(s) <= 0")
     log_growth = np.cumsum(np.log1p(terms))  # index j: sum over k in [-r, -r+j]
@@ -182,10 +175,8 @@ def reconstruct_biomass(traj: Trajectory, psi: TimeSeries) -> TimeSeries:
 
 def growth_factors(params: ChemostatParams, z: WashoutSolution, phi: TimeSeries) -> TimeSeries:
     """a[k] = (1-E) * (1 + phi[k] * p(z[k])) on phi's range."""
-    p = params.uptake.evaluate
-    zv = np.array([z.at(t) for t in range(phi.t_start, phi.t_end + 1)])
-    vals = (1.0 - params.E) * (1.0 + phi.values * np.array([p(v) for v in zv]))
-    return TimeSeries(vals, t_start=phi.t_start)
+    pz = params.uptake.evaluate(z.window(phi.t_start, phi.t_end))
+    return TimeSeries((1.0 - params.E) * (1.0 + phi.values * pz), t_start=phi.t_start)
 
 
 @dataclass(frozen=True)
@@ -232,9 +223,10 @@ def bohl_bounds(
         raise UsageError(
             f"sequence of length {n} too short for window_min={window_min}, gap_min={gap_min}"
         )
-    if np.any(~(vals > 0.0)):
-        k = int(np.flatnonzero(~(vals > 0.0))[0])
-        raise DomainError(f"growth factor at position {k} is not positive")
+    bad = np.flatnonzero(~((vals > 0.0) & np.isfinite(vals)))
+    if bad.size:
+        k = int(bad[0])
+        raise DomainError(f"growth factor at position {k} is {vals[k]}, not finite and positive")
 
     prefix = np.concatenate([[0.0], np.cumsum(np.log(vals))])
     if method == "auto":
@@ -300,12 +292,14 @@ def periodic_phi(
     phi[t+1] * prod (1 + phi[k] p(z[k])) = 1 holds at every phase of the
     returned profile (wrapping around the period).
     """
+    _validate_tol(tol)
+    if max_sweeps < 1:
+        raise UsageError(f"max_sweeps must be >= 1, got {max_sweeps}")
     omega = z.period
     if omega is None:
         raise UsageError("periodic_phi requires a periodic washout solution")
     r = params.r
-    p = params.uptake.evaluate
-    pz = np.array([p(z.at(t)) for t in range(omega)])
+    pz = params.uptake.evaluate(z.window(0, omega - 1)).tolist()
 
     if r == 0:
         return PeriodicCorrection(np.ones(omega), omega, sweeps=1, residual=0.0)
@@ -350,9 +344,7 @@ def periodic_mean(
         raise UsageError(
             f"phi profile has length {len(prof)}, expected the input period {omega}"
         )
-    p = params.uptake.evaluate
-    omE = 1.0 - params.E
     total = 0.0
-    for k in range(omega):
-        total += math.log(omE * (1.0 + prof[k] * p(z.at(k))))
+    for a in growth_factors(params, z, TimeSeries(prof, t_start=0)).values.tolist():
+        total += math.log(a)
     return math.exp(total / omega)

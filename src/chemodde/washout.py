@@ -55,8 +55,12 @@ class WashoutSolution:
             return float(self.profile[t % self.period])
         return self.z.at(t)
 
-    def covers(self, t_from: int, t_to: int) -> bool:
-        return self.period is not None or self.z.covers(t_from, t_to)
+    def window(self, t_from: int, t_to: int) -> np.ndarray:
+        """Values on the inclusive time range [t_from, t_to], equal to
+        at(t) for each t; periodic solutions wrap to any range."""
+        if self.period is not None:
+            return self.profile[np.arange(t_from, t_to + 1) % self.period]
+        return self.z.window(t_from, t_to)
 
 
 def default_tail_depth(E: float) -> int:
@@ -137,9 +141,8 @@ def washout_periodic(params: ChemostatParams) -> WashoutSolution:
 
     r = params.r
     span = max(omega, r)
-    values = np.array([profile[t % omega] for t in range(-r, span + 1)])
     return WashoutSolution(
-        z=TimeSeries(values, t_start=-r),
+        z=TimeSeries(profile[np.arange(-r, span + 1) % omega], t_start=-r),
         z_sup=float(np.max(profile)),
         tail_error_bound=0.0,
         period=omega,

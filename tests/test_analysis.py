@@ -7,8 +7,10 @@ from chemodde import (
     ChemostatParams,
     Constant,
     ConvergenceError,
+    ExplicitSequence,
     InitialHistory,
     LinearUptake,
+    ParameterError,
     PeriodicOrbit,
     UsageError,
     WashoutConvergence,
@@ -158,6 +160,24 @@ def test_orbit_requires_periodic_input():
     )
     with pytest.raises(UsageError):
         find_periodic_orbit(params, InitialHistory(s=(0.3,), x=(0.3,)))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan])
+def test_bad_tolerance_rejected(tol):
+    ramp = ChemostatParams(
+        E=0.2, r=0, uptake=LinearUptake(0.5),
+        input=ExplicitSequence(values=(1.0, 1.1), periodic=False),
+    )
+    for params in (fig2_params(0.6), ramp):
+        with pytest.raises(ParameterError):
+            classify(params, horizon=200, tol=tol)
+    with pytest.raises(ParameterError):
+        find_periodic_orbit(fig2_params(0.6), fig2_init(), tol=tol)
+
+
+def test_orbit_rejects_zero_budget():
+    with pytest.raises(UsageError):
+        find_periodic_orbit(fig2_params(0.6), fig2_init(), max_periods=0)
 
 
 def test_orbit_convergence_error_carries_residual():

@@ -208,6 +208,19 @@ def test_periodic_convergence_failure_exits_1(tmp_path, fig2_cfg, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("extra", [
+    ["periodic", "--max-periods", "0"],
+    ["periodic", "--tol", "0"],
+    ["classify", "--tol", "-1"],
+    ["classify", "--tol", "0"],
+    ["classify", "--tol", "nan"],
+])
+def test_bad_budget_or_tolerance_exits_2(tmp_path, fig2_cfg, capsys, extra):
+    assert run(extra + ["--config", str(fig2_cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_neither_nor_json(tmp_path, capsys):
     assert run(["neither-nor", "--E", "0.5", "--r", "0", "--n-max", "3",
                 "--out", str(tmp_path)]) == 0

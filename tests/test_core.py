@@ -45,6 +45,9 @@ def test_monod_shape(p_max, k_s):
     p = Monod(p_max=p_max, k_s=k_s)
     d0 = p.derivative_at_zero()
     vals = [p.evaluate(s) for s in GRID]
+    # the array path gives the scalar values bit for bit, also at s < 0
+    points = np.concatenate([[-1e-3, -1e-9], GRID])
+    assert p.evaluate(points).tolist() == [p.evaluate(s) for s in points.tolist()]
     ders = [p.derivative(s) for s in GRID]
     assert vals[0] == 0.0
     assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -57,6 +60,8 @@ def test_linear_uptake_shape():
     assert p.derivative(123.0) == p.derivative_at_zero() == 0.4
     # unbounded by design; large arguments are fine
     assert p.evaluate(1e12) == 0.4e12
+    points = np.array([-2.0, -0.0, 0.0, 1.5, 1e12])
+    assert p.evaluate(points).tolist() == [p.evaluate(s) for s in points.tolist()]
 
 
 def test_tabulated_follows_samples():
@@ -76,6 +81,13 @@ def test_tabulated_follows_samples():
     # held constant past the table
     assert tab.evaluate(100.0) == ref.evaluate(5.0)
     assert tab.derivative(100.0) == 0.0
+    # the array path (np.interp) gives the scalar values bit for bit: below
+    # zero, at zero, on and between grid points, and past the last point
+    points = np.concatenate([
+        [-1.0, -1e-12, -0.0, 0.0], grid, np.linspace(0.01, 4.99, 97),
+        np.random.default_rng(0).uniform(-1.0, 6.0, 1000), [5.0, 100.0, math.inf],
+    ])
+    assert tab.evaluate(points).tolist() == [tab.evaluate(s) for s in points.tolist()]
 
 
 def test_tabulated_validation():

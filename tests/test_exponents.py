@@ -13,6 +13,7 @@ from chemodde import (
     InitialHistory,
     LinearUptake,
     Monod,
+    ParameterError,
     Sinusoid,
     UsageError,
     bohl_bounds,
@@ -214,8 +215,9 @@ def test_bohl_windowed_within_full():
 
 
 def test_bohl_domain_and_usage_errors():
-    with pytest.raises(DomainError):
-        bohl_bounds(np.array([1.0, -0.5] + [1.0] * 200), window_min=10)
+    for bad in (-0.5, math.inf, math.nan):
+        with pytest.raises(DomainError, match="position 1 "):
+            bohl_bounds(np.array([1.0, bad] + [1.0] * 200), window_min=10)
     with pytest.raises(UsageError):
         bohl_bounds(np.ones(30), window_min=20)
 
@@ -259,6 +261,19 @@ def test_periodic_phi_convergence_error_carries_residual():
     with pytest.raises(ConvergenceError) as err:
         periodic_phi(params, washout_periodic(params), max_sweeps=1)
     assert err.value.residual is not None
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan])
+def test_periodic_phi_rejects_bad_tolerance(tol):
+    params = fig2_params(0.6)
+    with pytest.raises(ParameterError):
+        periodic_phi(params, washout_periodic(params), tol=tol)
+
+
+def test_periodic_phi_rejects_zero_budget():
+    params = fig2_params(0.6)
+    with pytest.raises(UsageError):
+        periodic_phi(params, washout_periodic(params), max_sweeps=0)
 
 
 def test_periodic_mean_r0_closed_form():

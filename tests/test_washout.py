@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemodde import (
     ChemostatParams,
@@ -136,3 +138,22 @@ def test_out_of_range_access_raises():
         z.at(11)
     with pytest.raises(UsageError):
         z.at(-3)
+    with pytest.raises(UsageError):
+        z.window(0, 11)
+    with pytest.raises(UsageError):
+        z.window(-3, 0)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_window_matches_at(data):
+    # period 37 lets a 200-step range span several periods
+    params = _params(0.2, 3, Sinusoid(amplitude=0.25, period_steps=37, offset=0.6))
+    truncated = washout_sequence(params, horizon=120)
+    a = data.draw(st.integers(-3, 120))
+    b = data.draw(st.integers(a, 120))
+    assert truncated.window(a, b).tolist() == [truncated.at(t) for t in range(a, b + 1)]
+    periodic = washout_periodic(params)
+    a = data.draw(st.integers(-400, 400))
+    b = data.draw(st.integers(a, a + 200))
+    assert periodic.window(a, b).tolist() == [periodic.at(t) for t in range(a, b + 1)]
