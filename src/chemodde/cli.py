@@ -193,7 +193,9 @@ def _cmd_exponents(args) -> int:
     z = washout.washout_sequence(params, horizon)
     corr = exponents.phi_sequence(params, z, horizon)
     growth = exponents.growth_factors(params, z, corr.phi)
-    window_min = cfg.window_min or exponents.default_window_min(params.r)
+    window_min = (
+        exponents.default_window_min(params.r) if cfg.window_min is None else cfg.window_min
+    )
     est = exponents.bohl_bounds(growth, window_min)
     out = _out_dir(args)
     emit_csv(
@@ -368,7 +370,9 @@ def fig1_init() -> InitialHistory:
 
 def _cmd_fig1(args) -> int:
     params = fig1_params()
-    horizon = args.horizon or DEFAULT_HORIZON
+    horizon = DEFAULT_HORIZON if args.horizon is None else args.horizon
+    if horizon < 500:
+        raise UsageError(f"fig1 summarises the constant phase [100, 500]; horizon {horizon} < 500")
     traj, z, cols = _simulation_bundle(params, fig1_init(), horizon)
     t, stat = _sliding_product(params, z, horizon)
 
@@ -402,7 +406,7 @@ def fig2_init() -> InitialHistory:
 
 def _cmd_fig2(args) -> int:
     params = fig2_params(args.offset)
-    horizon = args.horizon or 20_000
+    horizon = 20_000 if args.horizon is None else args.horizon
     traj, z, cols = _simulation_bundle(params, fig2_init(), horizon)
     report = analysis.classify(params)
     out = _out_dir(args)

@@ -207,12 +207,16 @@ def bohl_bounds(
 ) -> BohlEstimate:
     """Extremal window geometric means of a positive growth sequence.
 
-    The sequence is scanned over windows (t1, t2] with t1 > gap_min,
-    t2 - t1 > window_min, via prefix sums of logs: "full" visits every
-    window pair (quadratic), "windowed" only a geometric ladder of window
-    lengths (linear times n_window_lengths, min/max still over all
-    placements of each length); "auto" picks full below 6000 samples.
+    lower/upper are exact over all windows (t1, t2] with t1 > gap_min and
+    t2 - t1 > window_min = T, computed from prefix sums of logs.  Only
+    lengths T+1 .. 2T+1 are scanned: a longer window splits into two
+    admissible windows whose means it averages, so one of them is at least
+    as large and one at least as small.  The cost is O(n*T).  `method`
+    ("auto" or "full") and `n_window_lengths` are accepted for
+    compatibility and have no effect.
     """
+    if method not in ("auto", "full"):
+        raise UsageError(f"unknown bohl_bounds method {method!r}")
     vals = growth.values if isinstance(growth, TimeSeries) else np.asarray(growth, float)
     if gap_min is None:
         gap_min = window_min
@@ -229,28 +233,12 @@ def bohl_bounds(
         raise DomainError(f"growth factor at position {k} is {vals[k]}, not finite and positive")
 
     prefix = np.concatenate([[0.0], np.cumsum(np.log(vals))])
-    if method == "auto":
-        method = "full" if n <= 6000 else "windowed"
-
+    start = gap_min + 2  # window (t1, t1 + w] is prefix[t1 + 1 + w] - prefix[t1 + 1]
     lo, hi = np.inf, -np.inf
-    if method == "full":
-        for t1 in range(gap_min + 1, n - window_min - 1):
-            t2 = np.arange(t1 + window_min + 1, n)
-            means = (prefix[t2 + 1] - prefix[t1 + 1]) / (t2 - t1)
-            lo = min(lo, float(means.min()))
-            hi = max(hi, float(means.max()))
-    elif method == "windowed":
-        max_len = n - gap_min - 2
-        lengths = np.unique(
-            np.geomspace(window_min + 1, max_len, n_window_lengths).astype(int)
-        )
-        for w in lengths:
-            t1 = np.arange(gap_min + 1, n - w)
-            means = (prefix[t1 + w + 1] - prefix[t1 + 1]) / w
-            lo = min(lo, float(means.min()))
-            hi = max(hi, float(means.max()))
-    else:
-        raise UsageError(f"unknown bohl_bounds method {method!r}")
+    for w in range(window_min + 1, min(2 * window_min + 1, n - start) + 1):
+        means = (prefix[start + w :] - prefix[start : n + 1 - w]) / w
+        lo = min(lo, float(means.min()))
+        hi = max(hi, float(means.max()))
 
     return BohlEstimate(
         lower=math.exp(lo),

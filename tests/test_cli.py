@@ -234,3 +234,43 @@ def test_out_env_override(tmp_path, monkeypatch):
     assert run(["fig2", "--horizon", "1000", "--out", str(tmp_path / "ignored")]) == 0
     assert (env_dir / "fig2_timeseries.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+RAMP_T0_CFG = """
+schema = 1
+model.E = 0.2
+model.r = 2
+uptake.kind = monod
+uptake.p_max = 1.0
+uptake.k_s = 1.0
+input.kind = piecewise
+input.t = 0 100 300
+input.values = 3.0 3.0 0.05
+run.horizon = 400
+run.T = 0
+"""
+
+
+@pytest.mark.parametrize("command", ["exponents", "classify"])
+def test_window_min_zero_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "ramp.cfg"
+    cfg.write_text(RAMP_T0_CFG)
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: window_min must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["fig1", "--horizon", "0"], "fig1 summarises the constant phase [100, 500]; horizon 0 < 500"),
+    (["fig1", "--horizon", "300"], "fig1 summarises the constant phase [100, 500]; horizon 300 < 500"),
+    (["fig2", "--horizon", "0"], "horizon 0 must be >= delay r=5"),
+])
+def test_bad_figure_horizon_exits_2_before_writing(tmp_path, capsys, argv, err):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemodde import (
     ChemostatParams,
@@ -206,12 +208,57 @@ def test_bohl_dyadic_blocks_straddles_one():
     assert est.lower < 1.0 < est.upper
 
 
-def test_bohl_windowed_within_full():
-    rng = np.random.default_rng(5)
-    seq = np.exp(rng.normal(0.0, 0.05, size=1200))
-    full = bohl_bounds(seq, window_min=30, method="full")
-    win = bohl_bounds(seq, window_min=30, method="windowed")
-    assert full.lower <= win.lower <= win.upper <= full.upper
+def _bohl_oracle(vals, window_min, gap_min):
+    """Exhaustive scan over every window pair (t1, t2] with t1 > gap_min and
+    t2 - t1 > window_min; returns the extreme window geometric means."""
+    prefix = np.concatenate([[0.0], np.cumsum(np.log(vals))])
+    n = len(vals)
+    lo, hi = np.inf, -np.inf
+    for t1 in range(gap_min + 1, n - window_min - 1):
+        t2 = np.arange(t1 + window_min + 1, n)
+        means = (prefix[t2 + 1] - prefix[t1 + 1]) / (t2 - t1)
+        lo = min(lo, float(means.min()))
+        hi = max(hi, float(means.max()))
+    return math.exp(lo), math.exp(hi)
+
+
+@st.composite
+def _bohl_cases(draw):
+    window_min = draw(st.integers(1, 40))
+    gap_min = draw(st.integers(0, 40))
+    n = draw(st.integers(gap_min + window_min + 3, gap_min + window_min + 300))
+    kind = draw(st.sampled_from(["random", "constant", "alternating"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        vals = np.exp(rng.normal(0.0, draw(st.sampled_from([1e-3, 0.05, 1.0])), size=n))
+    elif kind == "constant":
+        vals = np.full(n, rng.uniform(0.5, 2.0))
+    else:
+        vals = np.where(np.arange(n) % 2 == 0, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+    return vals, window_min, gap_min
+
+
+@given(_bohl_cases())
+@settings(max_examples=200, deadline=None)
+def test_bohl_matches_exhaustive_scan(case):
+    vals, window_min, gap_min = case
+    est = bohl_bounds(vals, window_min, gap_min)
+    lower, upper = _bohl_oracle(vals, window_min, gap_min)
+    assert est.lower == pytest.approx(lower, rel=1e-12)
+    assert est.upper == pytest.approx(upper, rel=1e-12)
+    assert (est.window_min, est.gap_min, est.horizon) == (window_min, gap_min, len(vals) - 1)
+
+
+def test_bohl_exact_above_6000_samples():
+    # the former 64-length ladder, used above 6000 samples, reported
+    # lower = 0.98221 and upper = 1.01758 here; both miss the true extremes
+    seq = np.exp(np.random.default_rng(0).normal(0.0, 0.05, size=6200))
+    est = bohl_bounds(seq, window_min=70)
+    lower, upper = _bohl_oracle(seq, 70, 70)
+    assert est.lower == pytest.approx(lower, rel=1e-12)
+    assert est.upper == pytest.approx(upper, rel=1e-12)
+    assert est.lower < 0.98200 and est.upper > 1.01770
+    assert bohl_bounds(seq, window_min=70, method="full") == est
 
 
 def test_bohl_domain_and_usage_errors():
@@ -220,6 +267,8 @@ def test_bohl_domain_and_usage_errors():
             bohl_bounds(np.array([1.0, bad] + [1.0] * 200), window_min=10)
     with pytest.raises(UsageError):
         bohl_bounds(np.ones(30), window_min=20)
+    with pytest.raises(UsageError, match="windowed"):
+        bohl_bounds(np.ones(300), window_min=10, method="windowed")
 
 
 # ---------------------------------------------------------------------------
