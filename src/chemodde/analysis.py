@@ -64,7 +64,9 @@ class ClassificationReport:
     threshold; the verdict invariant is Persistent => lower > 1 and
     Extinct => upper < 1.  borderline marks a periodic mean within
     BORDERLINE_BAND of 1, where the theory assigns extinction to equality
-    but floating point cannot distinguish it.
+    but floating point cannot distinguish it.  phi_sweeps and
+    phi_residual are the periodic phi sweep certificate (None on the
+    GeneralBohl basis).
     """
 
     verdict: str
@@ -76,6 +78,8 @@ class ClassificationReport:
     mean: float | None = None
     borderline: bool = False
     note: str = ""
+    phi_sweeps: int | None = None
+    phi_residual: float | None = None
 
     @property
     def eta_persist(self) -> float:
@@ -126,6 +130,8 @@ def classify(
             mean=mean,
             borderline=abs(margin) <= BORDERLINE_BAND,
             note=note,
+            phi_sweeps=prof.sweeps,
+            phi_residual=prof.residual,
         )
 
     if window_min is None:

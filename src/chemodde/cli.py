@@ -91,12 +91,17 @@ def _horizon(cfg: RunConfig) -> int:
     return cfg.horizon if cfg.horizon is not None else DEFAULT_HORIZON
 
 
+def _feed(params, t):
+    """The feed s0 at the integer times t, as a column."""
+    return np.array([params.input.value_at(int(u)) for u in t])
+
+
 def _simulation_bundle(params, init, horizon):
     z = washout.washout_sequence(params, horizon)
     traj = dynamics.simulate(params, init, horizon, z=z)
     deficit = dynamics.conservation_deficit(traj, z)
     t = np.arange(-params.r, horizon + 1)
-    s0 = np.array([params.input.value_at(int(u)) for u in t])
+    s0 = _feed(params, t)
     # y and the deficit start at t = 0; pad the history window with nan
     y = np.concatenate([np.full(params.r, np.nan), traj.y.values])
     d = np.concatenate([np.full(params.r, np.nan), deficit.values])
@@ -178,7 +183,7 @@ def _cmd_washout(args) -> int:
     horizon = _horizon(cfg)
     z = washout.washout_sequence(cfg.params, horizon)
     t = np.arange(-cfg.params.r, horizon + 1)
-    s0 = np.array([cfg.params.input.value_at(int(u)) for u in t])
+    s0 = _feed(cfg.params, t)
     out = _out_dir(args)
     emit_csv(out / "washout.csv", ["t", "s0", "z"], [t, s0, z.z.values])
     print(f"wrote {out / 'washout.csv'}")
@@ -245,6 +250,8 @@ def _cmd_classify(args) -> int:
         "horizon": report.horizon,
         "borderline": report.borderline,
         "note": report.note,
+        "phi_sweeps": report.phi_sweeps,
+        "phi_residual": report.phi_residual,
     }
     (out / "classify.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out / 'classify.json'}")
@@ -275,7 +282,7 @@ def _cmd_periodic(args) -> int:
         )
         return 0
     phase = np.arange(result.period)
-    s0 = np.array([cfg.params.input.value_at(int(u)) for u in phase])
+    s0 = _feed(cfg.params, phase)
     emit_csv(
         out / "periodic_orbit.csv",
         ["phase", "s0", "s", "x"],
@@ -290,15 +297,8 @@ def _cmd_periodic(args) -> int:
     }
     (out / "periodic_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     if args.svg:
-        emit_svg(
-            out / "periodic_orbit.svg",
-            f"periodic orbit (period {result.period})",
-            [
-                ("feed s0", phase, s0, svg.STYLE_FEED),
-                ("substrate s", phase, result.s, svg.STYLE_SUBSTRATE),
-                ("biomass x", phase, result.x, svg.STYLE_BIOMASS),
-            ],
-        )
+        _timeseries_svg(out / "periodic_orbit.svg", f"periodic orbit (period {result.period})",
+                        {"t": phase, "s0": s0, "s": result.s, "x": result.x})
     print(f"wrote {out / 'periodic_orbit.csv'}")
     print(
         f"found period-{result.period} orbit: min x = {result.delta:.6g}, "

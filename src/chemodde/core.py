@@ -380,11 +380,6 @@ class ChemostatParams:
         if not isinstance(self.input, InputSignal):
             raise ParameterError("input must be an InputSignal")
 
-    @property
-    def survival(self) -> float:
-        """Fraction kept per step, 1 - E."""
-        return 1.0 - self.E
-
 
 def _validate_tol(tol):
     if not (tol > 0 and math.isfinite(tol)):

@@ -20,8 +20,10 @@ gives the exact product formula
     x[t+1] = x[0] * (1-E)**(t+1) * prod_{k=-r}^{t-r} (1 + psi[k]*p(s[k])).
 
 For r = 0 both ratios are identically 1 and everything collapses to the
-undelayed theory.  Persistence and extinction are read off windowed
-geometric means of the growth factors a[k] = (1-E)*(1 + phi[k]*p(z[k])):
+undelayed theory.  The fixed-point identity runs forward in O(1)
+amortised time per step for any r, so the phi cross-check costs O(n) and
+a periodic sweep O(period).  Persistence and extinction are read off
+windowed geometric means of the growth factors a[k] = (1-E)*(1 + phi[k]*p(z[k])):
 liminf > 1 forces persistence, limsup < 1 forces extinction.  Finite data
 only supports windowed estimates of those limits, reported together with
 the window parameters that produced them.
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, count, cycle, islice
+from operator import mul
 
 import numpy as np
 
@@ -58,24 +62,52 @@ class CorrectionSequences:
     cross_check_error: float = 0.0
 
 
+def _direct_phi(f_values, seed):
+    """Yield phi[t+1] = prod_{k=t+1-r}^{t} (1 + phi[k]*f(k))**-1 for t = t0,
+    t0 + 1, ...; seed is phi on [t0 - r + 1, t0] (r >= 1 values) and
+    f_values yields f(k) from k = t0 - r + 1 on, each only once needed.
+
+    A window is the suffix product of the previous block of r factors
+    times the running prefix product of the current one (van Herk 1992;
+    Gil & Werman 1993): O(1) amortised per step, no division.
+    """
+    f_next = f_values.__next__
+    block = [1.0 + phi * f_next() for phi in seed]
+    phi = 1.0 / math.prod(block)
+    while True:
+        # tails[j]: product of the last j factors of the finished block
+        tails = [*accumulate(block[:0:-1], mul, initial=1.0)]
+        block = []
+        prefix = 1.0
+        for tail in reversed(tails):
+            yield phi
+            g = 1.0 + phi * f_next()
+            block.append(g)
+            prefix *= g
+            phi = 1.0 / (tail * prefix)
+
+
 def correction_recursion(f_at, r: int, t_stop: int, seed, t_start: int = 0):
     """Run phi[t+1] = prod_{k=t+1-r}^{t} (1 + phi[k]*f(k))**-1 forward.
 
-    seed holds phi on the window [t_start - r + 1, t_start]; values are
-    produced up to time t_stop.  Returns a dict {time: phi}.  This is the
-    generic engine reused by the synthetic comparison-lemma suites.
+    seed holds phi on the window [t_start - r + 1, t_start], r finite
+    positive values; values are produced up to time t_stop, O(1) amortised
+    per step.  Returns a dict {time: phi}.  This is the generic engine
+    reused by the synthetic comparison-lemma suites.
     """
-    phi = {t_start - r + 1 + i: float(seed[i]) for i in range(r)}
+    if r < 0:
+        raise UsageError(f"delay r must be >= 0, got {r}")
+    if len(seed) != r:
+        raise UsageError(f"seed must hold r = {r} values, got {len(seed)}")
+    seed = [float(v) for v in seed]
+    for t, v in enumerate(seed, t_start - r + 1):
+        if not 0.0 < v < math.inf:
+            raise DomainError(f"seed phi[{t}] = {v} is not finite and positive")
     if r == 0:
-        phi[t_start] = 1.0
-        for t in range(t_start, t_stop + 1):
-            phi[t] = 1.0
-        return phi
-    for t in range(t_start, t_stop):
-        prod = 1.0
-        for k in range(t + 1 - r, t + 1):
-            prod *= 1.0 + phi[k] * f_at(k)
-        phi[t + 1] = 1.0 / prod
+        return {t_start: 1.0, **dict.fromkeys(range(t_start, t_stop + 1), 1.0)}
+    phi = dict(zip(range(t_start - r + 1, t_start + 1), seed))
+    f_values = map(f_at, count(t_start - r + 1))
+    phi.update(zip(range(t_start + 1, t_stop + 1), _direct_phi(f_values, seed)))
     return phi
 
 
@@ -122,7 +154,8 @@ def phi_sequence(
     cross = 0.0
     if r > 0 and horizon > 0:
         direct = correction_recursion(lambda k: pz[k + r], r, horizon, phi.window(1 - r, 0))
-        cross = max(abs(direct[t] - v) for t, v in enumerate(phi.window(1, horizon).tolist(), 1))
+        direct = np.fromiter(direct.values(), float, len(direct))[r:]  # phi on [1, horizon]
+        cross = float(np.max(np.abs(direct - phi.window(1, horizon))))
 
     return CorrectionSequences(phi=phi, log_c=TimeSeries(log_c, t_start=-r), cross_check_error=cross)
 
@@ -274,11 +307,13 @@ def periodic_phi(
     """Periodic delay-correction profile by fixed-point sweeping.
 
     Starting from phi = 1 on the initial window, the fixed-point recursion
-    is iterated period after period until two consecutive periods agree in
-    sup norm below tol.  Convergence is driven by the same attraction that
-    makes the ratio construction forget its seed; the identity
-    phi[t+1] * prod (1 + phi[k] p(z[k])) = 1 holds at every phase of the
-    returned profile (wrapping around the period).
+    is iterated period after period, O(omega) each, until the max(omega, r)
+    values before a period (all its windows read) agree with the new
+    profile at their phases below tol in sup norm; for omega >= r, until
+    two consecutive periods agree.  Convergence is driven by the same
+    attraction that makes the ratio construction forget its seed; the
+    identity phi[t+1] * prod (1 + phi[k] p(z[k])) = 1 holds at every phase
+    of the returned profile (wrapping around the period).
     """
     _validate_tol(tol)
     if max_sweeps < 1:
@@ -292,23 +327,18 @@ def periodic_phi(
     if r == 0:
         return PeriodicCorrection(np.ones(omega), omega, sweeps=1, residual=0.0)
 
-    window = {1 - r + i: 1.0 for i in range(r)}  # phi on [1-r, 0]
-    current = np.ones(omega)
-    t = 0
+    # a sweep yields phi at phases 1 .. omega-1, then 0
+    phis = _direct_phi(islice(cycle(pz), (1 - r) % omega, None), [1.0] * r)
+    span = max(omega, r)
+    phase = np.arange(1 - span, 1) % omega
+    before = np.ones(span)
     for sweep in range(1, max_sweeps + 1):
-        previous = current.copy()
-        for _ in range(omega):
-            prod = 1.0
-            for k in range(t + 1 - r, t + 1):
-                prod *= 1.0 + window[k] * pz[k % omega]
-            nxt = 1.0 / prod
-            window[t + 1] = nxt
-            del window[t + 1 - r]
-            current[(t + 1) % omega] = nxt
-            t += 1
-        residual = float(np.max(np.abs(current - previous)))
-        if sweep >= 2 and residual < tol:
+        values = np.fromiter(islice(phis, omega), float, omega)
+        current = np.roll(values, 1)
+        residual = float(np.max(np.abs(before - current[phase])))
+        if (sweep - 1) * omega >= span and residual < tol:
             return PeriodicCorrection(current, omega, sweeps=sweep, residual=residual)
+        before = np.concatenate([before, values])[-span:]
     raise ConvergenceError(
         f"periodic phi did not converge within {max_sweeps} sweeps "
         f"(last residual {residual:.3e})",

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from chemodde import UsageError
-from chemodde.cli import emit_csv, run
+from chemodde import UsageError, periodic_phi, washout_periodic
+from chemodde.cli import emit_csv, fig2_params, run
 
 FIG2_CFG = """
 schema = 1
@@ -183,11 +183,32 @@ def test_sliding_csv(tmp_path, fig2_cfg):
     assert len(rows) == 801
 
 
+CLASSIFY_KEYS = [
+    "verdict", "basis", "lower", "upper", "mean", "eta_persist", "eta_extinct",
+    "window_min", "horizon", "borderline", "note", "phi_sweeps", "phi_residual",
+]
+
+
 def test_classify_json(tmp_path, fig2_cfg):
     assert run(["classify", "--config", str(fig2_cfg), "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "classify.json").read_text())
+    assert list(payload) == CLASSIFY_KEYS
     assert payload["verdict"] == "Persistent"
     assert payload["basis"] == "PeriodicMean"
+    # the periodic phi sweep certificate of the same run
+    prof = periodic_phi(fig2_params(0.6), washout_periodic(fig2_params(0.6)))
+    assert payload["phi_sweeps"] == prof.sweeps >= 2
+    assert payload["phi_residual"] == prof.residual < 1e-12
+
+
+def test_classify_json_bohl_basis_has_no_sweep_certificate(tmp_path):
+    cfg = tmp_path / "ramp.cfg"
+    cfg.write_text(RAMP_T0_CFG.replace("run.T = 0\n", ""))
+    assert run(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "classify.json").read_text())
+    assert list(payload) == CLASSIFY_KEYS
+    assert payload["basis"] == "GeneralBohl"
+    assert payload["phi_sweeps"] is None and payload["phi_residual"] is None
 
 
 def test_periodic_orbit_files(tmp_path, fig2_cfg):

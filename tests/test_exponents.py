@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemodde import (
@@ -19,6 +19,7 @@ from chemodde import (
     Sinusoid,
     UsageError,
     bohl_bounds,
+    correction_recursion,
     growth_factors,
     periodic_mean,
     periodic_phi,
@@ -120,6 +121,68 @@ def test_phi_needs_washout_coverage():
     z = washout_sequence(params, horizon=50)
     with pytest.raises(UsageError):
         phi_sequence(params, z, horizon=100)
+
+
+def _direct_oracle(f_at, r, t_stop, seed, t_start=0):
+    """The direct recursion as correction_recursion used to run it: every
+    window product rebuilt left to right from a dict of phi values, O(r)
+    per step (r >= 1)."""
+    phi = {t_start - r + 1 + i: float(seed[i]) for i in range(r)}
+    for t in range(t_start, t_stop):
+        prod = 1.0
+        for k in range(t + 1 - r, t + 1):
+            prod *= 1.0 + phi[k] * f_at(k)
+        phi[t + 1] = 1.0 / prod
+    return phi
+
+
+@st.composite
+def _recursion_cases(draw):
+    r = draw(st.integers(1, 120))
+    t_start = draw(st.integers(-50, 50))
+    steps = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = rng.uniform(0.0, draw(st.sampled_from([0.1, 1.0, 2.5, 10.0])), size=r + steps).tolist()
+    seed = rng.uniform(0.05, 1.0, size=r)
+    return r, t_start, steps, f, seed
+
+
+@given(_recursion_cases())
+@example((120, 0, 50, [1.0] * 170, np.full(120, 0.5)))  # r beyond the horizon
+@example((7, -13, 7 * 10 + 3, [0.3] * 80, np.linspace(0.1, 1.0, 7)))  # partial last block
+@example((1, 5, 30, [2.0] * 31, np.ones(1)))
+@settings(max_examples=150, deadline=None)
+def test_correction_recursion_matches_direct_oracle(case):
+    r, t_start, steps, f, seed = case
+    f_at = lambda k: f[k - (t_start - r + 1)]  # noqa: E731
+    t_stop = t_start + steps
+    got = correction_recursion(f_at, r, t_stop, seed, t_start)
+    want = _direct_oracle(f_at, r, t_stop, seed, t_start)
+    assert list(got) == list(want) == list(range(t_start - r + 1, t_stop + 1))
+    for t, v in want.items():
+        assert got[t] == pytest.approx(v, rel=1e-13, abs=0.0)
+
+
+def test_correction_recursion_reads_f_only_inside_the_horizon():
+    f = [0.5] * 12  # f(k) for k in [-2, 9]: enough for phi up to t = 10
+    got = correction_recursion(lambda k: f[k + 2], 3, 10, [1.0, 1.0, 1.0])
+    assert max(got) == 10
+
+
+def test_correction_recursion_rejects_bad_delay_and_seed():
+    f_at = lambda k: 1.0  # noqa: E731
+    with pytest.raises(UsageError, match="r must be >= 0"):
+        correction_recursion(f_at, -1, 10, [])
+    with pytest.raises(UsageError, match="seed must hold r = 3 values, got 2"):
+        correction_recursion(f_at, 3, 10, [1.0, 1.0])
+    with pytest.raises(UsageError, match="got 4"):
+        correction_recursion(f_at, 3, 10, [1.0] * 4)
+    with pytest.raises(UsageError, match="got 1"):
+        correction_recursion(f_at, 0, 10, [1.0])
+    for bad in (math.nan, math.inf, 0.0, -0.5):
+        with pytest.raises(DomainError, match=r"phi\[-1\]"):
+            correction_recursion(f_at, 3, 10, [1.0, bad, 1.0])
+    assert correction_recursion(f_at, 0, 3, []) == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +356,65 @@ def test_periodic_phi_satisfies_identity_everywhere():
         prod = prof.phi[(t + 1) % omega]
         for k in range(t + 1 - r, t + 1):
             prod *= 1.0 + prof.phi[k % omega] * p(z.at(k))
+        assert abs(prod - 1.0) <= 1e-10
+
+
+@st.composite
+def _periodic_cases(draw):
+    r = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["below", "equal", "multiple", "any"]))
+    if shape == "below":
+        omega = draw(st.integers(1, r))
+    elif shape == "equal":
+        omega = r
+    elif shape == "multiple":
+        omega = r * draw(st.integers(2, max(2, 120 // r)))
+    else:
+        omega = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feed = rng.uniform(0.2, 1.5, size=omega)
+    uptake = Monod(p_max=float(rng.uniform(0.1, 2.0)), k_s=float(rng.uniform(0.2, 3.0)))
+    params = ChemostatParams(
+        E=float(rng.uniform(0.01, 0.5)), r=r, uptake=uptake,
+        input=ExplicitSequence(values=tuple(feed), periodic=True),
+    )
+    return params
+
+
+def _constant_feed_params(r):
+    return ChemostatParams(
+        E=0.475, r=r, uptake=Monod(p_max=1.9, k_s=0.6),
+        input=ExplicitSequence(values=(0.865,), periodic=True),
+    )
+
+
+@given(_periodic_cases())
+@example(fig2_params(0.6))
+# omega = 1 < r: stopping when one sweep (one step) changes by less than
+# tol left the identity off by 2.5e-10 at r = 4 and 7.9e-8 at r = 28
+@example(_constant_feed_params(4))
+@example(_constant_feed_params(28))
+@settings(max_examples=60, deadline=None)
+def test_periodic_phi_matches_oracle_sweeps(params):
+    z = washout_periodic(params)
+    prof = periodic_phi(params, z)
+    omega, r = prof.period, params.r
+    pz = params.uptake.evaluate(z.window(0, omega - 1)).tolist()
+    # the former periodic_phi: the direct recursion from phi = 1 on [1-r, 0],
+    # sweep s filling phases (t+1) % omega for t in [(s-1)*omega, s*omega)
+    n = prof.sweeps * omega
+    phi = _direct_oracle(lambda k: pz[k % omega], r, n, [1.0] * r)
+    want = np.roll([phi[t] for t in range(n - omega + 1, n + 1)], 1)
+    assert np.max(np.abs(prof.phi - want)) <= 1e-13
+    # residual: the max(omega, r) values before the last sweep against the
+    # last sweep at their phases
+    before = range(n - omega - max(omega, r) + 1, n - omega + 1)
+    residual = max(abs(phi[t] - want[t % omega]) for t in before)
+    assert abs(prof.residual - residual) <= 1e-13
+    for t in range(omega):
+        prod = prof.phi[(t + 1) % omega]
+        for k in range(t + 1 - r, t + 1):
+            prod *= 1.0 + prof.phi[k % omega] * pz[k % omega]
         assert abs(prod - 1.0) <= 1e-10
 
 
