@@ -2,9 +2,11 @@
 
 Subcommands: simulate, washout, exponents, sliding, classify, periodic,
 neither-nor, fig1, fig2.  Results go to CSV (and optionally SVG) files in
-the output directory; a one-screen summary is printed.  Exit codes: 0 on
-success, 1 on domain or convergence errors, 2 on usage errors.  The
-CHEMODDE_OUT environment variable overrides --out.
+the output directory; a one-screen summary is printed.  Each subcommand
+takes only the flags its handler reads (COMMANDS); any other flag is a
+usage error.  Exit codes: 0 on success, 1 on domain or convergence
+errors, 2 on usage errors.  The CHEMODDE_OUT environment variable
+overrides --out.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import analysis, dynamics, exponents, svg, washout
 from .config import RunConfig, load_config
 from .core import ChemostatParams, InitialHistory, Monod, PiecewiseLinear, Sinusoid
-from .errors import ChemoddeError, ConvergenceError, DomainError, ParameterError, UsageError
+from .errors import ChemoddeError, ParameterError, UsageError
 
 DEFAULT_HORIZON = 2000
 
@@ -58,6 +60,42 @@ def emit_svg(path, title, series) -> None:
     Path(path).write_text(svg.line_chart(title, series))
 
 
+def emit_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _write_timeseries(out, stem, title, cols, with_svg) -> None:
+    """stem.csv with the named columns; with_svg adds stem.svg, the feed,
+    substrate and biomass drawn against the first column."""
+    emit_csv(out / f"{stem}.csv", list(cols), list(cols.values()))
+    if with_svg:
+        t = next(iter(cols.values()))
+        emit_svg(
+            out / f"{stem}.svg",
+            title,
+            [
+                ("feed s0", t, cols["s0"], svg.STYLE_FEED),
+                ("substrate s", t, cols["s"], svg.STYLE_SUBSTRATE),
+                ("biomass x", t, cols["x"], svg.STYLE_BIOMASS),
+            ],
+        )
+
+
+def _write_sliding(out, stem, t, stat, with_svg) -> None:
+    """stem.csv with the sliding product; with_svg adds stem.svg against
+    the threshold 1."""
+    emit_csv(out / f"{stem}.csv", ["t", "sliding_product"], [t, stat])
+    if with_svg:
+        emit_svg(
+            out / f"{stem}.svg",
+            "sliding half-window product",
+            [
+                ("product", t, stat, svg.STYLE_SUBSTRATE),
+                ("threshold 1", t, np.ones_like(stat), svg.STYLE_FEED),
+            ],
+        )
+
+
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
@@ -74,11 +112,8 @@ def _load(args) -> RunConfig:
     if not args.config:
         raise UsageError("this subcommand needs --config PATH")
     cfg = load_config(args.config)
-    if args.horizon is not None:
-        cfg = replace(cfg, horizon=args.horizon)
-    if args.tol is not None:
-        cfg = replace(cfg, tol=args.tol)
-    return cfg
+    given = vars(args)  # --horizon and --tol exist only where they are read
+    return replace(cfg, **{k: given[k] for k in ("horizon", "tol") if given.get(k) is not None})
 
 
 def _need_init(cfg: RunConfig) -> InitialHistory:
@@ -98,7 +133,7 @@ def _feed(params, t):
 
 def _simulation_bundle(params, init, horizon):
     z = washout.washout_sequence(params, horizon)
-    traj = dynamics.simulate(params, init, horizon, z=z)
+    traj = dynamics.simulate(params, init, horizon)
     deficit = dynamics.conservation_deficit(traj, z)
     t = np.arange(-params.r, horizon + 1)
     s0 = _feed(params, t)
@@ -128,29 +163,6 @@ def _sliding_product(params, z, horizon):
     return t, np.array([math.exp(d) for d in (prefix[t + 1] - prefix[t // 2]).tolist()])
 
 
-def _timeseries_svg(path, title, cols):
-    emit_svg(
-        path,
-        title,
-        [
-            ("feed s0", cols["t"], cols["s0"], svg.STYLE_FEED),
-            ("substrate s", cols["t"], cols["s"], svg.STYLE_SUBSTRATE),
-            ("biomass x", cols["t"], cols["x"], svg.STYLE_BIOMASS),
-        ],
-    )
-
-
-def _sliding_svg(path, t, stat):
-    emit_svg(
-        path,
-        "sliding half-window product",
-        [
-            ("product", t, stat, svg.STYLE_SUBSTRATE),
-            ("threshold 1", t, np.ones_like(stat), svg.STYLE_FEED),
-        ],
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -161,9 +173,7 @@ def _cmd_simulate(args) -> int:
     horizon = _horizon(cfg)
     traj, z, cols = _simulation_bundle(cfg.params, _need_init(cfg), horizon)
     out = _out_dir(args)
-    emit_csv(out / "simulate.csv", list(cols.keys()), list(cols.values()))
-    if args.svg:
-        _timeseries_svg(out / "simulate.svg", "simulation", cols)
+    _write_timeseries(out, "simulate", "simulation", cols, args.svg)
     feas = dynamics.check_positivity_preconditions(cfg.params, cfg.init, z)
     print(f"simulated {horizon} steps; wrote {out / 'simulate.csv'}")
     print(
@@ -222,9 +232,7 @@ def _cmd_sliding(args) -> int:
     z = washout.washout_sequence(cfg.params, horizon)
     t, stat = _sliding_product(cfg.params, z, horizon)
     out = _out_dir(args)
-    emit_csv(out / "sliding.csv", ["t", "sliding_product"], [t, stat])
-    if args.svg:
-        _sliding_svg(out / "sliding.svg", t, stat)
+    _write_sliding(out, "sliding", t, stat, args.svg)
     print(f"wrote {out / 'sliding.csv'}")
     return 0
 
@@ -238,7 +246,7 @@ def _cmd_classify(args) -> int:
         tol=1e-12 if cfg.tol is None else cfg.tol,
     )
     out = _out_dir(args)
-    payload = {
+    emit_json(out / "classify.json", {
         "verdict": report.verdict,
         "basis": report.basis,
         "lower": report.lower,
@@ -252,8 +260,7 @@ def _cmd_classify(args) -> int:
         "note": report.note,
         "phi_sweeps": report.phi_sweeps,
         "phi_residual": report.phi_residual,
-    }
-    (out / "classify.json").write_text(json.dumps(payload, indent=2) + "\n")
+    })
     print(f"wrote {out / 'classify.json'}")
     print(f"verdict: {report.verdict} (basis {report.basis}, lower {report.lower:.6g}, upper {report.upper:.6g})")
     return 0
@@ -270,35 +277,26 @@ def _cmd_periodic(args) -> int:
     )
     out = _out_dir(args)
     if isinstance(result, analysis.WashoutConvergence):
-        payload = {
+        emit_json(out / "periodic_report.json", {
             "outcome": "washout",
             "periods_used": result.periods_used,
             "max_x_last_period": result.max_x_last_period,
-        }
-        (out / "periodic_report.json").write_text(json.dumps(payload, indent=2) + "\n")
+        })
         print(
             f"trajectory converged to the washout solution after "
             f"{result.periods_used} periods (max x {result.max_x_last_period:.3e})"
         )
         return 0
     phase = np.arange(result.period)
-    s0 = _feed(cfg.params, phase)
-    emit_csv(
-        out / "periodic_orbit.csv",
-        ["phase", "s0", "s", "x"],
-        [phase, s0, result.s, result.x],
-    )
-    payload = {
+    cols = {"phase": phase, "s0": _feed(cfg.params, phase), "s": result.s, "x": result.x}
+    _write_timeseries(out, "periodic_orbit", f"periodic orbit (period {result.period})", cols, args.svg)
+    emit_json(out / "periodic_report.json", {
         "outcome": "orbit",
         "period": result.period,
         "residual": result.residual,
         "min_x": result.delta,
         "periods_used": result.periods_used,
-    }
-    (out / "periodic_report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    if args.svg:
-        _timeseries_svg(out / "periodic_orbit.svg", f"periodic orbit (period {result.period})",
-                        {"t": phase, "s0": s0, "s": result.s, "x": result.x})
+    })
     print(f"wrote {out / 'periodic_orbit.csv'}")
     print(
         f"found period-{result.period} orbit: min x = {result.delta:.6g}, "
@@ -310,7 +308,7 @@ def _cmd_periodic(args) -> int:
 def _cmd_neither_nor(args) -> int:
     report = analysis.neither_nor_demo(args.E, args.r, args.n_max, x_init=args.x0)
     out = _out_dir(args)
-    payload = {
+    emit_json(out / "neither_nor.json", {
         "trivial": report.trivial,
         "check_a_ok": report.check_a_ok,
         "check_b_ok": report.check_b_ok,
@@ -326,8 +324,7 @@ def _cmd_neither_nor(args) -> int:
             "lower": report.classification.lower,
             "upper": report.classification.upper,
         },
-    }
-    (out / "neither_nor.json").write_text(json.dumps(payload, indent=2) + "\n")
+    })
     print(f"wrote {out / 'neither_nor.json'}")
     if report.trivial:
         print("trivial case: biomass history is identically zero, x stays 0")
@@ -370,18 +367,15 @@ def fig1_init() -> InitialHistory:
 
 def _cmd_fig1(args) -> int:
     params = fig1_params()
-    horizon = DEFAULT_HORIZON if args.horizon is None else args.horizon
+    horizon = args.horizon
     if horizon < 500:
         raise UsageError(f"fig1 summarises the constant phase [100, 500]; horizon {horizon} < 500")
     traj, z, cols = _simulation_bundle(params, fig1_init(), horizon)
     t, stat = _sliding_product(params, z, horizon)
 
     out = _out_dir(args)
-    emit_csv(out / "fig1_timeseries.csv", list(cols.keys()), list(cols.values()))
-    emit_csv(out / "fig1_sliding.csv", ["t", "sliding_product"], [t, stat])
-    if args.svg:
-        _timeseries_svg(out / "fig1_timeseries.svg", "constant-then-ramp feed", cols)
-        _sliding_svg(out / "fig1_sliding.svg", t, stat)
+    _write_timeseries(out, "fig1_timeseries", "constant-then-ramp feed", cols, args.svg)
+    _write_sliding(out, "fig1_sliding", t, stat, args.svg)
     print(f"wrote {out / 'fig1_timeseries.csv'} and {out / 'fig1_sliding.csv'}")
     print(
         f"biomass: min over constant phase = {np.min(traj.x.window(100, 500)):.6g}, "
@@ -406,13 +400,11 @@ def fig2_init() -> InitialHistory:
 
 def _cmd_fig2(args) -> int:
     params = fig2_params(args.offset)
-    horizon = 20_000 if args.horizon is None else args.horizon
+    horizon = args.horizon
     traj, z, cols = _simulation_bundle(params, fig2_init(), horizon)
     report = analysis.classify(params)
     out = _out_dir(args)
-    emit_csv(out / "fig2_timeseries.csv", list(cols.keys()), list(cols.values()))
-    if args.svg:
-        _timeseries_svg(out / "fig2_timeseries.svg", f"periodic feed, offset {args.offset}", cols)
+    _write_timeseries(out, "fig2_timeseries", f"periodic feed, offset {args.offset}", cols, args.svg)
     print(f"wrote {out / 'fig2_timeseries.csv'}")
     print(
         f"periodic mean of (1-E)(1+phi p(z)) = {report.mean:.4f} -> verdict {report.verdict}"
@@ -431,51 +423,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# each flag's argparse keywords; COMMANDS lists the flags each handler reads
+_FLAGS = {
+    "--config": dict(help="path to a key = value config file"),
+    "--out": dict(default=".", help="output directory (env CHEMODDE_OUT overrides)"),
+    "--horizon": dict(type=int, help="steps past time 0"),
+    "--tol": dict(type=float, help="tolerance override"),
+    "--svg": dict(action="store_true", help="also write SVG charts"),
+    "--max-periods": dict(type=int, default=400),
+    "--E": dict(type=float, default=0.5),
+    "--r": dict(type=int, default=0),
+    "--n-max": dict(type=int, default=5),
+    "--x0": dict(type=float, help="initial biomass level"),
+    "--offset": dict(type=float, default=0.6),
+}
+
+# command -> (handler, its flags, per-command defaults)
+COMMANDS = {
+    "simulate": (_cmd_simulate, ("--config", "--out", "--horizon", "--svg"), {}),
+    "washout": (_cmd_washout, ("--config", "--out", "--horizon"), {}),
+    "exponents": (_cmd_exponents, ("--config", "--out", "--horizon"), {}),
+    "sliding": (_cmd_sliding, ("--config", "--out", "--horizon", "--svg"), {}),
+    "classify": (_cmd_classify, ("--config", "--out", "--horizon", "--tol"), {}),
+    "periodic": (_cmd_periodic, ("--config", "--out", "--tol", "--svg", "--max-periods"), {}),
+    "neither-nor": (_cmd_neither_nor, ("--out", "--E", "--r", "--n-max", "--x0"), {}),
+    "fig1": (_cmd_fig1, ("--out", "--horizon", "--svg"), {"horizon": DEFAULT_HORIZON}),
+    "fig2": (_cmd_fig2, ("--out", "--horizon", "--svg", "--offset"), {"horizon": 20_000}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chemodde", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--out", default=".", help="output directory (env CHEMODDE_OUT overrides)")
-        p.add_argument("--horizon", type=int, default=None, help="steps past time 0")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--svg", action="store_true", help="also write SVG charts")
-
-    for name, fn in (
-        ("simulate", _cmd_simulate),
-        ("washout", _cmd_washout),
-        ("exponents", _cmd_exponents),
-        ("sliding", _cmd_sliding),
-        ("classify", _cmd_classify),
-    ):
+    for name, (fn, flags, defaults) in COMMANDS.items():
         p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("periodic")
-    common(p)
-    p.add_argument("--max-periods", type=int, default=400)
-    p.set_defaults(fn=_cmd_periodic)
-
-    p = sub.add_parser("neither-nor")
-    common(p, needs_config=False)
-    p.add_argument("--E", type=float, default=0.5)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--n-max", dest="n_max", type=int, default=5)
-    p.add_argument("--x0", type=float, default=None, help="initial biomass level")
-    p.set_defaults(fn=_cmd_neither_nor)
-
-    p = sub.add_parser("fig1")
-    common(p, needs_config=False)
-    p.set_defaults(fn=_cmd_fig1)
-
-    p = sub.add_parser("fig2")
-    common(p, needs_config=False)
-    p.add_argument("--offset", type=float, default=0.6)
-    p.set_defaults(fn=_cmd_fig2)
-
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn, **defaults)
     return parser
 
 
@@ -490,13 +474,7 @@ def run(argv) -> int:
     except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ChemoddeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ChemoddeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

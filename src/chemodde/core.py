@@ -14,6 +14,7 @@ p(0) = 0, 0 <= p'(s) <= p'(0), and p'(0) * sup(washout) <= 1.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -124,14 +125,7 @@ class TabulatedUptake(UptakeFunction):
 
     def _segment(self, s):
         # index of the segment containing s; right of the table -> last
-        lo, hi = 0, len(self.grid) - 2
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.grid[mid] <= s:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect.bisect_right(self.grid, s, 0, len(self.grid) - 1) - 1
 
     def evaluate(self, s):
         # scalars skip np.interp, which costs 5x more per call in the integrator

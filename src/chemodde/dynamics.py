@@ -13,7 +13,7 @@ x[t] = (1-E)**r * (x[t-r] + y[t-r]) are exposed as checkable quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,8 +31,9 @@ class Trajectory:
 
     first_negative_s is the first time with s < 0, or None; a negative
     substrate does not stop the integration (infeasible regimes are
-    simulated as-is so the algebraic identities stay intact).  deficit0
-    records s0 + x0 + y0 - z0 when a washout solution was supplied.
+    simulated as-is so the algebraic identities stay intact).  The
+    conservation deficit against a washout solution is
+    conservation_deficit(traj, z).
     """
 
     params: ChemostatParams
@@ -40,7 +41,6 @@ class Trajectory:
     x: TimeSeries
     y: TimeSeries
     first_negative_s: int | None = None
-    deficit0: float | None = None
 
     @property
     def horizon(self) -> int:
@@ -91,16 +91,10 @@ def _stored_nutrient_series(params, s, x, ps, horizon):
     return TimeSeries(y, t_start=0)
 
 
-def simulate(
-    params: ChemostatParams,
-    init: InitialHistory,
-    horizon: int,
-    z: WashoutSolution | None = None,
-) -> Trajectory:
+def simulate(params: ChemostatParams, init: InitialHistory, horizon: int) -> Trajectory:
     """Integrate the system for `horizon` steps past time 0.
 
-    Returns sequences on [-r, horizon].  When a washout solution is given,
-    the initial conservation deficit s0 + x0 + y0 - z0 is recorded.
+    Returns sequences on [-r, horizon].
     """
     if horizon < 0:
         raise UsageError(f"horizon must be >= 0, got {horizon}")
@@ -115,17 +109,12 @@ def simulate(
     neg = np.flatnonzero(s_arr < 0.0)
     first_neg = int(neg[0]) - r if neg.size else None
 
-    deficit0 = None
-    if z is not None:
-        deficit0 = float(s_arr[r] + x_arr[r] + y.at(0) - z.at(0))
-
     return Trajectory(
         params=params,
         s=TimeSeries(s_arr, t_start=-r),
         x=TimeSeries(x_arr, t_start=-r),
         y=y,
         first_negative_s=first_neg,
-        deficit0=deficit0,
     )
 
 
@@ -189,12 +178,4 @@ def check_positivity_preconditions(
     y0 = initial_stored_nutrient(params, init)
     mass = init.s[-1] + init.x[-1] + y0
     z0 = z.at(0)
-    return FeasibilityReport(
-        hypothesis_pz=base.hypothesis_pz,
-        pz_product=base.pz_product,
-        z_sup=base.z_sup,
-        derivative_at_zero=base.derivative_at_zero,
-        mass_ok=mass <= z0,
-        initial_mass=mass,
-        z0=z0,
-    )
+    return replace(base, mass_ok=mass <= z0, initial_mass=mass, z0=z0)

@@ -58,7 +58,6 @@ class CorrectionSequences:
 
     phi: TimeSeries
     log_c: TimeSeries
-    psi: TimeSeries | None = None
     cross_check_error: float = 0.0
 
 

@@ -61,7 +61,7 @@ def instance_set():
     out = []
     for _ in range(100):
         params, init, z = random_feasible_instance(rng, horizon=_HORIZON_PROPS)
-        traj = simulate(params, init, horizon=_HORIZON_PROPS, z=z)
+        traj = simulate(params, init, horizon=_HORIZON_PROPS)
         out.append((params, init, z, traj))
     return out
 

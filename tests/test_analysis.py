@@ -286,3 +286,18 @@ def test_demo_rejects_bad_arguments():
         neither_nor_demo(1.5, 0, 3)
     with pytest.raises(UsageError):
         neither_nor_demo(0.5, 0, 0)
+
+
+@pytest.mark.parametrize("n_max, admitted", [(9, True), (10, False), (30, False)])
+def test_demo_bounds_n_max(monkeypatch, n_max, admitted):
+    # n_max = 9 runs for minutes, so the run is cut where integration begins
+    class Admitted(Exception):
+        pass
+
+    def stop(params, horizon):
+        raise Admitted(horizon)
+
+    monkeypatch.setattr("chemodde.analysis.washout_sequence", stop)
+    expected = Admitted if admitted else UsageError
+    with pytest.raises(expected, match=None if admitted else r"n_max must be in \[1, 9\]"):
+        neither_nor_demo(0.1, 2, n_max)

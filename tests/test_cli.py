@@ -1,10 +1,19 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from chemodde import UsageError, periodic_phi, washout_periodic
-from chemodde.cli import emit_csv, fig2_params, run
+from chemodde.cli import COMMANDS, build_parser, emit_csv, fig2_params, run
 
 FIG2_CFG = """
 schema = 1
@@ -295,3 +304,162 @@ def test_bad_figure_horizon_exits_2_before_writing(tmp_path, capsys, argv, err):
     assert captured.err == f"error: {err}\n"
     assert captured.out == ""
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_max", ["10", "30"])
+def test_neither_nor_n_max_above_9_exits_2(tmp_path, capsys, n_max):
+    out = tmp_path / "out"
+    assert run(["neither-nor", "--E", "0.1", "--r", "2", "--n-max", n_max, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n_max must be in [1, 9], got {n_max}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# flags: each command takes exactly the flags its handler reads
+# ---------------------------------------------------------------------------
+
+
+def _parser_flags():
+    """{command: its option strings in order}, read from build_parser()."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+
+
+def test_readme_flags_match_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = {}
+    for line in readme.splitlines():
+        cells = line.split("|")
+        if len(cells) > 3 and re.fullmatch(r" `[a-z0-9-]+` *", cells[1]):
+            documented[cells[1].strip(" `")] = re.findall(r"`(--[\w-]+)`", cells[2])
+    assert documented == _parser_flags()
+
+
+# (command, flag, value): a flag of another command that this one does not read
+REMOVED_FLAGS = [
+    ("simulate", "--tol", "1e-9"),
+    ("washout", "--tol", "1e-9"),
+    ("washout", "--svg", None),
+    ("exponents", "--tol", "nan"),
+    ("exponents", "--svg", None),
+    ("sliding", "--tol", "1e-9"),
+    ("classify", "--svg", None),
+    ("periodic", "--horizon", "10"),
+    ("neither-nor", "--horizon", "5"),
+    ("neither-nor", "--tol", "-3"),
+    ("neither-nor", "--svg", None),
+    ("fig1", "--tol", "1e-9"),
+    ("fig2", "--tol", "1e-9"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)
+def test_unread_flag_exits_2(tmp_path, capsys, fig2_cfg, command, flag, value):
+    extra = [flag] if value is None else [flag, value]
+    config = ["--config", str(fig2_cfg)] if "--config" in COMMANDS[command][1] else []
+    out = tmp_path / "out"
+    assert run([command, *extra, *config, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unrecognized arguments: {' '.join(extra)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# a short period keeps periodic and classify fast; the ramp is not periodic
+FUZZ_PERIODIC_CFG = """
+schema = 1
+model.E = 0.125
+model.r = 2
+uptake.kind = monod
+uptake.p_max = 1.0
+uptake.k_s = 1.0
+input.kind = sinusoid
+input.amplitude = 0.25
+input.period = 20
+input.offset = 0.6
+init.s = 0.5 0.5 0.5
+init.x = 0.2 0.2 0.2
+run.horizon = 300
+"""
+FUZZ_RAMP_CFG = RAMP_T0_CFG.replace("run.T = 0\n", "init.s = 0.5 0.5 0.5\ninit.x = 0.2 0.2 0.2\n")
+
+# valid values, bounded so that every example runs in well under a second;
+# n-max 10 and 30 are the first rejected values and the old traceback
+VALID = {
+    "--config": st.sampled_from(["../periodic.cfg", "../ramp.cfg"]),
+    "--out": st.just("out"),
+    "--horizon": st.integers(1, 2000).map(str),
+    "--tol": st.floats(1e-12, 1e-3).map(repr),
+    "--max-periods": st.integers(1, 400).map(str),
+    "--E": st.floats(0.05, 0.95).map(repr),
+    "--r": st.integers(0, 10).map(str),
+    "--n-max": st.sampled_from([1, 2, 3, 4, 5, 6, 10, 30]).map(str),
+    "--x0": st.floats(1e-3, 1.0).map(repr),
+    "--offset": st.floats(0.35, 0.9).map(repr),
+}
+SPECIAL = st.sampled_from(["0", "-1", "nan", "inf"])
+
+
+def _often(draw):
+    """True three times in four, so most examples get past the parser."""
+    return draw(st.integers(0, 3)) > 0
+
+
+def _flag_args(draw, flag):
+    if flag == "--svg":
+        return [flag]
+    return [flag, draw(VALID[flag] if _often(draw) else SPECIAL)]
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, foreign): a command with a subset of its own flags, each valid
+    or 0, -1, nan, inf, and maybe one flag of another command."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    own = COMMANDS[command][1]
+    flags = [flag for flag in own if _often(draw)]
+    if command == "fig2" and "--horizon" not in flags:
+        flags.append("--horizon")  # its default, 20000 steps, is too slow here
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv += _flag_args(draw, flag)
+    foreign = None if _often(draw) else draw(st.sampled_from(sorted(set(VALID) - set(own))))
+    if foreign is not None:
+        argv += _flag_args(draw, foreign)
+    return argv, foreign
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_argvs())
+@example(case=(["neither-nor", "--n-max", "30"], None))  # was a ValueError traceback
+def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, case):
+    argv, foreign = case
+    monkeypatch.delenv("CHEMODDE_OUT", raising=False)
+    (tmp_path / "periodic.cfg").write_text(FUZZ_PERIODIC_CFG)
+    (tmp_path / "ramp.cfg").write_text(FUZZ_RAMP_CFG)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # relative --out and --config values resolve in here
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+    finally:
+        os.chdir(cwd)
+    err = stderr.getvalue()
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+    if code == 2:
+        assert list(work.iterdir()) == []
+    if foreign is not None:
+        assert code == 2

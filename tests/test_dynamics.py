@@ -88,15 +88,15 @@ def test_conservation_zero_deficit_stays_zero():
     # a + a*p(0.5)*(1-E) = 0.5 => a (1 + 0.125) = 0.5
     a = 0.5 / 1.125
     init = InitialHistory(s=(0.5, 0.5), x=(a, a))
-    traj = simulate(params, init, horizon=400, z=z)
-    assert abs(traj.deficit0) <= 1e-15
+    traj = simulate(params, init, horizon=400)
     d = conservation_deficit(traj, z)
+    assert abs(d.at(0)) <= 1e-15
     assert np.max(np.abs(d.values)) <= 1e-12 * z.z_sup
 
 
 def test_conservation_identity_random_instance(rng):
     params, init, z = random_feasible_instance(rng, horizon=500)
-    traj = simulate(params, init, horizon=500, z=z)
+    traj = simulate(params, init, horizon=500)
     d = conservation_deficit(traj, z)
     d0 = d.at(0)
     t = np.arange(0, 501)
@@ -108,9 +108,9 @@ def test_conservation_ratio_fig2():
     # a positive initial deficit decays at exactly (1-E) = 7/8 per step
     params = fig2_params(0.6)
     z = washout_periodic(params)
-    traj = simulate(params, fig2_init(), horizon=300, z=z)
-    assert traj.deficit0 > 0
+    traj = simulate(params, fig2_init(), horizon=300)
     d = conservation_deficit(traj, z)
+    assert d.at(0) > 0
     logs = np.log(np.abs(d.values[:120]))
     slope = np.polyfit(np.arange(120), logs, 1)[0]
     assert math.isclose(math.exp(slope), 7.0 / 8.0, rel_tol=1e-8)
@@ -198,7 +198,7 @@ def test_conservation_property_suite():
     horizon = 1000
     for _ in range(100):
         params, init, z = random_feasible_instance(rng, horizon=horizon)
-        traj = simulate(params, init, horizon=horizon, z=z)
+        traj = simulate(params, init, horizon=horizon)
         d = conservation_deficit(traj, z)
         t = np.arange(0, horizon + 1)
         expect = (1 - params.E) ** t * d.at(0)
@@ -243,6 +243,6 @@ def test_boundedness_property_suite():
     horizon = 500
     for _ in range(50):
         params, init, z = random_feasible_instance(rng, horizon=horizon)
-        traj = simulate(params, init, horizon=horizon, z=z)
+        traj = simulate(params, init, horizon=horizon)
         d = conservation_deficit(traj, z)
         assert np.max(d.values) <= 1e-12 * z.z_sup
