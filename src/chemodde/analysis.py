@@ -98,11 +98,14 @@ def classify(
 ) -> ClassificationReport:
     """Classify the regime from the linearised growth around the washout.
 
-    Periodic inputs use the exact one-period geometric mean; general
-    inputs fall back to windowed lower/upper estimates over `horizon`
-    samples with minimum window `window_min` (default max(2r, 50)).
+    Periodic inputs use the exact one-period geometric mean; the report's
+    horizon is then the period.  General inputs fall back to windowed
+    lower/upper estimates over `horizon` samples with minimum window
+    `window_min` (default max(2r, 50)).  `horizon` must be >= r either way.
     """
     _validate_tol(tol)
+    if horizon < params.r:
+        raise UsageError(f"horizon {horizon} must be >= delay r={params.r}")
     omega = params.input.period
     if omega is not None:
         z = washout_periodic(params)

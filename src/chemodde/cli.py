@@ -34,26 +34,37 @@ DEFAULT_HORIZON = 2000
 # ---------------------------------------------------------------------------
 
 
+# rows formatted and written at a time: memory stays bounded whatever n is
+CSV_BLOCK_ROWS = 1024
+
+
 def emit_csv(path, names, columns) -> None:
     """Write aligned columns as CSV: header row, shortest-roundtrip floats,
-    newline-terminated, locale-independent."""
+    integral values below 1e15 in magnitude as integers, newline-terminated,
+    locale-independent.  Rows are formatted and written CSV_BLOCK_ROWS at a
+    time."""
     columns = [np.asarray(c) for c in columns]
     if len(names) != len(columns) or not columns:
         raise UsageError("emit_csv needs one name per column")
     n = len(columns[0])
     if n == 0 or any(len(c) != n for c in columns):
         raise UsageError("emit_csv needs non-empty columns of equal length")
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(_format_cell(c[i]) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            cells = [_format_cells(c[lo : lo + CSV_BLOCK_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _format_cell(v) -> str:
-    f = float(v)
-    if math.isfinite(f) and f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
+def _format_cells(col) -> list:
+    """Each value v of col as str(int(v)) when v is finite, integral and
+    below 1e15 in magnitude, else as repr(float(v)).  Those cells become
+    Python ints and the rest floats, so one C repr of the list writes all."""
+    f = col.astype(float)
+    values = f.astype(object)
+    integral = (np.abs(f) < 1e15) & (f == np.trunc(f))  # false on nan, inf
+    values[integral] = f[integral].astype(np.int64)
+    return repr(values.tolist())[1:-1].split(", ")
 
 
 def emit_svg(path, title, series) -> None:

@@ -215,9 +215,12 @@ class Sinusoid(InputSignal):
     def __post_init__(self):
         if not (isinstance(self.period_steps, int) and self.period_steps >= 1):
             raise ParameterError(f"sinusoid period must be a positive integer, got {self.period_steps}")
-        if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
+        for name, v in (("amplitude", self.amplitude), ("offset", self.offset)):
+            if not math.isfinite(v):
+                raise ParameterError(f"sinusoid {name} must be finite, got {v}")
+        if not self.amplitude >= 0:
             raise ParameterError(f"sinusoid amplitude must be >= 0, got {self.amplitude}")
-        if not (self.offset - self.amplitude >= 0 and math.isfinite(self.offset)):
+        if not self.offset - self.amplitude >= 0:
             raise ParameterError(
                 f"sinusoid must stay nonnegative: offset {self.offset} < amplitude {self.amplitude}"
             )

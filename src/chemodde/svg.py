@@ -21,6 +21,15 @@ STYLE_SUBSTRATE = ("blue", "2 4")
 STYLE_BIOMASS = ("red", None)
 
 
+# polyline points mapped and formatted at a time, to bound the temporary lists
+POINT_BLOCK = 1024
+
+
+def _points(px, py) -> str:
+    """Pixel arrays as "x,y x,y ..." with two decimals."""
+    return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -85,7 +94,12 @@ def line_chart(title: str, series) -> str:
         )
 
     for label, xs, ys, (color, dash) in cleaned:
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        # sx/sy on an array do, per element, the float operations they do on
+        # one point, so the pixels are those of a per-point loop
+        pts = " ".join(
+            _points(sx(xs[lo : lo + POINT_BLOCK]), sy(ys[lo : lo + POINT_BLOCK]))
+            for lo in range(0, len(xs), POINT_BLOCK)
+        )
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.4"{dash_attr} '

@@ -175,6 +175,19 @@ def test_bad_tolerance_rejected(tol):
         find_periodic_orbit(fig2_params(0.6), fig2_init(), tol=tol)
 
 
+@pytest.mark.parametrize("horizon", [-5, 0, 4])
+def test_classify_rejects_horizon_below_delay_on_every_basis(horizon):
+    ramp = ChemostatParams(
+        E=0.2, r=5, uptake=LinearUptake(0.5),
+        input=ExplicitSequence(values=(1.0, 1.1), periodic=False),
+    )
+    for params in (fig2_params(0.6), ramp):  # periodic mean, then Bohl
+        with pytest.raises(UsageError, match=f"horizon {horizon} must be >= delay r=5"):
+            classify(params, horizon=horizon)
+    # the periodic basis reads one period whatever the horizon
+    assert classify(fig2_params(0.6), horizon=5).horizon == 500
+
+
 def test_orbit_rejects_zero_budget():
     with pytest.raises(UsageError):
         find_periodic_orbit(fig2_params(0.6), fig2_init(), max_periods=0)

@@ -2,9 +2,11 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from chemodde import UsageError, periodic_phi, washout_periodic
-from chemodde.cli import COMMANDS, build_parser, emit_csv, fig2_params, run
+from chemodde import UsageError, periodic_phi, svg, washout_periodic
+from chemodde.cli import CSV_BLOCK_ROWS, COMMANDS, build_parser, emit_csv, fig2_params, run
 
 FIG2_CFG = """
 schema = 1
@@ -96,6 +98,150 @@ def test_csv_round_trips_doubles(tmp_path, small_cfg):
     out2 = tmp_path / "again.csv"
     emit_csv(out2, header, [rows[:, i] for i in range(rows.shape[1])])
     assert out2.read_text() == (tmp_path / "simulate.csv").read_text()
+
+
+# ---------------------------------------------------------------------------
+# writers against their cell-by-cell and point-by-point oracles
+# ---------------------------------------------------------------------------
+
+
+def _format_cell(v) -> str:
+    """One CSV cell, as emit_csv formatted it cell by cell before it
+    formatted whole columns: the oracle of the column-wise writer."""
+    f = float(v)
+    if math.isfinite(f) and f == int(f) and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+B = CSV_BLOCK_ROWS
+SUBNORMALS = [5e-324, -5e-324, 2.225073858507201e-308, 1e-310]
+EDGE_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, 1.5, -2.5, 2.0**53, 1e16, 1e300,
+    *SUBNORMALS,
+    *(v for big in (1e15, -1e15) for v in (big, math.nextafter(big, 0.0), math.nextafter(big, 2 * big))),
+]
+EDGE_INTS = [0, -1, 10**15 - 1, -(10**15) + 1, 10**15, -(10**15), 2**53 + 1, 2**63 - 1, -(2**63)]
+
+
+def _from_pool(draw, pool, n):
+    """n values picked from pool, by an rng seeded from the draw."""
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, len(pool), n)
+    return [pool[i] for i in picks.tolist()]
+
+
+@st.composite
+def _csv_column(draw, n):
+    """A float64 or int64 array, or a plain Python list, of n values drawn
+    from the edge cases above and from arbitrary floats or integers."""
+    kind = draw(st.sampled_from(["float64", "int64", "list"]))
+    if kind == "int64":
+        values = st.sampled_from(EDGE_INTS) | st.integers(-(2**63), 2**63 - 1)
+    else:
+        values = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+    col = _from_pool(draw, draw(st.lists(values, min_size=1, max_size=24)), n)
+    return col if kind == "list" else np.array(col, dtype=kind)
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_emit_csv_matches_cell_oracle(tmp_path, n, data):
+    columns = data.draw(st.lists(_csv_column(n), min_size=1, max_size=4))
+    names = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path / "t.csv"
+    emit_csv(path, names, columns)
+    lines = path.read_text().split("\n")
+    assert lines[0] == ",".join(names) and lines[-1] == "" and len(lines) == n + 2
+    arrays = [np.asarray(c) for c in columns]  # what the per-cell writer indexed
+    for i, line in enumerate(lines[1:-1]):
+        assert line.split(",") == [_format_cell(a[i]) for a in arrays]
+
+
+def test_emit_csv_peak_memory_does_not_grow_with_rows(tmp_path):
+    rng = np.random.default_rng(7)
+
+    def peak(n):
+        columns = [np.arange(n), *(rng.random(n) for _ in range(6))]
+        tracemalloc.start()
+        try:
+            emit_csv(tmp_path / "m.csv", list("tabcdef"), columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(60_000) <= 1.25 * peak(15_000)
+
+
+def _polyline_oracle(series):
+    """The points of each drawn series, mapped and formatted one point at a
+    time as line_chart did before it worked on whole arrays."""
+    cleaned = []
+    for _, xs, ys, _ in series:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        if keep.any():
+            cleaned.append((xs[keep], ys[keep]))
+    x_min = min(float(xs.min()) for xs, _ in cleaned)
+    x_max = max(float(xs.max()) for xs, _ in cleaned)
+    y_min = min(float(ys.min()) for _, ys in cleaned)
+    y_max = max(float(ys.max()) for _, ys in cleaned)
+    if x_max == x_min:
+        x_max = x_min + 1.0
+    if y_max == y_min:
+        y_max = y_min + 1.0
+    pad = 0.05 * (y_max - y_min)
+    y_min -= pad
+    y_max += pad
+    plot_w = svg.WIDTH - svg.MARGIN_L - svg.MARGIN_R
+    plot_h = svg.HEIGHT - svg.MARGIN_T - svg.MARGIN_B
+
+    def sx(x):
+        return svg.MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
+
+    def sy(y):
+        return svg.MARGIN_T + (y_max - y) / (y_max - y_min) * plot_h
+
+    return [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)) for xs, ys in cleaned]
+
+
+FINITE = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _chart_series(draw):
+    """1-3 series of up to 2 blocks of points; x is a time axis or random,
+    some points are non-finite, and a series may be constant in x or y."""
+    out = []
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.sampled_from([1, 2, 17, svg.POINT_BLOCK, svg.POINT_BLOCK + 1, 2 * svg.POINT_BLOCK + 1]))
+        shape = draw(st.sampled_from(["time", "random", "constant x", "constant y"]))
+        pool = draw(st.lists(FINITE, min_size=1, max_size=16))
+        if draw(st.booleans()):
+            pool += [math.nan, math.inf, -math.inf]
+        xs = np.arange(n, dtype=float) if shape == "time" else np.array(_from_pool(draw, pool, n))
+        ys = np.array(_from_pool(draw, pool, n))
+        if shape == "constant x":
+            xs = np.full(n, draw(FINITE))
+        elif shape == "constant y":
+            ys = np.full(n, draw(FINITE))
+        out.append((f"s{k}", xs, ys, svg.STYLE_BIOMASS))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=_chart_series())
+@example(series=[("c", np.full(5, 2.0), np.full(5, 3.0), svg.STYLE_FEED)])  # both degenerate axes
+@example(series=[("c", [0.0, 1.0, math.nan, 3.0], [1.0, math.inf, 2.0, 0.5], svg.STYLE_FEED)])
+def test_line_chart_points_match_point_oracle(series):
+    drawable = any(np.any(np.isfinite(xs) & np.isfinite(ys)) for _, xs, ys, _ in series)
+    if not drawable:
+        with pytest.raises(UsageError):
+            svg.line_chart("t", series)
+        return
+    text = svg.line_chart("t", series)
+    assert re.findall(r'points="([^"]*)"', text) == _polyline_oracle(series)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +450,28 @@ def test_bad_figure_horizon_exits_2_before_writing(tmp_path, capsys, argv, err):
     assert captured.err == f"error: {err}\n"
     assert captured.out == ""
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["fig2", "--offset", "inf"], "sinusoid offset must be finite, got inf"),
+    (["fig2", "--offset", "nan"], "sinusoid offset must be finite, got nan"),
+])
+def test_fig2_nonfinite_offset_exits_2(tmp_path, capsys, argv, err):
+    out = tmp_path / "out"
+    assert run(argv + ["--horizon", "100", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", ["-5", "0", "4"])
+def test_classify_periodic_feed_validates_horizon(tmp_path, capsys, fig2_cfg, horizon):
+    out = tmp_path / "out"
+    assert run(["classify", "--config", str(fig2_cfg), "--horizon", horizon, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: horizon {horizon} must be >= delay r=5\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_max", ["10", "30"])

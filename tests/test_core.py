@@ -123,6 +123,20 @@ def test_sinusoid_matches_formula():
         assert math.isclose(sig.value_at(t), expect, rel_tol=1e-12, abs_tol=1e-15)
 
 
+@pytest.mark.parametrize("amplitude, offset, message", [
+    (0.25, math.inf, "sinusoid offset must be finite, got inf"),
+    (0.25, math.nan, "sinusoid offset must be finite, got nan"),
+    (math.inf, 0.6, "sinusoid amplitude must be finite, got inf"),
+    (math.nan, 0.6, "sinusoid amplitude must be finite, got nan"),
+    (-0.1, 0.6, "sinusoid amplitude must be >= 0, got -0.1"),
+    (0.25, 0.2, "sinusoid must stay nonnegative: offset 0.2 < amplitude 0.25"),
+])
+def test_sinusoid_rejects_bad_amplitude_or_offset(amplitude, offset, message):
+    with pytest.raises(ParameterError) as err:
+        Sinusoid(amplitude=amplitude, period_steps=500, offset=offset)
+    assert str(err.value) == message
+
+
 def test_constant_and_sequence_bounds():
     c = Constant(0.5)
     assert c.value_at(-17) == c.value_at(3) == 0.5
