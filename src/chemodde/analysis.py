@@ -219,13 +219,16 @@ def find_periodic_orbit(
 
     r = params.r
     s, x, ps = _initial_state(params, init)
+    # every period starts at a multiple of omega, so one sampled period
+    # drives them all
+    feed = params.input.sample(0, omega - 1).tolist()
     window = r + 1
     s_scale = max(z.z_sup, 1e-300)
     prev_s = np.array(s[-window:])
     prev_x = np.array(x[-window:])
     t_end = 0
     for n in range(1, max_periods + 1):
-        _integrate(params, s, x, ps, t_end, t_end + omega)
+        _integrate(params, s, x, ps, feed)
         t_end += omega
         state_s = np.array(s[-window:])
         state_x = np.array(x[-window:])
@@ -247,7 +250,7 @@ def find_periodic_orbit(
         if residual < tol:
             # closed-loop verification period: re-integrate and compare
             # the whole period, not just the end window
-            _integrate(params, s, x, ps, t_end, t_end + omega)
+            _integrate(params, s, x, ps, feed)
             t_end += omega
             new_s = np.array(s[-omega:])
             old_s = np.array(s[-2 * omega : -omega])

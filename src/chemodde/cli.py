@@ -138,8 +138,8 @@ def _horizon(cfg: RunConfig) -> int:
 
 
 def _feed(params, t):
-    """The feed s0 at the integer times t, as a column."""
-    return np.array([params.input.value_at(int(u)) for u in t])
+    """The feed s0 at the consecutive integer times t, as a column."""
+    return params.input.sample(int(t[0]), int(t[-1]))
 
 
 def _simulation_bundle(params, init, horizon):
@@ -463,10 +463,12 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each of the named commands."""
     parser = _Parser(prog="chemodde", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (fn, flags, defaults) in COMMANDS.items():
+    for name in names:
+        fn, flags, defaults = COMMANDS[name]
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -475,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    # a known command needs only its own subparser; anything else gets the
+    # full parser, whose help and errors list every command
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

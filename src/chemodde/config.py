@@ -114,7 +114,7 @@ def _as_int(key, value):
         if f != int(f):
             raise ValueError
         return int(f)
-    except ValueError:
+    except (ValueError, OverflowError):  # int() of nan, and of inf or 1e400
         raise ParameterError(f"{key}: expected an integer, got {value!r}") from None
 
 

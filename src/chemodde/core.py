@@ -159,14 +159,22 @@ class InputSignal:
     ``value_at`` accepts any integer, including negative ones: the washout
     construction sums the input backwards in time, so every variant fixes a
     backward extension (periodic variants repeat, the rest clamp to their
-    first value).  ``bounds()`` returns stored (lower, upper) bounds and
-    ``period`` is the exact period in steps, or None.
+    first value).  ``sample(t_from, t_to)`` gives the values on the
+    inclusive range as an array, equal to ``value_at(t)`` bit for bit; the
+    recursions read the feed only through it.  ``bounds()`` returns stored
+    (lower, upper) bounds and ``period`` is the exact period in steps, or
+    None.
     """
 
     demonstration_only = False
 
     def value_at(self, t: int) -> float:
         raise NotImplementedError
+
+    def sample(self, t_from: int, t_to: int) -> np.ndarray:
+        """value_at(t) for t = t_from..t_to as a float array, empty when
+        t_to < t_from."""
+        return np.array([self.value_at(t) for t in range(t_from, t_to + 1)], dtype=float)
 
     def bounds(self) -> tuple:
         raise NotImplementedError
@@ -191,6 +199,9 @@ class Constant(InputSignal):
 
     def value_at(self, t):
         return self.value
+
+    def sample(self, t_from, t_to):
+        return np.full(max(t_to - t_from + 1, 0), self.value, dtype=float)
 
     def bounds(self):
         return (self.value, self.value)
@@ -229,6 +240,13 @@ class Sinusoid(InputSignal):
         phase = t % self.period_steps
         return self.amplitude * math.sin(2.0 * math.pi * phase / self.period_steps) + self.offset
 
+    def sample(self, t_from, t_to):
+        # one period through value_at, repeated by phase
+        w = self.period_steps
+        if t_to - t_from < w:
+            return super().sample(t_from, t_to)
+        return super().sample(0, w - 1)[np.arange(t_from, t_to + 1) % w]
+
     def bounds(self):
         return (self.offset - self.amplitude, self.offset + self.amplitude)
 
@@ -249,20 +267,28 @@ class PiecewiseLinear(InputSignal):
         object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 1:
             raise ParameterError("piecewise input needs at least one breakpoint")
+        if not all(math.isfinite(t) for t, _ in pts):
+            raise ParameterError("piecewise breakpoint times must be finite")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
             raise ParameterError("piecewise breakpoints must have increasing times")
         _check_nonnegative("piecewise input", *(v for _, v in pts))
 
     def value_at(self, t):
-        pts = self.breakpoints
-        if t <= pts[0][0]:
-            return pts[0][1]
-        if t >= pts[-1][0]:
-            return pts[-1][1]
-        for (ta, va), (tb, vb) in zip(pts, pts[1:]):
-            if ta <= t <= tb:
-                return va + (vb - va) * (t - ta) / (tb - ta)
-        raise AssertionError("unreachable")
+        return float(self.sample(t, t)[0])
+
+    def sample(self, t_from, t_to):
+        t = np.arange(t_from, t_to + 1).astype(float)
+        times, values = np.array(self.breakpoints).T
+        out = np.full(t.shape, values[-1])
+        if len(times) > 1:
+            # segment i = (first breakpoint >= t) - 1 is the first one with
+            # ta <= t <= tb, so an interior breakpoint ends its segment
+            i = np.clip(np.searchsorted(times, t, side="left") - 1, 0, len(times) - 2)
+            ta, tb, va, vb = times[i], times[i + 1], values[i], values[i + 1]
+            inner = (t > times[0]) & (t < times[-1])
+            out[inner] = (va + (vb - va) * (t - ta) / (tb - ta))[inner]
+        out[t <= times[0]] = values[0]
+        return out
 
     def bounds(self):
         vals = [v for _, v in self.breakpoints]
@@ -287,15 +313,16 @@ class ExplicitSequence(InputSignal):
             raise ParameterError("explicit input sequence must be non-empty")
         _check_nonnegative("explicit input sequence", *vals)
 
-    def value_at(self, t):
+    def _index(self, t):
+        """Position of time t (an integer or an integer array) in values."""
         n = len(self.values)
-        if self.periodic:
-            return self.values[t % n]
-        if t < 0:
-            return self.values[0]
-        if t >= n:
-            return self.values[-1]
-        return self.values[t]
+        return t % n if self.periodic else np.clip(t, 0, n - 1)
+
+    def value_at(self, t):
+        return self.values[self._index(t)]
+
+    def sample(self, t_from, t_to):
+        return np.array(self.values)[self._index(np.arange(t_from, t_to + 1))]
 
     def bounds(self):
         return (min(self.values), max(self.values))

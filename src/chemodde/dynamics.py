@@ -47,8 +47,9 @@ class Trajectory:
         return self.s.t_end
 
 
-def _integrate(params, s, x, ps, t_from, t_to):
-    """Advance the state lists in place from time t_from to t_to.
+def _integrate(params, s, x, ps, feed):
+    """Advance the state lists in place by one step per value of feed, the
+    sampled s0 from the current last time on.
 
     Lists are indexed so that position i holds time i - r; ps caches p(s).
     """
@@ -56,10 +57,8 @@ def _integrate(params, s, x, ps, t_from, t_to):
     omE = 1.0 - E
     fac = omE ** (r + 1)
     p = params.uptake.evaluate
-    s0 = params.input.value_at
-    for t in range(t_from, t_to):
-        i = t + r
-        s_next = E * s0(t) + omE * (s[i] - x[i] * ps[i])
+    for i, s0 in enumerate(feed, len(s) - 1):
+        s_next = E * s0 + omE * (s[i] - x[i] * ps[i])
         x_next = omE * x[i] + x[i - r] * ps[i - r] * fac
         s.append(s_next)
         x.append(x_next)
@@ -99,7 +98,7 @@ def simulate(params: ChemostatParams, init: InitialHistory, horizon: int) -> Tra
     if horizon < 0:
         raise UsageError(f"horizon must be >= 0, got {horizon}")
     s, x, ps = _initial_state(params, init)
-    _integrate(params, s, x, ps, 0, horizon)
+    _integrate(params, s, x, ps, params.input.sample(0, horizon - 1).tolist())
 
     r = params.r
     s_arr = np.array(s)
@@ -146,7 +145,9 @@ def conservation_deficit(traj: Trajectory, z: WashoutSolution) -> TimeSeries:
     compare against that.
     """
     horizon = traj.horizon
-    d = traj.s.window(0, horizon) + traj.x.window(0, horizon) + traj.y.values - z.window(0, horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # infeasible runs may hold inf states; the deficit is recorded as-is
+        d = traj.s.window(0, horizon) + traj.x.window(0, horizon) + traj.y.values - z.window(0, horizon)
     return TimeSeries(d, t_start=0)
 
 

@@ -68,6 +68,15 @@ def default_tail_depth(E: float) -> int:
     return int(math.ceil(60.0 / -math.log1p(-E)))
 
 
+def _forward(z, E, feed):
+    """z, then each z[t+1] = (1-E)*z[t] + E*s0[t] for s0[t] in feed."""
+    omE = 1.0 - E
+    yield z
+    for s0 in feed:
+        z = omE * z + E * s0
+        yield z
+
+
 def washout_sequence(
     params: ChemostatParams, horizon: int, tail_depth: int | None = None
 ) -> WashoutSolution:
@@ -89,18 +98,14 @@ def washout_sequence(
 
     E = params.E
     omE = 1.0 - E
-    s0 = params.input.value_at
 
     acc = 0.0
-    for k in range(-r - 1 - tail_depth, -r):
-        acc = omE * acc + E * s0(k)
+    for s0 in params.input.sample(-r - 1 - tail_depth, -r - 1).tolist():
+        acc = omE * acc + E * s0
 
-    values = np.empty(horizon + r + 1)
-    values[0] = acc
-    z = acc
-    for t in range(-r, horizon):
-        z = omE * z + E * s0(t)
-        values[t + r + 1] = z
+    feed = params.input.sample(-r, horizon - 1).tolist()
+    values = np.fromiter(_forward(acc, E, feed), float, count=horizon + r + 1)
+    del feed  # horizon-long; not kept past the forward pass
 
     sup_s0 = params.input.bounds()[1]
     return WashoutSolution(
@@ -127,17 +132,14 @@ def washout_periodic(params: ChemostatParams) -> WashoutSolution:
 
     E = params.E
     omE = 1.0 - E
-    s0 = params.input.value_at
+    feed = params.input.sample(0, omega - 1).tolist()
 
     acc = 0.0
-    for j in range(omega):
-        acc = omE * acc + E * s0(j)
+    for s0 in feed:
+        acc = omE * acc + E * s0
     z0 = acc / (1.0 - omE**omega)
 
-    profile = np.empty(omega)
-    profile[0] = z0
-    for t in range(omega - 1):
-        profile[t + 1] = omE * profile[t] + E * s0(t)
+    profile = np.fromiter(_forward(z0, E, feed[:-1]), float, count=omega)
 
     r = params.r
     span = max(omega, r)

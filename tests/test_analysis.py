@@ -9,7 +9,9 @@ from chemodde import (
     ConvergenceError,
     ExplicitSequence,
     InitialHistory,
+    InputSignal,
     LinearUptake,
+    Monod,
     ParameterError,
     PeriodicOrbit,
     UsageError,
@@ -20,9 +22,10 @@ from chemodde import (
     neither_nor_demo,
     simulate,
     washout_periodic,
+    washout_sequence,
 )
 from chemodde.analysis import BASIS_BOHL, BASIS_PERIODIC, EXTINCT, INCONCLUSIVE, PERSISTENT
-from chemodde.cli import fig2_init, fig2_params
+from chemodde.cli import _feed, fig2_init, fig2_params
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +317,62 @@ def test_demo_bounds_n_max(monkeypatch, n_max, admitted):
     expected = Admitted if admitted else UsageError
     with pytest.raises(expected, match=None if admitted else r"n_max must be in \[1, 9\]"):
         neither_nor_demo(0.1, 2, n_max)
+
+
+# ---------------------------------------------------------------------------
+# feed sampling: the recursions read s0 only through InputSignal.sample
+# ---------------------------------------------------------------------------
+
+
+class _SampleOnlyFeed(InputSignal):
+    """A periodic feed whose value_at raises; sample delegates to a periodic
+    sequence and counts its calls."""
+
+    def __init__(self, values):
+        self.inner = ExplicitSequence(values, periodic=True)
+        self.sample_calls = 0
+
+    def value_at(self, t):
+        raise AssertionError("the feed was read through value_at")
+
+    def sample(self, t_from, t_to):
+        self.sample_calls += 1
+        return self.inner.sample(t_from, t_to)
+
+    def bounds(self):
+        return self.inner.bounds()
+
+    @property
+    def period(self):
+        return self.inner.period
+
+
+def _sample_only_pair():
+    feed = _SampleOnlyFeed((0.9, 1.1, 1.3, 1.2, 1.0, 0.8, 0.7))
+    uptake = Monod(p_max=0.8, k_s=1.0)
+    return (ChemostatParams(E=0.125, r=2, uptake=uptake, input=feed),
+            ChemostatParams(E=0.125, r=2, uptake=uptake, input=feed.inner))
+
+
+def test_recursions_read_the_feed_only_through_sample():
+    params, plain = _sample_only_pair()
+    init = InitialHistory.constant(2, 0.5, 0.2)
+    assert np.array_equal(washout_sequence(params, 60).z.values, washout_sequence(plain, 60).z.values)
+    assert np.array_equal(washout_periodic(params).profile, washout_periodic(plain).profile)
+    assert np.array_equal(simulate(params, init, 60).x.values, simulate(plain, init, 60).x.values)
+    orbit = find_periodic_orbit(params, init)
+    assert isinstance(orbit, PeriodicOrbit)
+    assert np.array_equal(orbit.x, find_periodic_orbit(plain, init).x)
+    t = np.arange(-2, 61)
+    assert np.array_equal(_feed(params, t), [plain.input.value_at(int(u)) for u in t])
+
+
+def test_find_periodic_orbit_samples_one_period_once():
+    params, _ = _sample_only_pair()
+    init = InitialHistory.constant(2, 0.5, 0.2)
+    washout_periodic(params)
+    assert params.input.sample_calls == 1
+    orbit = find_periodic_orbit(params, init)
+    assert orbit.periods_used > 2
+    # one call inside washout_periodic, one for all periods of the orbit loop
+    assert params.input.sample_calls == 1 + 2

@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from chemodde import UsageError, periodic_phi, svg, washout_periodic
 from chemodde.cli import CSV_BLOCK_ROWS, COMMANDS, build_parser, emit_csv, fig2_params, run
+from chemodde.config import _KNOWN_KEYS
 
 FIG2_CFG = """
 schema = 1
@@ -509,6 +511,53 @@ def test_readme_flags_match_parser():
     assert documented == _parser_flags()
 
 
+def _run_captured(argv):
+    """(exit code, stdout, stderr) of run(argv); argparse's -h exits."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_run_builds_only_the_named_subparser(tmp_path, fig2_cfg, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    code, _, err = _run_captured(["classify", "--config", str(fig2_cfg), "--out", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert built == ["classify"]
+    built.clear()
+    assert _run_captured(["bogus"])[0] == 2
+    assert built == list(COMMANDS)
+
+
+def test_full_parser_output_without_a_known_command():
+    help_text = build_parser().format_help()
+    assert _run_captured([]) == (2, help_text, "")
+    assert _run_captured(["-h"]) == (0, help_text, "")
+    assert _run_captured(["bogus"]) == (
+        2, "",
+        "error: argument COMMAND: invalid choice: 'bogus' (choose from 'simulate', "
+        "'washout', 'exponents', 'sliding', 'classify', 'periodic', 'neither-nor', "
+        "'fig1', 'fig2')\n",
+    )
+    assert _run_captured(["classify", "--bogus"]) == (2, "", "error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_help_matches_full_parser(command):
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert _run_captured([command, "-h"]) == (0, sub.choices[command].format_help(), "")
+
+
 # (command, flag, value): a flag of another command that this one does not read
 REMOVED_FLAGS = [
     ("simulate", "--tol", "1e-9"),
@@ -603,20 +652,21 @@ def _argvs(draw):
     return argv, foreign
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=_argvs())
-@example(case=(["neither-nor", "--n-max", "30"], None))  # was a ValueError traceback
-def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, case):
-    argv, foreign = case
-    monkeypatch.delenv("CHEMODDE_OUT", raising=False)
-    (tmp_path / "periodic.cfg").write_text(FUZZ_PERIODIC_CFG)
-    (tmp_path / "ramp.cfg").write_text(FUZZ_RAMP_CFG)
-    work = Path(tempfile.mkdtemp(dir=tmp_path))
-    stdout, stderr = io.StringIO(), io.StringIO()
+def _run_in(work, argv):
+    """run(argv) with work as the current directory, so that relative
+    --out and --config values resolve in it; checks the exit contract:
+    0, 1 or 2, one `error: ` line exactly when non-zero (no warning, no
+    traceback), and nothing written in work on exit 2.  Returns the exit
+    code."""
+    before = sorted(work.iterdir())
+    stderr = io.StringIO()
     cwd = os.getcwd()
-    os.chdir(work)  # relative --out and --config values resolve in here
+    os.chdir(work)
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            # outside pytest a numpy warning would print to stderr
+            warnings.simplefilter("error", RuntimeWarning)
             code = run(argv)
     finally:
         os.chdir(cwd)
@@ -628,6 +678,112 @@ def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, case):
     else:
         assert err == ""
     if code == 2:
-        assert list(work.iterdir()) == []
+        assert sorted(work.iterdir()) == before
+    return code
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_argvs())
+@example(case=(["neither-nor", "--n-max", "30"], None))  # was a ValueError traceback
+def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, case):
+    argv, foreign = case
+    monkeypatch.delenv("CHEMODDE_OUT", raising=False)
+    (tmp_path / "periodic.cfg").write_text(FUZZ_PERIODIC_CFG)
+    (tmp_path / "ramp.cfg").write_text(FUZZ_RAMP_CFG)
+    code = _run_in(Path(tempfile.mkdtemp(dir=tmp_path)), argv)
     if foreign is not None:
         assert code == 2
+
+
+@pytest.mark.parametrize("key", ["model.r", "input.period", "run.horizon", "run.T"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+def test_integer_key_out_of_range_exits_2(tmp_path, capsys, key, value):
+    text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", FIG2_CFG + "run.T = 40\n", flags=re.M)
+    assert f"{key} = {value}\n" in text
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(["classify", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {key}: expected an integer, got '{value}'\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# a valid value for each config key, bounded so that every example runs in
+# well under a second; lists match their partners (input.t and
+# input.values, uptake.s and uptake.values) and init.* hold r+1 values
+def _config_values(r):
+    floats = lambda lo, hi: st.floats(lo, hi).map(repr)  # noqa: E731
+    init = st.lists(st.floats(0.0, 1.0), min_size=r + 1, max_size=r + 1).map(
+        lambda v: " ".join(map(repr, v))
+    )
+    return {
+        "schema": st.just("1"),
+        "model.E": floats(0.05, 0.95),
+        "model.r": st.just(str(r)),
+        "uptake.kind": st.sampled_from(["monod", "linear", "tabulated"]),
+        "uptake.p_max": floats(0.1, 2.0),
+        "uptake.k_s": floats(0.2, 3.0),
+        "uptake.slope": floats(0.05, 1.0),
+        "uptake.s": st.just("0 1 2"),
+        "uptake.values": st.just("0 0.5 0.8"),
+        "input.kind": st.sampled_from(["constant", "sinusoid", "piecewise", "sequence", "dyadic"]),
+        "input.value": floats(0.0, 2.0),
+        "input.amplitude": floats(0.0, 0.3),
+        "input.period": st.integers(1, 40).map(str),
+        "input.offset": floats(0.3, 1.0),
+        "input.t": st.just("0 50 150"),
+        "input.values": st.just("1.0 0.6 0.2"),
+        "input.periodic": st.sampled_from(["true", "false"]),
+        "init.s": init,
+        "init.x": init,
+        "run.horizon": st.integers(0, 2000).map(str),
+        "run.tol": floats(1e-12, 1e-3),
+        "run.T": st.integers(1, 100).map(str),
+    }
+
+
+CONFIG_COMMANDS = sorted(name for name, (_, flags, _) in COMMANDS.items() if "--config" in flags)
+CONFIG_SPECIAL = st.sampled_from(["0", "-1", "nan", "inf", "1e400", "", "garbage"])
+# a mutation sets a key to a special value or, as often, drops or
+# duplicates the key or adds an unknown one
+CONFIG_MUTATIONS = st.one_of(CONFIG_SPECIAL, st.sampled_from(["<drop>", "<duplicate>", "<unknown>"]))
+
+
+@st.composite
+def _config_texts(draw):
+    """`key = value` lines for every known key in a random order, each
+    valid except for up to three mutations: a value of 0, -1, nan, inf,
+    1e400, empty or garbage, a dropped key, a duplicated key or an unknown
+    key."""
+    valid = _config_values(draw(st.integers(0, 4)))
+    keys = sorted(_KNOWN_KEYS)
+    pairs = {key: draw(valid[key]) for key in keys}
+    extra = []
+    for key, mutation in draw(st.lists(st.tuples(st.sampled_from(keys), CONFIG_MUTATIONS), max_size=3)):
+        if mutation == "<drop>":
+            pairs.pop(key, None)
+        elif mutation == "<duplicate>":
+            extra.append(f"{key} = {draw(valid[key])}")
+        elif mutation == "<unknown>":
+            extra.append("model.EE = 0.5")
+        else:
+            pairs[key] = mutation
+    lines = [f"{key} = {value}" for key, value in pairs.items()] + extra
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(CONFIG_COMMANDS), text=_config_texts())
+@example(command="classify", text=FIG2_CFG.replace("model.r = 5", "model.r = 1e400"))  # was an OverflowError
+@example(command="washout", text=RAMP_T0_CFG.replace("0 100 300", "0 nan 300"))  # was an AssertionError
+@example(command="simulate", text=(  # infeasible: numpy warned on stderr at exit 0
+    "schema = 1\nmodel.E = 0.75\nmodel.r = 0\nuptake.kind = linear\nuptake.slope = 1.0\n"
+    "input.kind = dyadic\ninit.s = 0.0\ninit.x = 1.0\nrun.horizon = 19\n"
+))
+def test_cli_config_fuzz_exits_cleanly(tmp_path, monkeypatch, command, text):
+    monkeypatch.delenv("CHEMODDE_OUT", raising=False)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "run.cfg").write_text(text)
+    _run_in(work, [command, "--config", "run.cfg", "--out", "out"])

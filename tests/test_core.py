@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemodde import (
@@ -182,6 +182,102 @@ def test_dyadic_blocks_layout():
 def test_dyadic_blocks_overflow_guard():
     with pytest.raises(ParameterError):
         DyadicBlocks(E=0.5, r=600)  # 2**1202 overflows a double
+
+
+def test_piecewise_rejects_nonfinite_times():
+    with pytest.raises(ParameterError, match="times must be finite"):
+        PiecewiseLinear(breakpoints=((math.nan, 1.0),))
+    with pytest.raises(ParameterError, match="times must be finite"):
+        PiecewiseLinear(breakpoints=((0.0, 1.0), (math.inf, 2.0)))
+
+
+# ---------------------------------------------------------------------------
+# sample: the array form of value_at
+# ---------------------------------------------------------------------------
+
+
+def _piecewise_oracle(sig, t):
+    """PiecewiseLinear.value_at as it was written before sample existed:
+    clamp outside, else the first segment with ta <= t <= tb."""
+    pts = sig.breakpoints
+    if t <= pts[0][0]:
+        return pts[0][1]
+    if t >= pts[-1][0]:
+        return pts[-1][1]
+    for (ta, va), (tb, vb) in zip(pts, pts[1:]):
+        if ta <= t <= tb:
+            return va + (vb - va) * (t - ta) / (tb - ta)
+    raise AssertionError("unreachable")
+
+
+def _sequence_oracle(sig, t):
+    """ExplicitSequence.value_at as it was written before sample existed."""
+    n = len(sig.values)
+    if sig.periodic:
+        return sig.values[t % n]
+    return sig.values[min(max(t, 0), n - 1)]
+
+
+ORACLES = {PiecewiseLinear: _piecewise_oracle, ExplicitSequence: _sequence_oracle}
+
+_values = st.floats(0.0, 10.0)
+_breakpoint_times = st.one_of(
+    st.integers(-60, 160).map(float),  # integer breakpoints, interior ones included
+    st.floats(-60.0, 160.0),
+)
+
+
+@st.composite
+def _sinusoids(draw):
+    amplitude = draw(_values)
+    return Sinusoid(amplitude, draw(st.integers(1, 40)), amplitude + draw(_values))
+
+
+@st.composite
+def _piecewise(draw):
+    times = sorted(draw(st.sets(_breakpoint_times, min_size=1, max_size=5)))
+    return PiecewiseLinear(tuple((t, draw(_values)) for t in times))
+
+
+SIGNALS = st.one_of(
+    st.builds(Constant, _values),
+    _sinusoids(),
+    _piecewise(),
+    st.builds(ExplicitSequence, st.lists(_values, min_size=1, max_size=12).map(tuple), st.booleans()),
+    st.builds(DyadicBlocks, st.floats(0.05, 0.95), st.integers(0, 4)),
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_sample_strategy_covers_every_input_signal():
+    from chemodde import core
+
+    kinds = {cls for cls in vars(core).values()
+             if isinstance(cls, type) and issubclass(cls, core.InputSignal) and cls is not core.InputSignal}
+    assert kinds == {Constant, Sinusoid, PiecewiseLinear, ExplicitSequence, DyadicBlocks}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sig=SIGNALS, t_from=st.integers(-200, 200), length=st.one_of(st.just(1), st.integers(0, 300)))
+@example(sig=PiecewiseLinear(((0.0, 3.0), (500.0, 3.0), (1500.0, 0.05))), t_from=-20, length=1600)
+@example(sig=PiecewiseLinear(((0.0, 1.0), (3.0, 0.3), (7.0, 0.9))), t_from=-2, length=12)
+@example(sig=PiecewiseLinear(((2.5, 1.0), (3.5, 0.3))), t_from=-2, length=12)
+@example(sig=PiecewiseLinear(((4.0, 0.7),)), t_from=0, length=9)
+@example(sig=Sinusoid(0.25, 7, 0.6), t_from=-30, length=80)
+@example(sig=ExplicitSequence((0.2, 0.4, 0.8), periodic=True), t_from=-10, length=25)
+@example(sig=ExplicitSequence((0.2, 0.4, 0.8)), t_from=-10, length=25)
+def test_sample_matches_value_at_bit_for_bit(sig, t_from, length):
+    t_to = t_from + length - 1
+    got = sig.sample(t_from, t_to)
+    assert got.dtype == np.float64 and got.shape == (length,)
+    times = range(t_from, t_to + 1)
+    assert _bits(got) == _bits([sig.value_at(t) for t in times])
+    oracle = ORACLES.get(type(sig))
+    if oracle is not None:
+        assert _bits(got) == _bits([oracle(sig, t) for t in times])
 
 
 # ---------------------------------------------------------------------------
