@@ -329,7 +329,7 @@ def attraction_rate(
         raise UsageError("attraction_rate needs two runs of the same system")
     horizon = min(traj_a.horizon, traj_b.horizon)
     if not 0 <= burn_in < horizon:
-        raise UsageError(f"burn_in {burn_in} outside (0, horizon={horizon})")
+        raise UsageError(f"burn_in {burn_in} outside [0, horizon={horizon})")
 
     gx = np.abs(traj_a.x.window(0, horizon) - traj_b.x.window(0, horizon))
     gs = np.abs(traj_a.s.window(0, horizon) - traj_b.s.window(0, horizon))

@@ -5,8 +5,8 @@ neither-nor, fig1, fig2.  Results go to CSV (and optionally SVG) files in
 the output directory; a one-screen summary is printed.  Each subcommand
 takes only the flags its handler reads (COMMANDS); any other flag is a
 usage error.  Exit codes: 0 on success, 1 on domain or convergence
-errors, 2 on usage errors.  The CHEMODDE_OUT environment variable
-overrides --out.
+errors or a failed allocation, 2 on usage errors.  The CHEMODDE_OUT
+environment variable overrides --out.
 """
 
 from __future__ import annotations
@@ -162,16 +162,24 @@ def _simulation_bundle(params, init, horizon):
     }
 
 
+def _exp_or_inf(d):
+    """math.exp(d), or inf where the result overflows a double."""
+    try:
+        return math.exp(d)
+    except OverflowError:
+        return math.inf
+
+
 def _sliding_product(params, z, horizon):
     """Times u in [0, horizon] and the half-window growth product
     prod_{k=u//2}^{u} a[k - r]: the factor at k uses the delayed pair
-    (phi, z) at k - r."""
+    (phi, z) at k - r.  A product beyond the largest double is inf."""
     corr = exponents.phi_sequence(params, z, horizon)
     growth = exponents.growth_factors(params, z, corr.phi)
     logs = [math.log(a) for a in growth.values[: horizon + 1].tolist()]
     prefix = np.concatenate([[0.0], np.cumsum(logs)])
     t = np.arange(0, horizon + 1)
-    return t, np.array([math.exp(d) for d in (prefix[t + 1] - prefix[t // 2]).tolist()])
+    return t, np.array([_exp_or_inf(d) for d in (prefix[t + 1] - prefix[t // 2]).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +499,10 @@ def run(argv) -> int:
         return 2
     except (ChemoddeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a range too long to allocate, e.g. the washout tail for E near 0
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -154,27 +154,19 @@ class TabulatedUptake(UptakeFunction):
 
 
 class InputSignal:
-    """Feed concentration s0 as a function of the integer time step.
+    """Feed concentration s0 on the integer time steps.
 
-    ``value_at`` accepts any integer, including negative ones: the washout
-    construction sums the input backwards in time, so every variant fixes a
-    backward extension (periodic variants repeat, the rest clamp to their
-    first value).  ``sample(t_from, t_to)`` gives the values on the
-    inclusive range as an array, equal to ``value_at(t)`` bit for bit; the
-    recursions read the feed only through it.  ``bounds()`` returns stored
-    (lower, upper) bounds and ``period`` is the exact period in steps, or
-    None.
+    ``sample(t_from, t_to)`` gives s0 on the inclusive range as a float
+    array, empty when t_to < t_from; the recursions read the feed only
+    through it.  Any integers are accepted, negative ones included: the
+    washout construction sums the input backwards in time, so every variant
+    fixes a backward extension (periodic variants repeat, the rest clamp to
+    their first value).  ``bounds()`` returns stored (lower, upper) bounds
+    and ``period`` is the exact period in steps, or None.
     """
 
-    demonstration_only = False
-
-    def value_at(self, t: int) -> float:
-        raise NotImplementedError
-
     def sample(self, t_from: int, t_to: int) -> np.ndarray:
-        """value_at(t) for t = t_from..t_to as a float array, empty when
-        t_to < t_from."""
-        return np.array([self.value_at(t) for t in range(t_from, t_to + 1)], dtype=float)
+        raise NotImplementedError
 
     def bounds(self) -> tuple:
         raise NotImplementedError
@@ -197,9 +189,6 @@ class Constant(InputSignal):
     def __post_init__(self):
         _check_nonnegative("constant input", self.value)
 
-    def value_at(self, t):
-        return self.value
-
     def sample(self, t_from, t_to):
         return np.full(max(t_to - t_from + 1, 0), self.value, dtype=float)
 
@@ -215,8 +204,8 @@ class Constant(InputSignal):
 class Sinusoid(InputSignal):
     """s0[t] = amplitude * sin(2*pi*t/period) + offset, period an integer.
 
-    Evaluated through t mod period so that value_at(t + period) is exactly
-    equal to value_at(t) in floating point.
+    Evaluated with math.sin on t mod period, so that times t and
+    t + period give exactly equal values in floating point.
     """
 
     amplitude: float
@@ -236,16 +225,15 @@ class Sinusoid(InputSignal):
                 f"sinusoid must stay nonnegative: offset {self.offset} < amplitude {self.amplitude}"
             )
 
-    def value_at(self, t):
-        phase = t % self.period_steps
-        return self.amplitude * math.sin(2.0 * math.pi * phase / self.period_steps) + self.offset
-
     def sample(self, t_from, t_to):
-        # one period through value_at, repeated by phase
+        # a range shorter than a period evaluates its own phases only, so a
+        # long period never costs more than the range; a longer range
+        # evaluates one period and repeats it by phase
         w = self.period_steps
-        if t_to - t_from < w:
-            return super().sample(t_from, t_to)
-        return super().sample(0, w - 1)[np.arange(t_from, t_to + 1) % w]
+        short = t_to - t_from < w
+        values = np.array([self.amplitude * math.sin(2.0 * math.pi * (t % w) / w) + self.offset
+                           for t in (range(t_from, t_to + 1) if short else range(w))], dtype=float)
+        return values if short else values[np.arange(t_from, t_to + 1) % w]
 
     def bounds(self):
         return (self.offset - self.amplitude, self.offset + self.amplitude)
@@ -273,21 +261,20 @@ class PiecewiseLinear(InputSignal):
             raise ParameterError("piecewise breakpoints must have increasing times")
         _check_nonnegative("piecewise input", *(v for _, v in pts))
 
-    def value_at(self, t):
-        return float(self.sample(t, t)[0])
-
     def sample(self, t_from, t_to):
         t = np.arange(t_from, t_to + 1).astype(float)
         times, values = np.array(self.breakpoints).T
         out = np.full(t.shape, values[-1])
-        if len(times) > 1:
-            # segment i = (first breakpoint >= t) - 1 is the first one with
-            # ta <= t <= tb, so an interior breakpoint ends its segment
-            i = np.clip(np.searchsorted(times, t, side="left") - 1, 0, len(times) - 2)
-            ta, tb, va, vb = times[i], times[i + 1], values[i], values[i + 1]
-            inner = (t > times[0]) & (t < times[-1])
-            out[inner] = (va + (vb - va) * (t - ta) / (tb - ta))[inner]
         out[t <= times[0]] = values[0]
+        # interpolate strictly inside the breakpoints only, so no ratio
+        # (t - ta) / (tb - ta) exceeds 1; segment i = (first breakpoint
+        # >= t) - 1 is the first one with ta <= t <= tb, so an interior
+        # breakpoint ends its segment
+        inner = (t > times[0]) & (t < times[-1])
+        ti = t[inner]
+        i = np.searchsorted(times, ti, side="left") - 1
+        ta, tb, va, vb = times[i], times[i + 1], values[i], values[i + 1]
+        out[inner] = va + (vb - va) * (ti - ta) / (tb - ta)
         return out
 
     def bounds(self):
@@ -313,16 +300,10 @@ class ExplicitSequence(InputSignal):
             raise ParameterError("explicit input sequence must be non-empty")
         _check_nonnegative("explicit input sequence", *vals)
 
-    def _index(self, t):
-        """Position of time t (an integer or an integer array) in values."""
-        n = len(self.values)
-        return t % n if self.periodic else np.clip(t, 0, n - 1)
-
-    def value_at(self, t):
-        return self.values[self._index(t)]
-
     def sample(self, t_from, t_to):
-        return np.array(self.values)[self._index(np.arange(t_from, t_to + 1))]
+        t = np.arange(t_from, t_to + 1)
+        n = len(self.values)
+        return np.array(self.values)[t % n if self.periodic else np.clip(t, 0, n - 1)]
 
     def bounds(self):
         return (min(self.values), max(self.values))
@@ -346,8 +327,6 @@ class DyadicBlocks(InputSignal):
     E: float
     r: int
 
-    demonstration_only = True
-
     def __post_init__(self):
         E, r = _validate_E_r(self.E, self.r)
         object.__setattr__(self, "E", E)
@@ -369,13 +348,11 @@ class DyadicBlocks(InputSignal):
     def low_value(self):
         return self.E / 2.0
 
-    def value_at(self, t):
-        if t < 1:
-            return self.low_value
-        block = 1  # largest power of 4 that is <= t
-        while block * 4 <= t:
-            block *= 4
-        return self.high_value if t < 2 * block else self.low_value
+    def sample(self, t_from, t_to):
+        # [4**n, 2*4**n) = [2**(2n), 2**(2n+1)): t is high exactly when an
+        # odd number of powers of two, 1 included, are <= t
+        k = np.searchsorted(2 ** np.arange(63), np.arange(t_from, t_to + 1), side="right")
+        return np.where(k % 2 == 1, self.high_value, self.low_value)
 
     def bounds(self):
         return (self.low_value, self.high_value)

@@ -153,18 +153,7 @@ def conservation_deficit(traj: Trajectory, z: WashoutSolution) -> TimeSeries:
 
 def initial_stored_nutrient(params: ChemostatParams, init: InitialHistory) -> float:
     """y[0] evaluated from the initial history alone."""
-    if len(init) != params.r + 1:
-        raise UsageError(
-            f"initial history has {len(init)} entries, expected r+1={params.r + 1}"
-        )
-    omE = 1.0 - params.E
-    p = params.uptake.evaluate
-    total = 0.0
-    for k in range(params.r):
-        # time -1-k sits at position r-1-k in the history window
-        idx = params.r - 1 - k
-        total += init.x[idx] * p(init.s[idx]) * omE ** (k + 1)
-    return total
+    return _stored_nutrient_series(params, *_initial_state(params, init), 0).at(0)
 
 
 def check_positivity_preconditions(

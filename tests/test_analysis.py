@@ -130,8 +130,9 @@ def test_orbit_profile_satisfies_recursion():
     orbit = find_periodic_orbit(params, fig2_init(), tol=1e-10)
     E, r = params.E, params.r
     p = params.uptake.evaluate
+    s0 = params.input.sample(0, 499)
     for t in range(500):
-        s_next = E * params.input.value_at(t) + (1 - E) * (
+        s_next = E * s0[t] + (1 - E) * (
             orbit.s[t] - orbit.x[t] * p(orbit.s[t])
         )
         x_next = (1 - E) * orbit.x[t] + orbit.x[(t - r) % 500] * p(
@@ -238,6 +239,14 @@ def test_attraction_washout_pair_rate_is_survival():
     assert abs(rate.rho - 0.8) <= 1e-6
 
 
+@pytest.mark.parametrize("burn_in", [-1, 50])
+def test_attraction_burn_in_outside_range_names_it(burn_in):
+    traj = simulate(fig2_params(0.6), fig2_init(), horizon=50)
+    with pytest.raises(UsageError) as err:
+        attraction_rate(traj, traj, burn_in=burn_in)
+    assert str(err.value) == f"burn_in {burn_in} outside [0, horizon=50)"
+
+
 def test_attraction_requires_same_system():
     traj_a = simulate(fig2_params(0.6), fig2_init(), horizon=50)
     traj_b = simulate(fig2_params(0.3), fig2_init(), horizon=50)
@@ -325,15 +334,12 @@ def test_demo_bounds_n_max(monkeypatch, n_max, admitted):
 
 
 class _SampleOnlyFeed(InputSignal):
-    """A periodic feed whose value_at raises; sample delegates to a periodic
-    sequence and counts its calls."""
+    """A periodic feed whose sample delegates to a periodic sequence and
+    counts its calls."""
 
     def __init__(self, values):
         self.inner = ExplicitSequence(values, periodic=True)
         self.sample_calls = 0
-
-    def value_at(self, t):
-        raise AssertionError("the feed was read through value_at")
 
     def sample(self, t_from, t_to):
         self.sample_calls += 1
@@ -364,7 +370,7 @@ def test_recursions_read_the_feed_only_through_sample():
     assert isinstance(orbit, PeriodicOrbit)
     assert np.array_equal(orbit.x, find_periodic_orbit(plain, init).x)
     t = np.arange(-2, 61)
-    assert np.array_equal(_feed(params, t), [plain.input.value_at(int(u)) for u in t])
+    assert np.array_equal(_feed(params, t), plain.input.sample(-2, 60))
 
 
 def test_find_periodic_orbit_samples_one_period_once():

@@ -15,7 +15,10 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from chemodde import UsageError, periodic_phi, svg, washout_periodic
+from chemodde import (
+    ChemostatParams, Constant, Monod, UsageError, growth_factors, periodic_phi, phi_sequence, svg,
+    washout_periodic, washout_sequence,
+)
 from chemodde.cli import CSV_BLOCK_ROWS, COMMANDS, build_parser, emit_csv, fig2_params, run
 from chemodde.config import _KNOWN_KEYS
 
@@ -338,6 +341,43 @@ def test_sliding_csv(tmp_path, fig2_cfg):
     header, rows = _read_csv(tmp_path / "sliding.csv")
     assert header == ["t", "sliding_product"]
     assert len(rows) == 801
+
+
+def test_sliding_product_beyond_largest_double_is_inf(tmp_path):
+    # growth factor 1.425 per step: half-window log sums pass log(DBL_MAX)
+    cfg = tmp_path / "persistent.cfg"
+    cfg.write_text(SMALL_CFG.replace("model.E = 0.2", "model.E = 0.05")
+                   .replace("uptake.kind = linear\nuptake.slope = 0.4",
+                            "uptake.kind = monod\nuptake.p_max = 1\nuptake.k_s = 1"))
+    assert run(["sliding", "--config", str(cfg), "--horizon", "20000", "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "sliding.csv")
+    assert len(rows) == 20001
+    stat = rows[:, 1]
+    overflow = np.isinf(stat)
+    assert overflow.any() and not overflow.all()
+
+    # the half-window log sums, as the sliding command forms them
+    params = ChemostatParams(0.05, 0, Monod(1.0, 1.0), Constant(1.0))
+    z = washout_sequence(params, 20000)
+    growth = growth_factors(params, z, phi_sequence(params, z, 20000).phi)
+    prefix = np.concatenate([[0.0], np.cumsum([math.log(a) for a in growth.values[:20001].tolist()])])
+    t = np.arange(20001)
+    logs = prefix[t + 1] - prefix[t // 2]
+    assert np.all(logs[overflow] > math.log(np.finfo(float).max))
+    assert [math.exp(d) for d in logs[~overflow].tolist()] == stat[~overflow].tolist()
+
+
+def test_allocation_failure_exits_1(tmp_path, capsys):
+    # E = 1e-15 puts the washout tail at ~6e16 steps: 426 PiB of int64,
+    # beyond any 57-bit address space, so the allocation can never succeed
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(SMALL_CFG.replace("model.E = 0.2", "model.E = 1e-15")
+                   .replace("input.kind = constant\ninput.value = 1.0",
+                            "input.kind = piecewise\ninput.t = 0 500\ninput.values = 3 0.05"))
+    assert run(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert not (tmp_path / "classify.json").exists()
 
 
 CLASSIFY_KEYS = [

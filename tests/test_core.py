@@ -108,19 +108,22 @@ def test_tabulated_validation():
 def test_sinusoid_exact_periodicity():
     sig = Sinusoid(amplitude=0.25, period_steps=7, offset=0.6)
     for t in range(0, 3 * 7):
-        assert sig.value_at(t + 7) == sig.value_at(t)
-        assert sig.value_at(t - 7) == sig.value_at(t)  # backward extension
+        # one-step ranges evaluate the formula at t itself
+        assert sig.sample(t + 7, t + 7) == sig.sample(t, t)
+        assert sig.sample(t - 7, t - 7) == sig.sample(t, t)  # backward extension
     lo, hi = sig.bounds()
     assert 0.0 < lo <= hi
-    for t in range(-20, 40):
-        assert lo <= sig.value_at(t) <= hi
+    values = sig.sample(-20, 39)
+    assert np.all((lo <= values) & (values <= hi))
 
 
 def test_sinusoid_matches_formula():
     sig = Sinusoid(amplitude=0.25, period_steps=500, offset=0.6)
+    period = sig.sample(0, 499)
     for t in (0, 1, 125, 250, 499):
         expect = 0.25 * math.sin(2 * math.pi * t / 500) + 0.6
-        assert math.isclose(sig.value_at(t), expect, rel_tol=1e-12, abs_tol=1e-15)
+        assert math.isclose(period[t], expect, rel_tol=1e-12, abs_tol=1e-15)
+        assert sig.sample(t, t)[0] == period[t]
 
 
 @pytest.mark.parametrize("amplitude, offset, message", [
@@ -139,42 +142,42 @@ def test_sinusoid_rejects_bad_amplitude_or_offset(amplitude, offset, message):
 
 def test_constant_and_sequence_bounds():
     c = Constant(0.5)
-    assert c.value_at(-17) == c.value_at(3) == 0.5
+    assert c.sample(-17, -17) == c.sample(3, 3) == 0.5
     assert c.period == 1
 
     seq = ExplicitSequence(values=(0.2, 0.4, 0.8), periodic=True)
     assert seq.period == 3
-    for t in range(-9, 12):
-        assert seq.value_at(t) == seq.value_at(t + 3)
+    assert np.array_equal(seq.sample(-9, 11), seq.sample(-6, 14))
     lo, hi = seq.bounds()
     assert (lo, hi) == (0.2, 0.8)
 
     open_seq = ExplicitSequence(values=(0.2, 0.4, 0.8), periodic=False)
     assert open_seq.period is None
-    assert open_seq.value_at(-5) == 0.2  # clamps to the first value
-    assert open_seq.value_at(99) == 0.8
+    assert open_seq.sample(-5, -5) == 0.2  # clamps to the first value
+    assert open_seq.sample(99, 99) == 0.8
 
 
 def test_piecewise_linear_clamps_and_interpolates():
     sig = PiecewiseLinear(breakpoints=((0.0, 3.0), (500.0, 3.0), (1500.0, 0.05)))
-    assert sig.value_at(-10) == 3.0
-    assert sig.value_at(250) == 3.0
-    assert math.isclose(sig.value_at(1000), (3.0 + 0.05) / 2, rel_tol=1e-12)
-    assert sig.value_at(5000) == 0.05
+    values = sig.sample(-10, 5000)
+    assert values[0] == 3.0
+    assert values[260] == 3.0
+    assert math.isclose(values[1010], (3.0 + 0.05) / 2, rel_tol=1e-12)
+    assert values[-1] == 0.05
     assert sig.bounds() == (0.05, 3.0)
 
 
 def test_dyadic_blocks_layout():
     sig = DyadicBlocks(E=0.5, r=0)
-    assert sig.demonstration_only
     assert sig.high_value == pytest.approx(8.0)
     assert sig.low_value == 0.25
     high_times = {1, 4, 5, 6, 7, 16, 31, 64, 127}
     low_times = {-5, 0, 2, 3, 8, 15, 32, 63, 128}
+    values = sig.sample(-5, 128)
     for t in high_times:
-        assert sig.value_at(t) == sig.high_value, t
+        assert values[t + 5] == sig.high_value, t
     for t in low_times:
-        assert sig.value_at(t) == sig.low_value, t
+        assert values[t + 5] == sig.low_value, t
     lo, hi = sig.bounds()
     assert (lo, hi) == (0.25, 8.0)
 
@@ -192,8 +195,19 @@ def test_piecewise_rejects_nonfinite_times():
 
 
 # ---------------------------------------------------------------------------
-# sample: the array form of value_at
+# sample: bit for bit against one scalar oracle per signal
 # ---------------------------------------------------------------------------
+
+
+def _constant_oracle(sig, t):
+    """Constant.value_at as it was written before sample was the only reader."""
+    return sig.value
+
+
+def _sinusoid_oracle(sig, t):
+    """Sinusoid.value_at as it was written before sample was the only reader."""
+    phase = t % sig.period_steps
+    return sig.amplitude * math.sin(2.0 * math.pi * phase / sig.period_steps) + sig.offset
 
 
 def _piecewise_oracle(sig, t):
@@ -218,7 +232,23 @@ def _sequence_oracle(sig, t):
     return sig.values[min(max(t, 0), n - 1)]
 
 
-ORACLES = {PiecewiseLinear: _piecewise_oracle, ExplicitSequence: _sequence_oracle}
+def _dyadic_oracle(sig, t):
+    """DyadicBlocks.value_at as it was written before sample was the only reader."""
+    if t < 1:
+        return sig.low_value
+    block = 1  # largest power of 4 that is <= t
+    while block * 4 <= t:
+        block *= 4
+    return sig.high_value if t < 2 * block else sig.low_value
+
+
+ORACLES = {
+    Constant: _constant_oracle,
+    Sinusoid: _sinusoid_oracle,
+    PiecewiseLinear: _piecewise_oracle,
+    ExplicitSequence: _sequence_oracle,
+    DyadicBlocks: _dyadic_oracle,
+}
 
 _values = st.floats(0.0, 10.0)
 _breakpoint_times = st.one_of(
@@ -258,6 +288,7 @@ def test_sample_strategy_covers_every_input_signal():
     kinds = {cls for cls in vars(core).values()
              if isinstance(cls, type) and issubclass(cls, core.InputSignal) and cls is not core.InputSignal}
     assert kinds == {Constant, Sinusoid, PiecewiseLinear, ExplicitSequence, DyadicBlocks}
+    assert kinds == set(ORACLES)
 
 
 @settings(max_examples=300, deadline=None)
@@ -266,18 +297,30 @@ def test_sample_strategy_covers_every_input_signal():
 @example(sig=PiecewiseLinear(((0.0, 1.0), (3.0, 0.3), (7.0, 0.9))), t_from=-2, length=12)
 @example(sig=PiecewiseLinear(((2.5, 1.0), (3.5, 0.3))), t_from=-2, length=12)
 @example(sig=PiecewiseLinear(((4.0, 0.7),)), t_from=0, length=9)
+@example(sig=PiecewiseLinear(((0.0, 0.0), (2.225073858507e-311, 1.0))), t_from=-1, length=3)
 @example(sig=Sinusoid(0.25, 7, 0.6), t_from=-30, length=80)
+@example(sig=Sinusoid(0.25, 7, 0.6), t_from=-3, length=6)  # shorter than a period
+@example(sig=Sinusoid(0.25, 7, 0.6), t_from=-3, length=7)  # exactly one period
+@example(sig=Sinusoid(0.25, 7, 0.6), t_from=-3, length=8)  # longer than a period
 @example(sig=ExplicitSequence((0.2, 0.4, 0.8), periodic=True), t_from=-10, length=25)
 @example(sig=ExplicitSequence((0.2, 0.4, 0.8)), t_from=-10, length=25)
-def test_sample_matches_value_at_bit_for_bit(sig, t_from, length):
+def test_sample_matches_oracle_bit_for_bit(sig, t_from, length):
     t_to = t_from + length - 1
     got = sig.sample(t_from, t_to)
     assert got.dtype == np.float64 and got.shape == (length,)
-    times = range(t_from, t_to + 1)
-    assert _bits(got) == _bits([sig.value_at(t) for t in times])
-    oracle = ORACLES.get(type(sig))
-    if oracle is not None:
-        assert _bits(got) == _bits([oracle(sig, t) for t in times])
+    oracle = ORACLES[type(sig)]
+    assert _bits(got) == _bits([oracle(sig, t) for t in range(t_from, t_to + 1)])
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_dyadic_sample_at_block_edges(n):
+    # the high block [4**n, 2*4**n) starts and ends between these pairs
+    sig = DyadicBlocks(E=0.1, r=2)
+    lo, hi = sig.low_value, sig.high_value
+    assert sig.sample(4**n - 1, 4**n).tolist() == [lo, hi]
+    assert sig.sample(2 * 4**n - 1, 2 * 4**n).tolist() == [hi, lo]
+    for t in (4**n - 1, 4**n, 2 * 4**n - 1, 2 * 4**n):
+        assert sig.sample(t, t)[0] == _dyadic_oracle(sig, t), t
 
 
 # ---------------------------------------------------------------------------
