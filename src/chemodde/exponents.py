@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, count, cycle, islice
+from itertools import accumulate, cycle, islice
 from operator import mul
 
 import numpy as np
@@ -86,28 +86,35 @@ def _direct_phi(f_values, seed):
             phi = 1.0 / (tail * prefix)
 
 
-def correction_recursion(f_at, r: int, t_stop: int, seed, t_start: int = 0):
-    """Run phi[t+1] = prod_{k=t+1-r}^{t} (1 + phi[k]*f(k))**-1 forward.
+def correction_recursion(f, seed) -> np.ndarray:
+    """Run phi[j+1] = prod_{i=j+1-r}^{j} (1 + phi[i]*f[i])**-1 forward.
 
-    seed holds phi on the window [t_start - r + 1, t_start], r finite
-    positive values; values are produced up to time t_stop, O(1) amortised
-    per step.  Returns a dict {time: phi}.  This is the generic engine
-    reused by the synthetic comparison-lemma suites.
+    f holds the factors f[0..n-1], finite and nonnegative; seed holds
+    phi[0..r-1], finite and positive, with r = len(seed) <= n + 1.
+    Returns phi[0..n], the seed first, in O(1) amortised time per step;
+    for r = 0 every value is 1.  The time origin is the caller's: position
+    0 is the first seed value.  This is the generic engine reused by the
+    synthetic comparison-lemma suites and the phi cross-check.
     """
-    if r < 0:
-        raise UsageError(f"delay r must be >= 0, got {r}")
-    if len(seed) != r:
-        raise UsageError(f"seed must hold r = {r} values, got {len(seed)}")
-    seed = [float(v) for v in seed]
-    for t, v in enumerate(seed, t_start - r + 1):
-        if not 0.0 < v < math.inf:
-            raise DomainError(f"seed phi[{t}] = {v} is not finite and positive")
+    f = np.asarray(f, dtype=float)
+    seed = np.asarray(seed, dtype=float)
+    if f.ndim != 1 or seed.ndim != 1:
+        raise UsageError("f and seed must be one-dimensional")
+    n, r = len(f), len(seed)
+    if r > n + 1:
+        raise UsageError(f"f must hold at least r - 1 = {r - 1} values, got {n}")
+    bad = np.flatnonzero(~((seed > 0.0) & np.isfinite(seed)))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"seed phi[{i}] = {seed[i]} is not finite and positive")
+    bad = np.flatnonzero(~((f >= 0.0) & np.isfinite(f)))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"f[{i}] = {f[i]} is not finite and nonnegative")
     if r == 0:
-        return {t_start: 1.0, **dict.fromkeys(range(t_start, t_stop + 1), 1.0)}
-    phi = dict(zip(range(t_start - r + 1, t_start + 1), seed))
-    f_values = map(f_at, count(t_start - r + 1))
-    phi.update(zip(range(t_start + 1, t_stop + 1), _direct_phi(f_values, seed)))
-    return phi
+        return np.ones(n + 1)
+    ahead = np.fromiter(_direct_phi(iter(f.tolist()), seed.tolist()), float, n + 1 - r)
+    return np.concatenate([seed, ahead])
 
 
 def phi_sequence(
@@ -118,22 +125,24 @@ def phi_sequence(
 ) -> CorrectionSequences:
     """phi on [-r, horizon] from the log-form generator recursion.
 
-    The generator is seeded with c = c_seed on [-r, 0] (any positive seed
-    gives the same ratios up to transient; the conventional choice c[0] = 1
-    is the default).  The log recursion
+    The generator is seeded with c = c_seed on [-r, 0] (any finite positive
+    seed gives the same ratios up to transient; the conventional choice
+    c[0] = 1 is the default).  The log recursion
 
         log c[t+1] = log c[t] + log((1-E) * (1 + p(z[t-r]) * ratio))
         ratio      = exp(log c[t-r] - log c[t]) * (1-E)**r
 
     is stable because the exponent difference is exactly phi[t-r], which
-    stays in (0, 1].  The direct fixed-point recursion is run alongside as
-    a cross-check and its worst deviation is recorded.
+    stays in (0, 1].  The direct fixed-point recursion (correction_recursion
+    on the factors p(z[1-r .. horizon-1]) from the seed phi[1-r .. 0]) is
+    run alongside as a cross-check and its worst deviation on [1, horizon]
+    is recorded.
     """
     r = params.r
     if horizon < 0:
         raise UsageError(f"horizon must be >= 0, got {horizon}")
-    if not c_seed > 0:
-        raise UsageError(f"c_seed must be positive, got {c_seed}")
+    if not 0.0 < c_seed < math.inf:
+        raise UsageError(f"c_seed must be finite and positive, got {c_seed}")
 
     omE = 1.0 - params.E
     lomE = math.log(omE)
@@ -152,8 +161,8 @@ def phi_sequence(
 
     cross = 0.0
     if r > 0 and horizon > 0:
-        direct = correction_recursion(lambda k: pz[k + r], r, horizon, phi.window(1 - r, 0))
-        direct = np.fromiter(direct.values(), float, len(direct))[r:]  # phi on [1, horizon]
+        # phi on [1, horizon] from the factors p(z[1-r .. horizon-1])
+        direct = correction_recursion(pz[1 : horizon + r], phi.window(1 - r, 0))[r:]
         cross = float(np.max(np.abs(direct - phi.window(1, horizon))))
 
     return CorrectionSequences(phi=phi, log_c=TimeSeries(log_c, t_start=-r), cross_check_error=cross)
@@ -239,8 +248,8 @@ def bohl_bounds(
 ) -> BohlEstimate:
     """Extremal window geometric means of a positive growth sequence.
 
-    lower/upper are exact over all windows (t1, t2] with t1 > gap_min and
-    t2 - t1 > window_min = T, computed from prefix sums of logs.  Only
+    lower/upper are exact over all windows (t1, t2] with t1 > gap_min >= 0
+    and t2 - t1 > window_min = T, computed from prefix sums of logs.  Only
     lengths T+1 .. 2T+1 are scanned: a longer window splits into two
     admissible windows whose means it averages, so one of them is at least
     as large and one at least as small.  The cost is O(n*T).  `method`
@@ -255,6 +264,8 @@ def bohl_bounds(
     n = len(vals)
     if window_min < 1:
         raise UsageError(f"window_min must be >= 1, got {window_min}")
+    if gap_min < 0:
+        raise UsageError(f"gap_min must be >= 0, got {gap_min}")
     if n < gap_min + window_min + 3:
         raise UsageError(
             f"sequence of length {n} too short for window_min={window_min}, gap_min={gap_min}"

@@ -8,6 +8,9 @@ solid red.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from .errors import UsageError
@@ -15,6 +18,7 @@ from .errors import UsageError
 WIDTH = 720
 HEIGHT = 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 58, 16, 34, 40
+DBL_MAX = sys.float_info.max
 
 STYLE_FEED = ("black", "8 5")
 STYLE_SUBSTRATE = ("blue", "2 4")
@@ -37,7 +41,8 @@ def _fmt(v: float) -> str:
 def line_chart(title: str, series) -> str:
     """Render series = [(label, xs, ys, (color, dasharray)), ...] to SVG text.
 
-    Non-finite points are dropped per series.  Raises UsageError when there
+    Non-finite points are dropped per series; finite values up to the
+    largest double stay inside the plot box.  Raises UsageError when there
     is nothing to draw.
     """
     cleaned = []
@@ -57,10 +62,16 @@ def line_chart(title: str, series) -> str:
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:
-        y_max = y_min + 1.0
+        # 1.0, or one ulp where adding 1.0 rounds back to y_min (|y| >= 2**53)
+        y_max = y_min + max(1.0, abs(y_min) * 2.0**-52)
+    # Near DBL_MAX the padded range is clamped to finite values and the
+    # mapping works at scale k = 1/8, where four times the span stays
+    # finite; on ordinary ranges both are exact no-ops (k = 1).
     pad = 0.05 * (y_max - y_min)
-    y_min -= pad
-    y_max += pad
+    y_min = max(y_min - pad, -DBL_MAX)
+    y_max = min(y_max + pad, DBL_MAX)
+    k = 1.0 if math.isfinite(4.0 * (y_max - y_min)) else 0.125
+    top, span = y_max * k, y_max * k - y_min * k
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -69,7 +80,7 @@ def line_chart(title: str, series) -> str:
         return MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
 
     def sy(y):
-        return MARGIN_T + (y_max - y) / (y_max - y_min) * plot_h
+        return MARGIN_T + (top - y * k) / span * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -83,7 +94,7 @@ def line_chart(title: str, series) -> str:
 
     for i in range(5):
         fx = x_min + (x_max - x_min) * i / 4
-        fy = y_min + (y_max - y_min) * i / 4
+        fy = min((y_min * k + span * i / 4) / k, DBL_MAX)
         out.append(
             f'<text x="{sx(fx):.1f}" y="{HEIGHT - MARGIN_B + 16:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10">{_fmt(fx)}</text>'

@@ -10,7 +10,8 @@ is the geometric average of the past input,
 
 and every other solution converges to it at rate (1-E) per step.  Two
 constructions are provided: a truncated backward sum with an explicit
-geometric tail bound, and an exact closed form for periodic inputs.
+geometric tail bound, stored on [-r, horizon], and an exact closed form
+for periodic inputs, stored as one period and read at t % period.
 """
 
 from __future__ import annotations
@@ -27,39 +28,32 @@ from .series import TimeSeries
 
 @dataclass(frozen=True)
 class WashoutSolution:
-    """Washout values on [-r, horizon], plus periodic structure if any.
+    """Washout values, plus the exact period if the input has one.
 
-    z                -- stored values as a TimeSeries starting at -r
-    z_sup            -- supremum over the stored range
+    z                -- stored values: on [-r, horizon] for the truncated
+                        sum, exactly one period starting at 0 when periodic
+    z_sup            -- supremum over the stored values
     tail_error_bound -- bound on the truncation error of z[-r]
                         (0 for the exact periodic construction)
     period           -- exact period in steps, or None
-    profile          -- one-period values aligned to phase t % period
     """
 
     z: TimeSeries
     z_sup: float
     tail_error_bound: float
     period: int | None = None
-    profile: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.profile is not None:
-            arr = np.asarray(self.profile, dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, "profile", arr)
 
     def at(self, t: int) -> float:
         """Washout value at time t; periodic solutions wrap to any t."""
         if self.period is not None:
-            return float(self.profile[t % self.period])
+            return self.z.at(t % self.period)
         return self.z.at(t)
 
     def window(self, t_from: int, t_to: int) -> np.ndarray:
         """Values on the inclusive time range [t_from, t_to], equal to
         at(t) for each t; periodic solutions wrap to any range."""
         if self.period is not None:
-            return self.profile[np.arange(t_from, t_to + 1) % self.period]
+            return self.z.values[np.arange(t_from, t_to + 1) % self.period]
         return self.z.window(t_from, t_to)
 
 
@@ -123,8 +117,9 @@ def washout_periodic(params: ChemostatParams) -> WashoutSolution:
 
         z[0] = E * sum_{j=0}^{w-1} (1-E)**(w-1-j) * s0[j] / (1 - (1-E)**w),
 
-    and one forward pass gives the rest of the period.  No truncation is
-    involved, so the recorded tail error is zero.
+    and one forward pass gives the rest of the period, stored as z on
+    [0, w-1].  No truncation is involved, so the recorded tail error is
+    zero.
     """
     omega = params.input.period
     if omega is None:
@@ -139,14 +134,10 @@ def washout_periodic(params: ChemostatParams) -> WashoutSolution:
         acc = omE * acc + E * s0
     z0 = acc / (1.0 - omE**omega)
 
-    profile = np.fromiter(_forward(z0, E, feed[:-1]), float, count=omega)
-
-    r = params.r
-    span = max(omega, r)
+    values = np.fromiter(_forward(z0, E, feed[:-1]), float, count=omega)
     return WashoutSolution(
-        z=TimeSeries(profile[np.arange(-r, span + 1) % omega], t_start=-r),
-        z_sup=float(np.max(profile)),
+        z=TimeSeries(values, t_start=0),
+        z_sup=float(np.max(values)),
         tail_error_bound=0.0,
         period=omega,
-        profile=profile,
     )

@@ -28,6 +28,14 @@ import numpy as np
 from chemodde import correction_recursion
 
 
+def _correction(f, n, seed):
+    """phi on [1-r, n] keyed by time, from f keyed by time on [1-r, n-1]
+    and the seed phi on [1-r, 0], r = len(seed)."""
+    r = len(seed)
+    phi = correction_recursion([f[k] for k in range(1 - r, n)], seed)
+    return dict(zip(range(1 - r, n + 1), phi.tolist()))
+
+
 def _random_pair(rng, r, n, dominated=True):
     f = {k: float(rng.uniform(0.0, 2.5)) for k in range(1 - r, n + 1)}
     if dominated:
@@ -50,8 +58,8 @@ def run_extinction_suite(n_instances, seed, slack_exponent, min_window=1):
         f, g = _random_pair(rng, r, n)
         M = max(f.values())
         seeds = rng.uniform(0.05, 1.0, r)
-        phi = correction_recursion(lambda k: f[k], r, n, seeds)
-        psi = correction_recursion(lambda k: g[k], r, n, seeds)
+        phi = _correction(f, n, seeds)
+        psi = _correction(g, n, seeds)
         kmin = 1 - r
         pf = [0.0]
         pg = [0.0]
@@ -79,8 +87,8 @@ def counterexample_extinction_slack():
     r = 1
     f = {0: 3.0, 1: 1.0}
     g = {0: 0.0, 1: 1.0}
-    phi = correction_recursion(lambda k: f[k], r, 1, [1.0])
-    psi = correction_recursion(lambda k: g[k], r, 1, [1.0])
+    phi = _correction(f, 1, [1.0])
+    psi = _correction(g, 1, [1.0])
     M = max(f.values())
     lhs = (1.0 + M) ** (r - 1) * (1.0 + phi[1] * f[1])
     rhs = 1.0 + psi[1] * g[1]
@@ -125,8 +133,8 @@ def run_forward_suite(n_instances, seed):
             f[k] = fv
             g[k] = float(rng.uniform(0.0, fv - eps))
         seeds = rng.uniform(0.05, 1.0, r)
-        phi = correction_recursion(lambda k: f[k], r, n, seeds)
-        psi = correction_recursion(lambda k: g[k], r, n, seeds)
+        phi = _correction(f, n, seeds)
+        psi = _correction(g, n, seeds)
         for t1 in (T, T + 7):
             for t2 in (t1 + T, t1 + T + 29):
                 acc = 0.0

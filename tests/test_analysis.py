@@ -148,7 +148,7 @@ def test_zero_biomass_returns_washout_profile():
     result = find_periodic_orbit(params, init)
     assert isinstance(result, WashoutConvergence)
     z = washout_periodic(params)
-    assert np.max(np.abs(result.washout.profile - z.profile)) <= 1e-9
+    assert np.max(np.abs(result.washout.z.values - z.z.values)) <= 1e-9
     # and the simulated substrate really lands on that profile
     traj = simulate(params, init, horizon=3000)
     for t in range(2500, 3001):
@@ -364,7 +364,7 @@ def test_recursions_read_the_feed_only_through_sample():
     params, plain = _sample_only_pair()
     init = InitialHistory.constant(2, 0.5, 0.2)
     assert np.array_equal(washout_sequence(params, 60).z.values, washout_sequence(plain, 60).z.values)
-    assert np.array_equal(washout_periodic(params).profile, washout_periodic(plain).profile)
+    assert np.array_equal(washout_periodic(params).z.values, washout_periodic(plain).z.values)
     assert np.array_equal(simulate(params, init, 60).x.values, simulate(plain, init, 60).x.values)
     orbit = find_periodic_orbit(params, init)
     assert isinstance(orbit, PeriodicOrbit)

@@ -249,6 +249,24 @@ def test_line_chart_points_match_point_oracle(series):
     assert re.findall(r'points="([^"]*)"', text) == _polyline_oracle(series)
 
 
+@pytest.mark.parametrize(
+    "ys", [[0.0, 1e308, 1.7e308], [-1.7e308, 1.7e308], [1.7e308, 1.7e308], [1e20, 1e20]]
+)
+def test_line_chart_near_dbl_max_stays_in_the_plot_box(ys):
+    # the padded range y_max + 0.05*(y_max - y_min) used to overflow, making
+    # every y coordinate nan; a constant 1e20 divided by a zero span
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = svg.line_chart("t", [("y", np.arange(len(ys)), ys, svg.STYLE_BIOMASS)])
+    assert "nan" not in text and "inf" not in text
+    (points,) = re.findall(r'points="([^"]*)"', text)
+    px, py = np.array([p.split(",") for p in points.split()], dtype=float).T
+    assert np.all((svg.MARGIN_L <= px) & (px <= svg.WIDTH - svg.MARGIN_R))
+    assert np.all((svg.MARGIN_T <= py) & (py <= svg.HEIGHT - svg.MARGIN_B))
+    if ys[0] != ys[-1]:
+        assert py[0] > py[-1]  # the larger value is drawn higher
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------

@@ -116,6 +116,15 @@ def test_seed_scale_invariance():
     assert np.max(np.abs(a.phi.values - b.phi.values)) <= 1e-12
 
 
+@pytest.mark.parametrize("c_seed", [math.inf, math.nan, 0.0, -1.0])
+def test_phi_rejects_bad_c_seed(c_seed):
+    # c_seed = inf at r = 0 used to return all-NaN phi with numpy warnings
+    params = ChemostatParams(E=0.2, r=0, uptake=Monod(1.0, 1.0), input=Constant(1.0))
+    z = washout_sequence(params, horizon=20)
+    with pytest.raises(UsageError, match="c_seed must be finite and positive"):
+        phi_sequence(params, z, horizon=20, c_seed=c_seed)
+
+
 def test_phi_needs_washout_coverage():
     params = fig2_params(0.6)
     z = washout_sequence(params, horizon=50)
@@ -123,66 +132,71 @@ def test_phi_needs_washout_coverage():
         phi_sequence(params, z, horizon=100)
 
 
-def _direct_oracle(f_at, r, t_stop, seed, t_start=0):
-    """The direct recursion as correction_recursion used to run it: every
-    window product rebuilt left to right from a dict of phi values, O(r)
-    per step (r >= 1)."""
-    phi = {t_start - r + 1 + i: float(seed[i]) for i in range(r)}
-    for t in range(t_start, t_stop):
+def _direct_oracle(f, seed):
+    """The direct recursion with every window product rebuilt left to
+    right, O(r) per step: phi[j+1] = prod_{i=j+1-r}^{j} (1 + phi[i] f[i])**-1
+    for j = r-1 .. len(f)-1, after the r seed values."""
+    r = len(seed)
+    phi = [float(v) for v in seed]
+    for j in range(r - 1, len(f)):
         prod = 1.0
-        for k in range(t + 1 - r, t + 1):
-            prod *= 1.0 + phi[k] * f_at(k)
-        phi[t + 1] = 1.0 / prod
+        for i in range(j + 1 - r, j + 1):
+            prod *= 1.0 + phi[i] * f[i]
+        phi.append(1.0 / prod)
     return phi
 
 
 @st.composite
 def _recursion_cases(draw):
-    r = draw(st.integers(1, 120))
-    t_start = draw(st.integers(-50, 50))
-    steps = draw(st.integers(0, 400))
+    r = draw(st.integers(0, 120))
+    n = draw(st.integers(max(r - 1, 0), r + 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    f = rng.uniform(0.0, draw(st.sampled_from([0.1, 1.0, 2.5, 10.0])), size=r + steps).tolist()
+    f = rng.uniform(0.0, draw(st.sampled_from([0.1, 1.0, 2.5, 10.0])), size=n)
     seed = rng.uniform(0.05, 1.0, size=r)
-    return r, t_start, steps, f, seed
+    return f, seed
 
 
 @given(_recursion_cases())
-@example((120, 0, 50, [1.0] * 170, np.full(120, 0.5)))  # r beyond the horizon
-@example((7, -13, 7 * 10 + 3, [0.3] * 80, np.linspace(0.1, 1.0, 7)))  # partial last block
-@example((1, 5, 30, [2.0] * 31, np.ones(1)))
+@example(([1.0] * 169, np.full(120, 0.5)))  # r beyond the horizon
+@example(([0.3] * 79, np.linspace(0.1, 1.0, 7)))  # partial last block
+@example(([2.0] * 30, np.ones(1)))
+@example(([0.7] * 5, np.ones(6)))  # seed only: r = len(f) + 1
+@example(([0.7] * 3, []))  # r = 0: all ones
 @settings(max_examples=150, deadline=None)
 def test_correction_recursion_matches_direct_oracle(case):
-    r, t_start, steps, f, seed = case
-    f_at = lambda k: f[k - (t_start - r + 1)]  # noqa: E731
-    t_stop = t_start + steps
-    got = correction_recursion(f_at, r, t_stop, seed, t_start)
-    want = _direct_oracle(f_at, r, t_stop, seed, t_start)
-    assert list(got) == list(want) == list(range(t_start - r + 1, t_stop + 1))
-    for t, v in want.items():
-        assert got[t] == pytest.approx(v, rel=1e-13, abs=0.0)
+    f, seed = case
+    got = correction_recursion(f, seed)
+    want = _direct_oracle(f, seed)
+    assert len(got) == len(want) == len(f) + 1
+    assert got[: len(seed)].tolist() == list(seed)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_correction_recursion_reads_f_only_inside_the_horizon():
-    f = [0.5] * 12  # f(k) for k in [-2, 9]: enough for phi up to t = 10
-    got = correction_recursion(lambda k: f[k + 2], 3, 10, [1.0, 1.0, 1.0])
-    assert max(got) == 10
+    # phi[0..m] depends on f[0..m-1] only: a prefix of f gives a prefix of phi
+    f = np.random.default_rng(3).uniform(0.0, 2.0, 40)
+    full = correction_recursion(f, [1.0, 0.5, 0.25])
+    for m in (2, 3, 10, 39):
+        assert correction_recursion(f[:m], [1.0, 0.5, 0.25]).tolist() == full[: m + 1].tolist()
 
 
 def test_correction_recursion_rejects_bad_delay_and_seed():
-    f_at = lambda k: 1.0  # noqa: E731
-    with pytest.raises(UsageError, match="r must be >= 0"):
-        correction_recursion(f_at, -1, 10, [])
-    with pytest.raises(UsageError, match="seed must hold r = 3 values, got 2"):
-        correction_recursion(f_at, 3, 10, [1.0, 1.0])
-    with pytest.raises(UsageError, match="got 4"):
-        correction_recursion(f_at, 3, 10, [1.0] * 4)
-    with pytest.raises(UsageError, match="got 1"):
-        correction_recursion(f_at, 0, 10, [1.0])
+    with pytest.raises(UsageError, match="at least r - 1 = 3 values, got 2"):
+        correction_recursion([1.0, 1.0], [1.0] * 4)
+    with pytest.raises(UsageError, match="one-dimensional"):
+        correction_recursion([[1.0, 1.0]], [1.0])
     for bad in (math.nan, math.inf, 0.0, -0.5):
-        with pytest.raises(DomainError, match=r"phi\[-1\]"):
-            correction_recursion(f_at, 3, 10, [1.0, bad, 1.0])
-    assert correction_recursion(f_at, 0, 3, []) == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
+        with pytest.raises(DomainError, match=r"seed phi\[1\]"):
+            correction_recursion([1.0] * 10, [1.0, bad, 1.0])
+    assert correction_recursion([1.0] * 3, []).tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_correction_recursion_rejects_bad_factors(bad):
+    # f = -1 with phi = 1 made a window product 0 (a bare ZeroDivisionError);
+    # nan and inf made NaN phi
+    with pytest.raises(DomainError, match=r"f\[2\] = .* not finite and nonnegative"):
+        correction_recursion([0.5, 0.5, bad, bad, 0.5], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +346,12 @@ def test_bohl_domain_and_usage_errors():
         bohl_bounds(np.ones(30), window_min=20)
     with pytest.raises(UsageError, match="windowed"):
         bohl_bounds(np.ones(300), window_min=10, method="windowed")
+    # a negative gap_min used to broadcast-fail (-5) or scan windows that
+    # wrap around the end of the sequence (-100: upper 1.0158, not 1.0388)
+    seq = np.random.default_rng(0).uniform(0.9, 1.1, 400)
+    for gap_min in (-1, -5, -100):
+        with pytest.raises(UsageError, match="gap_min must be >= 0"):
+            bohl_bounds(seq, window_min=20, gap_min=gap_min)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +423,8 @@ def test_periodic_phi_matches_oracle_sweeps(params):
     # the former periodic_phi: the direct recursion from phi = 1 on [1-r, 0],
     # sweep s filling phases (t+1) % omega for t in [(s-1)*omega, s*omega)
     n = prof.sweeps * omega
-    phi = _direct_oracle(lambda k: pz[k % omega], r, n, [1.0] * r)
+    f = [pz[k % omega] for k in range(1 - r, n)]
+    phi = dict(zip(range(1 - r, n + 1), _direct_oracle(f, [1.0] * r)))  # keyed by time
     want = np.roll([phi[t] for t in range(n - omega + 1, n + 1)], 1)
     assert np.max(np.abs(prof.phi - want)) <= 1e-13
     # residual: the max(omega, r) values before the last sweep against the

@@ -32,7 +32,7 @@ def test_constant_input_is_fixed_point():
     z = washout_sequence(params, horizon=50)
     assert np.allclose(z.z.values, 0.5, rtol=1e-12, atol=0)
     zp = washout_periodic(params)
-    assert np.allclose(zp.profile, 0.5, rtol=1e-12, atol=0)
+    assert np.allclose(zp.z.values, 0.5, rtol=1e-12, atol=0)
 
 
 def test_period_two_hand_oracle():
@@ -40,8 +40,8 @@ def test_period_two_hand_oracle():
     # z(even) = 2/3, z(odd) = 1/3
     params = _params(0.5, 0, ExplicitSequence(values=(0.0, 1.0), periodic=True))
     zp = washout_periodic(params)
-    assert math.isclose(zp.profile[0], 2.0 / 3.0, rel_tol=1e-12)
-    assert math.isclose(zp.profile[1], 1.0 / 3.0, rel_tol=1e-12)
+    assert math.isclose(zp.z.values[0], 2.0 / 3.0, rel_tol=1e-12)
+    assert math.isclose(zp.z.values[1], 1.0 / 3.0, rel_tol=1e-12)
 
     zs = washout_sequence(params, horizon=20)
     for t in range(0, 21):
@@ -71,14 +71,15 @@ def test_periodic_wrap_is_exact():
     zp = washout_periodic(params)
     assert zp.period == 500
     assert zp.tail_error_bound == 0.0
+    assert (zp.z.t_start, len(zp.z)) == (0, 500)  # exactly one stored period
     for t in (-750, -3, 0, 17, 499, 500, 1234):
         assert zp.at(t + 500) == zp.at(t)
     # one full forward period returns to the start within accumulated rounding
     E = 0.125
-    z = zp.profile[0]
+    z = zp.z.values[0]
     for s0 in params.input.sample(0, 499):
         z = (1 - E) * z + E * s0
-    assert math.isclose(z, zp.profile[0], rel_tol=1e-10)
+    assert math.isclose(z, zp.z.values[0], rel_tol=1e-10)
 
 
 def test_periodic_agrees_with_deep_tail_sum():
