@@ -36,7 +36,6 @@ from .core import (
     Sinusoid,
     TabulatedUptake,
     UptakeFunction,
-    validate_standing_hypotheses,
 )
 from .dynamics import (
     Trajectory,
@@ -59,7 +58,6 @@ from .exponents import (
     PeriodicCorrection,
     bohl_bounds,
     correction_recursion,
-    growth_factors,
     periodic_mean,
     periodic_phi,
     phi_sequence,
@@ -109,7 +107,6 @@ __all__ = [
     "conservation_deficit",
     "correction_recursion",
     "find_periodic_orbit",
-    "growth_factors",
     "initial_stored_nutrient",
     "load_config",
     "neither_nor_demo",
@@ -121,7 +118,6 @@ __all__ = [
     "reconstruct_biomass",
     "simulate",
     "stored_nutrient",
-    "validate_standing_hypotheses",
     "washout_periodic",
     "washout_sequence",
 ]

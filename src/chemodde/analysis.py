@@ -30,7 +30,6 @@ from .errors import ConvergenceError, UsageError
 from .exponents import (
     bohl_bounds,
     default_window_min,
-    growth_factors,
     periodic_mean,
     periodic_phi,
     phi_sequence,
@@ -140,9 +139,7 @@ def classify(
     if window_min is None:
         window_min = default_window_min(params.r)
     z = washout_sequence(params, horizon)
-    corr = phi_sequence(params, z, horizon)
-    growth = growth_factors(params, z, corr.phi)
-    est = bohl_bounds(growth, window_min)
+    est = bohl_bounds(phi_sequence(params, z, horizon).growth, window_min)
     if est.lower > 1.0:
         verdict = PERSISTENT
     elif est.upper < 1.0:
@@ -226,10 +223,8 @@ def find_periodic_orbit(
     s_scale = max(z.z_sup, 1e-300)
     prev_s = np.array(s[-window:])
     prev_x = np.array(x[-window:])
-    t_end = 0
     for n in range(1, max_periods + 1):
         _integrate(params, s, x, ps, feed)
-        t_end += omega
         state_s = np.array(s[-window:])
         state_x = np.array(x[-window:])
         # biomass residual is measured against its own scale: a geometric
@@ -251,7 +246,6 @@ def find_periodic_orbit(
             # closed-loop verification period: re-integrate and compare
             # the whole period, not just the end window
             _integrate(params, s, x, ps, feed)
-            t_end += omega
             new_s = np.array(s[-omega:])
             old_s = np.array(s[-2 * omega : -omega])
             new_x = np.array(x[-omega:])
@@ -261,19 +255,15 @@ def find_periodic_orbit(
                 float(np.max(np.abs(new_x - old_x)))
                 / max(float(np.max(new_x)), 1e-300),
             )
-            prof_s = new_s
-            prof_x = new_x
-            # the last omega entries are times t_end-omega+1 .. t_end;
-            # roll so that index = phase t % omega
-            shift = (t_end - omega + 1) % omega
-            prof_s = np.roll(prof_s, shift)
-            prof_x = np.roll(prof_x, shift)
+            # every period ends at a multiple of omega, so the last omega
+            # entries sit at phases 1 .. omega-1, 0; roll so that
+            # index = phase t % omega
             return PeriodicOrbit(
                 period=omega,
-                s=prof_s,
-                x=prof_x,
+                s=np.roll(new_s, 1),
+                x=np.roll(new_x, 1),
                 residual=closure,
-                delta=float(np.min(prof_x)),
+                delta=float(np.min(new_x)),
                 periods_used=n + 1,
             )
     raise ConvergenceError(

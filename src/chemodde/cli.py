@@ -174,8 +174,7 @@ def _sliding_product(params, z, horizon):
     """Times u in [0, horizon] and the half-window growth product
     prod_{k=u//2}^{u} a[k - r]: the factor at k uses the delayed pair
     (phi, z) at k - r.  A product beyond the largest double is inf."""
-    corr = exponents.phi_sequence(params, z, horizon)
-    growth = exponents.growth_factors(params, z, corr.phi)
+    growth = exponents.phi_sequence(params, z, horizon).growth
     logs = [math.log(a) for a in growth.values[: horizon + 1].tolist()]
     prefix = np.concatenate([[0.0], np.cumsum(logs)])
     t = np.arange(0, horizon + 1)
@@ -226,16 +225,15 @@ def _cmd_exponents(args) -> int:
     params = cfg.params
     z = washout.washout_sequence(params, horizon)
     corr = exponents.phi_sequence(params, z, horizon)
-    growth = exponents.growth_factors(params, z, corr.phi)
     window_min = (
         exponents.default_window_min(params.r) if cfg.window_min is None else cfg.window_min
     )
-    est = exponents.bohl_bounds(growth, window_min)
+    est = exponents.bohl_bounds(corr.growth, window_min)
     out = _out_dir(args)
     emit_csv(
         out / "exponents.csv",
         ["t", "z", "phi", "growth_factor"],
-        [corr.phi.times(), z.window(-params.r, horizon), corr.phi.values, growth.values],
+        [corr.phi.times(), z.window(-params.r, horizon), corr.phi.values, corr.growth.values],
     )
     print(f"wrote {out / 'exponents.csv'}")
     print(

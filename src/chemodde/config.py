@@ -19,7 +19,8 @@ whitespace- or comma-separated numbers.  Keys:
     init.s, init.x    -- optional initial history, r+1 values each
     run.horizon, run.tol, run.T    -- optional run options
 
-Unknown keys are rejected so typos surface instead of being ignored.
+Unknown keys are rejected so typos surface instead of being ignored, and
+so is an uptake.* or input.* key that the chosen kind does not read.
 """
 
 from __future__ import annotations
@@ -41,29 +42,34 @@ from .core import (
 )
 from .errors import ParameterError, UsageError
 
+# the section.* keys each kind reads, besides section.kind itself
+_KIND_KEYS = {
+    "uptake": {
+        "monod": {"uptake.p_max", "uptake.k_s"},
+        "linear": {"uptake.slope"},
+        "tabulated": {"uptake.s", "uptake.values"},
+    },
+    "input": {
+        "constant": {"input.value"},
+        "sinusoid": {"input.amplitude", "input.period", "input.offset"},
+        "piecewise": {"input.t", "input.values"},
+        "sequence": {"input.values", "input.periodic"},
+        "dyadic": set(),
+    },
+}
+
 _KNOWN_KEYS = {
     "schema",
     "model.E",
     "model.r",
     "uptake.kind",
-    "uptake.p_max",
-    "uptake.k_s",
-    "uptake.slope",
-    "uptake.s",
-    "uptake.values",
     "input.kind",
-    "input.value",
-    "input.amplitude",
-    "input.period",
-    "input.offset",
-    "input.t",
-    "input.values",
-    "input.periodic",
     "init.s",
     "init.x",
     "run.horizon",
     "run.tol",
     "run.T",
+    *(key for kinds in _KIND_KEYS.values() for keys in kinds.values() for key in keys),
 }
 
 
@@ -134,8 +140,21 @@ def _as_bool(key, value):
     raise ParameterError(f"{key}: expected true/false, got {value!r}")
 
 
+def _kind(pairs, section):
+    """section.kind, lowercased, once every other section.* key given is
+    one that kind reads."""
+    kind = _require(pairs, f"{section}.kind").lower()
+    reads = _KIND_KEYS[section].get(kind)
+    if reads is None:
+        raise ParameterError(f"{section}.kind: unknown kind {kind!r}")
+    for key in pairs:
+        if key.startswith(f"{section}.") and key != f"{section}.kind" and key not in reads:
+            raise UsageError(f"{key} is not read by {section}.kind = {kind}")
+    return kind
+
+
 def _build_uptake(pairs):
-    kind = _require(pairs, "uptake.kind").lower()
+    kind = _kind(pairs, "uptake")
     if kind == "monod":
         return Monod(
             p_max=_as_float("uptake.p_max", _require(pairs, "uptake.p_max")),
@@ -143,16 +162,14 @@ def _build_uptake(pairs):
         )
     if kind == "linear":
         return LinearUptake(slope=_as_float("uptake.slope", _require(pairs, "uptake.slope")))
-    if kind == "tabulated":
-        return TabulatedUptake(
-            grid=tuple(_as_floats("uptake.s", _require(pairs, "uptake.s"))),
-            values=tuple(_as_floats("uptake.values", _require(pairs, "uptake.values"))),
-        )
-    raise ParameterError(f"uptake.kind: unknown kind {kind!r}")
+    return TabulatedUptake(
+        grid=tuple(_as_floats("uptake.s", _require(pairs, "uptake.s"))),
+        values=tuple(_as_floats("uptake.values", _require(pairs, "uptake.values"))),
+    )
 
 
 def _build_input(pairs, E, r):
-    kind = _require(pairs, "input.kind").lower()
+    kind = _kind(pairs, "input")
     if kind == "constant":
         return Constant(value=_as_float("input.value", _require(pairs, "input.value")))
     if kind == "sinusoid":
@@ -172,9 +189,7 @@ def _build_input(pairs, E, r):
             values=tuple(_as_floats("input.values", _require(pairs, "input.values"))),
             periodic=_as_bool("input.periodic", pairs.get("input.periodic", "false")),
         )
-    if kind == "dyadic":
-        return DyadicBlocks(E=E, r=r)
-    raise ParameterError(f"input.kind: unknown kind {kind!r}")
+    return DyadicBlocks(E=E, r=r)
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:

@@ -9,7 +9,9 @@ where E in (0,1) is the washout fraction per step, r >= 0 the maturation
 delay in steps, p the nutrient uptake function and s0 the (bounded) feed
 concentration.  This module defines those four ingredients plus the initial
 history, with validation of the standing hypotheses the theory needs:
-p(0) = 0, 0 <= p'(s) <= p'(0), and p'(0) * sup(washout) <= 1.
+p(0) = 0 and 0 <= p'(s) <= p'(0).  The remaining one, p'(0) * sup(washout)
+<= 1, depends on the washout and is reported in a FeasibilityReport by
+dynamics.check_positivity_preconditions.
 """
 
 from __future__ import annotations
@@ -104,6 +106,10 @@ class TabulatedUptake(UptakeFunction):
         object.__setattr__(self, "values", values)
         if len(grid) != len(values) or len(grid) < 2:
             raise ParameterError("tabulated uptake needs >= 2 matching samples")
+        for name, samples in (("grid", grid), ("values", values)):
+            for i, v in enumerate(samples):
+                if not math.isfinite(v):
+                    raise ParameterError(f"tabulated uptake {name}[{i}] must be finite, got {v}")
         if grid[0] != 0.0 or values[0] != 0.0:
             raise ParameterError("tabulated uptake must start at (0, 0)")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -213,8 +219,8 @@ class Sinusoid(InputSignal):
     offset: float
 
     def __post_init__(self):
-        if not (isinstance(self.period_steps, int) and self.period_steps >= 1):
-            raise ParameterError(f"sinusoid period must be a positive integer, got {self.period_steps}")
+        object.__setattr__(self, "period_steps", _validate_integer(
+            "sinusoid period must be a positive integer", self.period_steps, 1))
         for name, v in (("amplitude", self.amplitude), ("offset", self.offset)):
             if not math.isfinite(v):
                 raise ParameterError(f"sinusoid {name} must be finite, got {v}")
@@ -394,16 +400,21 @@ def _validate_E_r(E, r):
         raise ParameterError(f"washout fraction E must be a number, got {E!r}") from None
     if not 0.0 < E < 1.0:
         raise ParameterError(f"washout fraction E must lie in (0, 1), got {E}")
+    return E, _validate_integer("delay r must be a nonnegative integer", r, 0)
+
+
+def _validate_integer(rule, v, least):
+    """v as an int: an integral number, not a bool, and >= least; otherwise
+    ParameterError with the rule and v."""
     try:
-        bad = isinstance(r, bool) or (not isinstance(r, int) and int(r) != r)
-    except (TypeError, ValueError):
+        bad = isinstance(v, bool) or (not isinstance(v, int) and int(v) != v)
+    except (TypeError, ValueError, OverflowError):  # int() of "two", nan, inf
         bad = True
     if bad:
-        raise ParameterError(f"delay r must be a nonnegative integer, got {r!r}")
-    r = int(r)
-    if r < 0:
-        raise ParameterError(f"delay r must be a nonnegative integer, got {r}")
-    return E, r
+        raise ParameterError(f"{rule}, got {v!r}")
+    if int(v) < least:
+        raise ParameterError(f"{rule}, got {int(v)}")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -438,46 +449,28 @@ class InitialHistory:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of the standing-hypothesis checks.  A failed check is
+    """Outcome of the two positivity preconditions, built by
+    dynamics.check_positivity_preconditions.  A failed check is
     information, not an error: infeasible regimes are still simulated.
 
     hypothesis_pz   -- p'(0) * z_sup <= 1, which keeps substrate positive
     pz_product      -- the computed product p'(0) * z_sup
     z_sup           -- the washout supremum the check used
     derivative_at_zero -- p'(0)
-    mass_ok         -- s0 + x0 + y0 <= z0 (None until checked)
-    initial_mass    -- s0 + x0 + y0 (None until checked)
-    z0              -- washout value at time 0 (None until checked)
+    mass_ok         -- s0 + x0 + y0 <= z0
+    initial_mass    -- s0 + x0 + y0
+    z0              -- washout value at time 0
     """
 
     hypothesis_pz: bool
     pz_product: float
     z_sup: float
     derivative_at_zero: float
-    mass_ok: bool | None = None
-    initial_mass: float | None = None
-    z0: float | None = None
+    mass_ok: bool
+    initial_mass: float
+    z0: float
 
     @property
     def feasible(self) -> bool:
-        """True when every computed flag holds."""
-        return self.hypothesis_pz and (self.mass_ok is not False)
-
-
-def validate_standing_hypotheses(params: ChemostatParams, z_sup: float) -> FeasibilityReport:
-    """Check p'(xi) * z[t] <= 1 via the sufficient bound p'(0) * z_sup <= 1.
-
-    z_sup must upper-bound the washout sequence (the washout module supplies
-    it).  Never raises on a failed check.
-    """
-    _validate_E_r(params.E, params.r)
-    if not (z_sup >= 0 and math.isfinite(z_sup)):
-        raise ParameterError(f"z_sup must be finite and >= 0, got {z_sup}")
-    d0 = params.uptake.derivative_at_zero()
-    product = d0 * z_sup
-    return FeasibilityReport(
-        hypothesis_pz=product <= 1.0,
-        pz_product=product,
-        z_sup=z_sup,
-        derivative_at_zero=d0,
-    )
+        """True when both preconditions hold."""
+        return self.hypothesis_pz and self.mass_ok

@@ -13,12 +13,13 @@ x[t] = (1-E)**r * (x[t-r] + y[t-r]) are exposed as checkable quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChemostatParams, FeasibilityReport, InitialHistory, validate_standing_hypotheses
-from .errors import UsageError
+from .core import ChemostatParams, FeasibilityReport, InitialHistory
+from .errors import ParameterError, UsageError
 from .series import TimeSeries
 from .washout import WashoutSolution
 
@@ -161,11 +162,24 @@ def check_positivity_preconditions(
 ) -> FeasibilityReport:
     """Both sufficient conditions for s > 0, x >= 0 along the trajectory.
 
-    (a) p'(0) * z_sup <= 1 and (b) s0 + x0 + y0 <= z0.  The flags are
-    independent; either may fail while the other holds.
+    (a) p'(0) * z_sup <= 1, the bound on p'(xi) * z[t] <= 1 through the
+    washout supremum, and (b) s0 + x0 + y0 <= z0.  The flags are
+    independent; either may fail while the other holds.  A z_sup that is
+    not finite and >= 0 raises ParameterError; a failed check never does.
     """
-    base = validate_standing_hypotheses(params, z.z_sup)
-    y0 = initial_stored_nutrient(params, init)
-    mass = init.s[-1] + init.x[-1] + y0
+    z_sup = z.z_sup
+    if not (z_sup >= 0 and math.isfinite(z_sup)):
+        raise ParameterError(f"z_sup must be finite and >= 0, got {z_sup}")
+    d0 = params.uptake.derivative_at_zero()
+    product = d0 * z_sup
+    mass = init.s[-1] + init.x[-1] + initial_stored_nutrient(params, init)
     z0 = z.at(0)
-    return replace(base, mass_ok=mass <= z0, initial_mass=mass, z0=z0)
+    return FeasibilityReport(
+        hypothesis_pz=product <= 1.0,
+        pz_product=product,
+        z_sup=z_sup,
+        derivative_at_zero=d0,
+        mass_ok=mass <= z0,
+        initial_mass=mass,
+        z0=z0,
+    )

@@ -47,16 +47,20 @@ from .washout import WashoutSolution
 
 @dataclass(frozen=True)
 class CorrectionSequences:
-    """phi on [-r, horizon] with its generating solution in log form.
+    """phi and the growth factors on [-r, horizon], with the generating
+    solution in log form.
 
-    log_c holds log(c[t]) on [-r, horizon + r]; the ratio definition of phi
-    only ever uses differences of log_c, so the generator never overflows
-    no matter how fast c grows or shrinks.  cross_check_error is the
-    largest discrepancy between the ratio construction and the direct
-    fixed-point recursion seeded from the same initial window.
+    growth holds a[k] = (1-E) * (1 + phi[k] * p(z[k])), the coefficients
+    whose window means bohl_bounds reads.  log_c holds log(c[t]) on
+    [-r, horizon + r]; the ratio definition of phi only ever uses
+    differences of log_c, so the generator never overflows no matter how
+    fast c grows or shrinks.  cross_check_error is the largest discrepancy
+    between the ratio construction and the direct fixed-point recursion
+    seeded from the same initial window.
     """
 
     phi: TimeSeries
+    growth: TimeSeries
     log_c: TimeSeries
     cross_check_error: float = 0.0
 
@@ -123,7 +127,8 @@ def phi_sequence(
     horizon: int,
     c_seed: float = 1.0,
 ) -> CorrectionSequences:
-    """phi on [-r, horizon] from the log-form generator recursion.
+    """phi and the growth factors on [-r, horizon] from the log-form
+    generator recursion.
 
     The generator is seeded with c = c_seed on [-r, 0] (any finite positive
     seed gives the same ratios up to transient; the conventional choice
@@ -136,7 +141,8 @@ def phi_sequence(
     stays in (0, 1].  The direct fixed-point recursion (correction_recursion
     on the factors p(z[1-r .. horizon-1]) from the seed phi[1-r .. 0]) is
     run alongside as a cross-check and its worst deviation on [1, horizon]
-    is recorded.
+    is recorded.  The growth factors reuse the p(z) values the generator
+    reads.
     """
     r = params.r
     if horizon < 0:
@@ -147,7 +153,8 @@ def phi_sequence(
     omE = 1.0 - params.E
     lomE = math.log(omE)
     omE_r = omE**r
-    pz = params.uptake.evaluate(z.window(-r, horizon)).tolist()  # index t: p(z[t - r])
+    pz_arr = params.uptake.evaluate(z.window(-r, horizon))
+    pz = pz_arr.tolist()  # index t: p(z[t - r])
 
     n = horizon + 2 * r + 1  # log c on [-r, horizon + r]
     log_c = np.empty(n)
@@ -158,6 +165,7 @@ def phi_sequence(
         log_c[i + 1] = log_c[i] + lomE + math.log1p(pz[t] * ratio)
 
     phi = TimeSeries(np.exp(log_c[: horizon + r + 1] - log_c[r:]) * omE_r, t_start=-r)
+    growth = TimeSeries(omE * (1.0 + phi.values * pz_arr), t_start=-r)
 
     cross = 0.0
     if r > 0 and horizon > 0:
@@ -165,7 +173,9 @@ def phi_sequence(
         direct = correction_recursion(pz[1 : horizon + r], phi.window(1 - r, 0))[r:]
         cross = float(np.max(np.abs(direct - phi.window(1, horizon))))
 
-    return CorrectionSequences(phi=phi, log_c=TimeSeries(log_c, t_start=-r), cross_check_error=cross)
+    return CorrectionSequences(
+        phi=phi, growth=growth, log_c=TimeSeries(log_c, t_start=-r), cross_check_error=cross
+    )
 
 
 def psi_sequence(traj: Trajectory) -> TimeSeries:
@@ -212,12 +222,6 @@ def reconstruct_biomass(traj: Trajectory, psi: TimeSeries) -> TimeSeries:
     vals[0] = x0
     vals[1:] = x0 * np.exp(t * math.log(1.0 - params.E) + log_growth[:horizon])
     return TimeSeries(vals, t_start=0)
-
-
-def growth_factors(params: ChemostatParams, z: WashoutSolution, phi: TimeSeries) -> TimeSeries:
-    """a[k] = (1-E) * (1 + phi[k] * p(z[k])) on phi's range."""
-    pz = params.uptake.evaluate(z.window(phi.t_start, phi.t_end))
-    return TimeSeries((1.0 - params.E) * (1.0 + phi.values * pz), t_start=phi.t_start)
 
 
 @dataclass(frozen=True)
@@ -372,7 +376,8 @@ def periodic_mean(
         raise UsageError(
             f"phi profile has length {len(prof)}, expected the input period {omega}"
         )
+    growth = (1.0 - params.E) * (1.0 + prof * params.uptake.evaluate(z.window(0, omega - 1)))
     total = 0.0
-    for a in growth_factors(params, z, TimeSeries(prof, t_start=0)).values.tolist():
+    for a in growth.tolist():
         total += math.log(a)
     return math.exp(total / omega)

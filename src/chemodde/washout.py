@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -76,11 +77,11 @@ def washout_sequence(
 ) -> WashoutSolution:
     """Washout values on [-r, horizon] from a truncated backward sum.
 
-    z[-r] is initialised by summing the input over k in
-    [-r-1-tail_depth, -r-1] (negative times resolved by the input's
-    backward-extension convention), then the forward recursion fills the
-    rest.  The discarded tail is bounded by (1-E)**tail_depth * sup(s0),
-    recorded on the result.
+    One forward pass from z = 0 runs over the input on
+    [-r-1-tail_depth, horizon-1] (negative times resolved by the input's
+    backward-extension convention); its first tail_depth + 1 steps settle
+    z[-r] and are not kept.  The discarded tail is bounded by
+    (1-E)**tail_depth * sup(s0), recorded on the result.
     """
     r = params.r
     if horizon < r:
@@ -91,21 +92,17 @@ def washout_sequence(
         raise UsageError(f"tail_depth must be >= 0, got {tail_depth}")
 
     E = params.E
-    omE = 1.0 - E
-
-    acc = 0.0
-    for s0 in params.input.sample(-r - 1 - tail_depth, -r - 1).tolist():
-        acc = omE * acc + E * s0
-
-    feed = params.input.sample(-r, horizon - 1).tolist()
-    values = np.fromiter(_forward(acc, E, feed), float, count=horizon + r + 1)
-    del feed  # horizon-long; not kept past the forward pass
+    feed = params.input.sample(-r - 1 - tail_depth, horizon - 1).tolist()
+    values = np.fromiter(
+        islice(_forward(0.0, E, feed), tail_depth + 1, None), float, count=horizon + r + 1
+    )
+    del feed  # horizon + tail long; not kept past the forward pass
 
     sup_s0 = params.input.bounds()[1]
     return WashoutSolution(
         z=TimeSeries(values, t_start=-r),
         z_sup=float(np.max(values)),
-        tail_error_bound=omE**tail_depth * sup_s0,
+        tail_error_bound=(1.0 - E) ** tail_depth * sup_s0,
     )
 
 
@@ -128,10 +125,7 @@ def washout_periodic(params: ChemostatParams) -> WashoutSolution:
     E = params.E
     omE = 1.0 - E
     feed = params.input.sample(0, omega - 1).tolist()
-
-    acc = 0.0
-    for s0 in feed:
-        acc = omE * acc + E * s0
+    *_, acc = _forward(0.0, E, feed)
     z0 = acc / (1.0 - omE**omega)
 
     values = np.fromiter(_forward(z0, E, feed[:-1]), float, count=omega)

@@ -16,11 +16,11 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from chemodde import (
-    ChemostatParams, Constant, Monod, UsageError, growth_factors, periodic_phi, phi_sequence, svg,
+    ChemostatParams, Constant, Monod, UsageError, periodic_phi, phi_sequence, svg,
     washout_periodic, washout_sequence,
 )
 from chemodde.cli import CSV_BLOCK_ROWS, COMMANDS, build_parser, emit_csv, fig2_params, run
-from chemodde.config import _KNOWN_KEYS
+from chemodde.config import _KIND_KEYS, _KNOWN_KEYS
 
 FIG2_CFG = """
 schema = 1
@@ -377,7 +377,7 @@ def test_sliding_product_beyond_largest_double_is_inf(tmp_path):
     # the half-window log sums, as the sliding command forms them
     params = ChemostatParams(0.05, 0, Monod(1.0, 1.0), Constant(1.0))
     z = washout_sequence(params, 20000)
-    growth = growth_factors(params, z, phi_sequence(params, z, 20000).phi)
+    growth = phi_sequence(params, z, 20000).growth
     prefix = np.concatenate([[0.0], np.cumsum([math.log(a) for a in growth.values[:20001].tolist()])])
     t = np.arange(20001)
     logs = prefix[t + 1] - prefix[t // 2]
@@ -768,6 +768,36 @@ def test_integer_key_out_of_range_exits_2(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "classify", "exponents"])
+def test_nonfinite_tabulated_sample_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FIG2_CFG.replace(
+        "uptake.kind = monod\nuptake.p_max = 1.0\nuptake.k_s = 1.0\n",
+        "uptake.kind = tabulated\nuptake.s = 0 1 2\nuptake.values = 0 nan 0.8\n",
+    ))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tabulated uptake values[1] must be finite, got nan\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("uptake.slope", "0.4", "uptake.kind = monod"),
+    ("input.value", "1.0", "input.kind = sinusoid"),
+])
+def test_key_the_kind_does_not_read_exits_2(tmp_path, capsys, key, value, kind):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FIG2_CFG + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run(["classify", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {key} is not read by {kind}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # a valid value for each config key, bounded so that every example runs in
 # well under a second; lists match their partners (input.t and
 # input.values, uptake.s and uptake.values) and init.* hold r+1 values
@@ -805,19 +835,29 @@ def _config_values(r):
 CONFIG_COMMANDS = sorted(name for name, (_, flags, _) in COMMANDS.items() if "--config" in flags)
 CONFIG_SPECIAL = st.sampled_from(["0", "-1", "nan", "inf", "1e400", "", "garbage"])
 # a mutation sets a key to a special value or, as often, drops or
-# duplicates the key or adds an unknown one
-CONFIG_MUTATIONS = st.one_of(CONFIG_SPECIAL, st.sampled_from(["<drop>", "<duplicate>", "<unknown>"]))
+# duplicates the key or adds an unknown key or one that only another kind
+# reads
+CONFIG_MUTATIONS = st.one_of(
+    CONFIG_SPECIAL, st.sampled_from(["<drop>", "<duplicate>", "<unknown>", "<foreign>"])
+)
 
 
 @st.composite
 def _config_texts(draw):
-    """`key = value` lines for every known key in a random order, each
-    valid except for up to three mutations: a value of 0, -1, nan, inf,
-    1e400, empty or garbage, a dropped key, a duplicated key or an unknown
-    key."""
+    """`key = value` lines, in a random order, for every key the drawn
+    uptake and input kinds read besides the shared ones, each valid except
+    for up to three mutations: a value of 0, -1, nan, inf, 1e400, empty or
+    garbage, a dropped key, a duplicated key, an unknown key or a key of
+    another kind."""
     valid = _config_values(draw(st.integers(0, 4)))
-    keys = sorted(_KNOWN_KEYS)
-    pairs = {key: draw(valid[key]) for key in keys}
+    pairs = {}
+    for section, kinds in _KIND_KEYS.items():
+        kind = pairs[f"{section}.kind"] = draw(valid[f"{section}.kind"])
+        pairs.update((key, draw(valid[key])) for key in sorted(kinds[kind]))
+    shared = sorted(key for key in _KNOWN_KEYS if key.split(".")[0] not in _KIND_KEYS)
+    pairs.update((key, draw(valid[key])) for key in shared)
+    keys = sorted(pairs)
+    foreign = sorted(_KNOWN_KEYS - set(keys))
     extra = []
     for key, mutation in draw(st.lists(st.tuples(st.sampled_from(keys), CONFIG_MUTATIONS), max_size=3)):
         if mutation == "<drop>":
@@ -826,6 +866,9 @@ def _config_texts(draw):
             extra.append(f"{key} = {draw(valid[key])}")
         elif mutation == "<unknown>":
             extra.append("model.EE = 0.5")
+        elif mutation == "<foreign>":  # never empty: each kind leaves the others' keys
+            key = draw(st.sampled_from(foreign))
+            extra.append(f"{key} = {draw(valid[key])}")
         else:
             pairs[key] = mutation
     lines = [f"{key} = {value}" for key, value in pairs.items()] + extra

@@ -112,3 +112,26 @@ def test_duplicate_key_rejected():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(UsageError, match="does not exist"):
         load_config(tmp_path / "nope.cfg")
+
+
+MINIMAL = (
+    "schema = 1\nmodel.E = 0.2\nmodel.r = 0\n"
+    "uptake.kind = monod\nuptake.p_max = 1.0\nuptake.k_s = 1.0\n"
+    "input.kind = constant\ninput.value = 1.0\n"
+)
+
+
+@pytest.mark.parametrize("text, key, kind", [
+    (MINIMAL + "uptake.slope = 0.4\n", "uptake.slope", "uptake.kind = monod"),
+    (MINIMAL + "input.period = 7\n", "input.period", "input.kind = constant"),
+    (MINIMAL + "input.periodic = true\n", "input.periodic", "input.kind = constant"),
+    (MINIMAL.replace("input.kind = constant\ninput.value = 1.0\n",
+                     "input.kind = piecewise\ninput.t = 0 5\ninput.values = 1 0.5\n")
+     + "input.periodic = false\n", "input.periodic", "input.kind = piecewise"),
+    (MINIMAL.replace("input.kind = constant\ninput.value = 1.0\n", "input.kind = dyadic\n")
+     + "input.value = 1.0\n", "input.value", "input.kind = dyadic"),
+])
+def test_key_the_kind_does_not_read_rejected(text, key, kind):
+    with pytest.raises(UsageError) as err:
+        parse_config(text)
+    assert str(err.value) == f"{key} is not read by {kind}"

@@ -17,7 +17,9 @@ from chemodde import (
     PiecewiseLinear,
     Sinusoid,
     TabulatedUptake,
-    validate_standing_hypotheses,
+    TimeSeries,
+    WashoutSolution,
+    check_positivity_preconditions,
 )
 
 GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 60)])
@@ -100,6 +102,18 @@ def test_tabulated_validation():
         TabulatedUptake(grid=(0.0, 1.0, 2.0), values=(0.0, 0.1, 0.9))
 
 
+@pytest.mark.parametrize("grid, values, message", [
+    ((0.0, math.nan, 2.0), (0.0, 0.5, 0.8), "tabulated uptake grid[1] must be finite, got nan"),
+    ((0.0, 1.0, math.inf), (0.0, 0.5, 0.8), "tabulated uptake grid[2] must be finite, got inf"),
+    ((0.0, 1.0, 2.0), (0.0, math.nan, 0.8), "tabulated uptake values[1] must be finite, got nan"),
+    ((0.0, 1.0, 2.0), (0.0, 0.5, math.nan), "tabulated uptake values[2] must be finite, got nan"),
+])
+def test_tabulated_rejects_nonfinite_sample(grid, values, message):
+    with pytest.raises(ParameterError) as err:
+        TabulatedUptake(grid=grid, values=values)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # input signals
 # ---------------------------------------------------------------------------
@@ -115,6 +129,20 @@ def test_sinusoid_exact_periodicity():
     assert 0.0 < lo <= hi
     values = sig.sample(-20, 39)
     assert np.all((lo <= values) & (values <= hi))
+
+
+@pytest.mark.parametrize("period", [np.int64(500), 500.0])
+def test_sinusoid_stores_an_integral_period_as_int(period):
+    sig = Sinusoid(amplitude=0.25, period_steps=period, offset=0.6)
+    assert type(sig.period_steps) is int and sig.period_steps == 500
+    assert sig == Sinusoid(amplitude=0.25, period_steps=500, offset=0.6)
+
+
+@pytest.mark.parametrize("period, shown", [(True, "True"), (2.5, "2.5"), (0, "0")])
+def test_sinusoid_rejects_a_period_that_is_no_positive_integer(period, shown):
+    with pytest.raises(ParameterError) as err:
+        Sinusoid(amplitude=0.25, period_steps=period, offset=0.6)
+    assert str(err.value) == f"sinusoid period must be a positive integer, got {shown}"
 
 
 def test_sinusoid_matches_formula():
@@ -334,7 +362,7 @@ def test_params_reject_bad_E(E):
         ChemostatParams(E=E, r=1, uptake=Monod(1.0, 1.0), input=Constant(1.0))
 
 
-@pytest.mark.parametrize("r", [-1, 0.5, "two"])
+@pytest.mark.parametrize("r", [-1, 0.5, "two", True, math.inf, math.nan])
 def test_params_reject_bad_r(r):
     with pytest.raises(ParameterError):
         ChemostatParams(E=0.5, r=r, uptake=Monod(1.0, 1.0), input=Constant(1.0))
@@ -355,24 +383,38 @@ def test_initial_history():
 # ---------------------------------------------------------------------------
 
 
+def _feasibility(params, z_sup):
+    """The positivity preconditions against a one-period washout at z_sup
+    and an empty initial history."""
+    z = WashoutSolution(TimeSeries(np.array([z_sup]), t_start=0), z_sup, 0.0, period=1)
+    return check_positivity_preconditions(params, InitialHistory.constant(params.r, 0.0, 0.0), z)
+
+
 def test_standing_hypotheses_monod_fig2_bound():
     # p(s) = s/(1+s) has p'(0) = 1; the sinusoid 0.25*sin + 0.6 tops at 0.85
     params = ChemostatParams(
         E=0.125, r=5, uptake=Monod(1.0, 1.0),
         input=Sinusoid(amplitude=0.25, period_steps=500, offset=0.6),
     )
-    report = validate_standing_hypotheses(params, z_sup=0.85)
+    report = _feasibility(params, z_sup=0.85)
     assert report.hypothesis_pz
     assert math.isclose(report.pz_product, 0.85, rel_tol=1e-12)
 
 
 def test_standing_hypotheses_boundary_and_violation():
     params = ChemostatParams(E=0.5, r=0, uptake=LinearUptake(1.0), input=Constant(1.0))
-    report = validate_standing_hypotheses(params, z_sup=1.0)
+    report = _feasibility(params, z_sup=1.0)
     assert report.hypothesis_pz and report.pz_product == 1.0  # equality admitted
 
     params2 = ChemostatParams(E=0.5, r=0, uptake=LinearUptake(2.0), input=Constant(1.0))
-    report2 = validate_standing_hypotheses(params2, z_sup=1.0)
+    report2 = _feasibility(params2, z_sup=1.0)
     assert not report2.hypothesis_pz  # failure is reported, not raised
     assert report2.pz_product == 2.0
     assert not report2.feasible
+
+
+@pytest.mark.parametrize("z_sup", [math.nan, math.inf, -1.0])
+def test_standing_hypotheses_reject_bad_z_sup(z_sup):
+    params = ChemostatParams(E=0.5, r=0, uptake=LinearUptake(1.0), input=Constant(1.0))
+    with pytest.raises(ParameterError, match="z_sup must be finite and >= 0"):
+        _feasibility(params, z_sup)

@@ -120,11 +120,12 @@ def test_positivity_preconditions_hand_cases():
     params = _half_linear()
     z = washout_sequence(params, horizon=10)
     ok = check_positivity_preconditions(params, InitialHistory(s=(0.5, 0.5), x=(0.2, 0.2)), z)
-    assert ok.hypothesis_pz and ok.mass_ok
+    assert ok.hypothesis_pz and ok.mass_ok and ok.feasible
     assert math.isclose(ok.initial_mass, 0.725, rel_tol=1e-12)  # 0.5+0.2+0.025
 
     too_rich = check_positivity_preconditions(params, InitialHistory(s=(1.0, 1.0), x=(0.2, 0.2)), z)
     assert too_rich.hypothesis_pz and not too_rich.mass_ok
+    assert not too_rich.feasible  # the mass condition alone decides it
     assert math.isclose(too_rich.initial_mass, 1.25, rel_tol=1e-12)
 
     empty = check_positivity_preconditions(params, InitialHistory(s=(0.0, 0.0), x=(0.0, 0.0)), z)

@@ -17,10 +17,10 @@ from chemodde import (
     Monod,
     ParameterError,
     Sinusoid,
+    TabulatedUptake,
     UsageError,
     bohl_bounds,
     correction_recursion,
-    growth_factors,
     periodic_mean,
     periodic_phi,
     phi_sequence,
@@ -106,6 +106,39 @@ def test_phi_in_unit_interval(rng):
         corr = phi_sequence(params, z, horizon=300)
         assert np.all(corr.phi.values > 0.0)
         assert np.all(corr.phi.values <= 1.0 + 1e-14)
+
+
+@st.composite
+def _growth_cases(draw):
+    """(params, z, horizon): any uptake kind and a constant, sinusoidal or
+    sequence feed, with the periodic washout where the feed has a period
+    and the draw asks for it."""
+    E = draw(st.floats(0.05, 0.9))
+    r = draw(st.integers(0, 8))
+    horizon = draw(st.integers(r, r + 200))
+    uptake = draw(st.sampled_from([
+        Monod(1.0, 1.0), LinearUptake(0.4), TabulatedUptake((0.0, 1.0, 2.0), (0.0, 0.5, 0.8)),
+    ]))
+    feed = draw(st.sampled_from([
+        Constant(0.7),
+        Sinusoid(amplitude=0.25, period_steps=draw(st.integers(1, 30)), offset=0.6),
+        ExplicitSequence(values=(0.4, 0.9, 0.6), periodic=draw(st.booleans())),
+    ]))
+    params = ChemostatParams(E=E, r=r, uptake=uptake, input=feed)
+    periodic = feed.period is not None and draw(st.booleans())
+    z = washout_periodic(params) if periodic else washout_sequence(params, horizon)
+    return params, z, horizon
+
+
+@settings(max_examples=60, deadline=None)
+@given(_growth_cases())
+def test_growth_is_the_growth_factor_expression(case):
+    params, z, horizon = case
+    r = params.r
+    corr = phi_sequence(params, z, horizon)
+    expect = (1.0 - params.E) * (1.0 + corr.phi.values * params.uptake.evaluate(z.window(-r, horizon)))
+    assert corr.growth.t_start == corr.phi.t_start == -r
+    assert corr.growth.values.tobytes() == expect.tobytes()
 
 
 def test_seed_scale_invariance():
@@ -279,9 +312,7 @@ def test_bohl_dyadic_blocks_straddles_one():
     params = ChemostatParams(E=E, r=r, uptake=LinearUptake(1.0), input=DyadicBlocks(E, r))
     horizon = 2**14
     z = washout_sequence(params, horizon)
-    corr = phi_sequence(params, z, horizon)
-    growth = growth_factors(params, z, corr.phi)
-    est = bohl_bounds(growth, window_min=50)
+    est = bohl_bounds(phi_sequence(params, z, horizon).growth, window_min=50)
     assert est.lower < 1.0 < est.upper
 
 
@@ -509,8 +540,7 @@ def test_periodic_mean_brackets_window_bounds():
     z = washout_periodic(params)
     prof = periodic_phi(params, z)
     mean = periodic_mean(params, z, prof)
-    corr = phi_sequence(params, z, horizon=4000)
-    growth = growth_factors(params, z, corr.phi)
+    growth = phi_sequence(params, z, horizon=4000).growth
     T = 200
     est = bohl_bounds(growth, window_min=T)
     logs = np.log(growth.values)
