@@ -186,7 +186,7 @@ def _build_input(pairs, E, r):
         return PiecewiseLinear(breakpoints=tuple(zip(times, values)))
     if kind == "sequence":
         return ExplicitSequence(
-            values=tuple(_as_floats("input.values", _require(pairs, "input.values"))),
+            values=_as_floats("input.values", _require(pairs, "input.values")),
             periodic=_as_bool("input.periodic", pairs.get("input.periodic", "false")),
         )
     return DyadicBlocks(E=E, r=r)

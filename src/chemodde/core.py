@@ -293,26 +293,39 @@ class ExplicitSequence(InputSignal):
     """A finite list of values, optionally repeated periodically.
 
     Non-periodic sequences clamp to the first value for t < 0 and to the last
-    value past the end, which keeps the backward washout sum bounded.
+    value past the end, which keeps the backward washout sum bounded.  The
+    values are kept as a read-only float64 array; two sequences are equal
+    when their values and periodic flags are.
     """
 
-    values: tuple
+    values: np.ndarray
     periodic: bool = False
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = np.array(self.values, dtype=float)
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        if not vals:
-            raise ParameterError("explicit input sequence must be non-empty")
-        _check_nonnegative("explicit input sequence", *vals)
+        if vals.ndim != 1 or not vals.size:
+            raise ParameterError("explicit input sequence must be a non-empty flat list of values")
+        ok = (vals >= 0) & (vals < math.inf)  # false on nan, inf and below 0
+        if not ok.all():
+            _check_nonnegative("explicit input sequence", float(vals[ok.argmin()]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.periodic == other.periodic and np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        return hash((tuple(self.values.tolist()), self.periodic))
 
     def sample(self, t_from, t_to):
         t = np.arange(t_from, t_to + 1)
         n = len(self.values)
-        return np.array(self.values)[t % n if self.periodic else np.clip(t, 0, n - 1)]
+        return self.values[t % n if self.periodic else np.clip(t, 0, n - 1)]
 
     def bounds(self):
-        return (min(self.values), max(self.values))
+        return (float(self.values.min()), float(self.values.max()))
 
     @property
     def period(self):

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .errors import UsageError
+from .formatting import DistinctFormatter
 
 WIDTH = 720
 HEIGHT = 420
@@ -29,9 +30,35 @@ STYLE_BIOMASS = ("red", None)
 POINT_BLOCK = 1024
 
 
-def _points(px, py) -> str:
-    """Pixel arrays as "x,y x,y ..." with two decimals."""
-    return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+def _pixel_text(p) -> list:
+    """Pixel coordinates with two decimals."""
+    return list(map("%.2f".__mod__, p.tolist()))
+
+
+def _polyline_blocks(cleaned, sx, sy) -> list:
+    """For each series, the "x,y x,y ..." text of its points as one str per
+    POINT_BLOCK points, to be joined by spaces.  Block lo of every series
+    is mapped and formatted before block lo + POINT_BLOCK, so the x pixels
+    that the series share are formatted once per block, and each series
+    formats only the y pixels its block before did not."""
+    texts = [[] for _ in cleaned]
+    x_formatter = DistinctFormatter(_pixel_text)
+    y_formatters = [DistinctFormatter(_pixel_text) for _ in cleaned]
+    for lo in range(0, max(len(xs) for _, xs, _, _ in cleaned), POINT_BLOCK):
+        # sx/sy on an array do, per element, the float operations they do
+        # on one point, so the pixels are those of a per-point loop
+        mapped = [
+            (j, sx(xs[lo : lo + POINT_BLOCK]), sy(ys[lo : lo + POINT_BLOCK]))
+            for j, (_, xs, ys, _) in enumerate(cleaned)
+            if lo < len(xs)
+        ]
+        x_text = x_formatter(np.concatenate([px for _, px, _ in mapped]))
+        start = 0
+        for j, px, py in mapped:
+            y_text = y_formatters[j](py)
+            texts[j].append(" ".join(map(",".join, zip(x_text[start : start + len(px)], y_text))))
+            start += len(px)
+    return texts
 
 
 def _fmt(v: float) -> str:
@@ -42,8 +69,11 @@ def line_chart(title: str, series) -> str:
     """Render series = [(label, xs, ys, (color, dasharray)), ...] to SVG text.
 
     Non-finite points are dropped per series; finite values up to the
-    largest double stay inside the plot box.  Raises UsageError when there
-    is nothing to draw.
+    largest double stay inside the plot box.  Points are mapped and
+    formatted POINT_BLOCK at a time: a block formats the x pixels its
+    series share once, and the y pixels its series did not format in the
+    block before; the tables this keeps hold at most one block per series.
+    Raises UsageError when there is nothing to draw.
     """
     cleaned = []
     for label, xs, ys, style in series:
@@ -104,17 +134,11 @@ def line_chart(title: str, series) -> str:
             f'font-family="sans-serif" font-size="10">{_fmt(fy)}</text>'
         )
 
-    for label, xs, ys, (color, dash) in cleaned:
-        # sx/sy on an array do, per element, the float operations they do on
-        # one point, so the pixels are those of a per-point loop
-        pts = " ".join(
-            _points(sx(xs[lo : lo + POINT_BLOCK]), sy(ys[lo : lo + POINT_BLOCK]))
-            for lo in range(0, len(xs), POINT_BLOCK)
-        )
+    for (_, _, _, (color, dash)), blocks in zip(cleaned, _polyline_blocks(cleaned, sx, sy)):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.4"{dash_attr} '
-            f'points="{pts}"/>'
+            f'points="{" ".join(blocks)}"/>'
         )
 
     ly = MARGIN_T + 14
@@ -131,4 +155,5 @@ def line_chart(title: str, series) -> str:
         ly += 16
 
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline, without a second copy of the text
+    return "\n".join(out)

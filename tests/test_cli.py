@@ -19,8 +19,11 @@ from chemodde import (
     ChemostatParams, Constant, Monod, UsageError, periodic_phi, phi_sequence, svg,
     washout_periodic, washout_sequence,
 )
-from chemodde.cli import CSV_BLOCK_ROWS, COMMANDS, build_parser, emit_csv, fig2_params, run
+from chemodde.cli import (
+    CSV_BLOCK_ROWS, COMMANDS, _simulation_bundle, build_parser, emit_csv, fig2_init, fig2_params, run,
+)
 from chemodde.config import _KIND_KEYS, _KNOWN_KEYS
+from chemodde.formatting import DistinctFormatter
 
 FIG2_CFG = """
 schema = 1
@@ -178,6 +181,70 @@ def test_emit_csv_peak_memory_does_not_grow_with_rows(tmp_path):
     assert peak(60_000) <= 1.25 * peak(15_000)
 
 
+def test_emit_csv_peak_memory_does_not_grow_with_repeating_columns(tmp_path):
+    # columns that repeat keep a DistinctFormatter table from block to block
+    def peak(n):
+        t = np.arange(n)
+        periodic = np.resize(np.sin(2 * np.pi * np.arange(500) / 500), n)  # as a feed repeats
+        pairs = (t // 2) / 7  # each value twice, new values in every block
+        columns = [t, periodic, np.full(n, 0.75), 0.9 ** t, pairs]  # 0.9**t is 0 from t = 7073
+        tracemalloc.start()
+        try:
+            emit_csv(tmp_path / "m.csv", list("tpcdr"), columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(60_000) <= 1.25 * peak(15_000)
+
+
+def _periodic(period, n):
+    """n values repeating one period exactly, as a periodic feed repeats."""
+    return np.resize(np.sin(2 * np.pi * np.arange(period) / period) / 3, n)
+
+
+@pytest.mark.parametrize("column", [
+    pytest.param(_periodic(500, 3 * B + 7), id="period 500"),
+    pytest.param(_periodic(1023, 3 * B + 7), id="period 1023"),
+    pytest.param(np.r_[np.full(B, 0.0), np.full(B, -0.0), np.full(B, 0.0)], id="0.0 then -0.0"),
+    pytest.param(np.r_[np.full(B, -0.0), [0.0, 0.5], np.full(B, -0.0)], id="-0.0 then 0.0"),
+    pytest.param(np.r_[np.full(B + 3, np.nan), [1.5], -np.full(B, np.nan)], id="nan in consecutive blocks"),
+    pytest.param(np.tile([1e15, math.nextafter(1e15, 0.0), math.nextafter(1e15, 2e15),
+                          -1e15, math.nextafter(-1e15, 0.0)], B), id="1e15 neighbours"),
+    pytest.param(np.r_[np.arange(B), np.arange(B) % 7, np.arange(B) + 0.5], id="distinct then repeating"),
+])
+def test_emit_csv_reuses_cells_across_blocks_like_the_cell_oracle(tmp_path, column):
+    # the column and its reverse, beside an all-distinct time axis
+    columns = [np.arange(len(column)), column, column[::-1].copy()]
+    emit_csv(tmp_path / "t.csv", ["t", "a", "b"], columns)
+    lines = (tmp_path / "t.csv").read_text().split("\n")
+    assert len(lines) == len(column) + 2 and lines[-1] == ""
+    for i, line in enumerate(lines[1:-1]):
+        assert line.split(",") == [_format_cell(c[i]) for c in columns]
+
+
+def test_distinct_formatter_formats_only_values_its_column_has_not():
+    formatted = []
+
+    def fmt(values):
+        formatted.extend(values.tolist())
+        return [repr(v) for v in values.tolist()]
+
+    column = _periodic(500, 3 * B)
+    formatter = DistinctFormatter(fmt)
+    for lo in range(0, len(column), B):
+        block = column[lo : lo + B]
+        assert formatter(block) == [repr(v) for v in block.tolist()]
+        assert formatter.table is not None and len(formatter.table[0]) <= B
+    assert sorted(formatted) == sorted(set(column.tolist()))
+
+    formatted.clear()
+    distinct = np.arange(B, dtype=float)
+    formatter = DistinctFormatter(fmt)
+    assert formatter(distinct) == [repr(v) for v in distinct.tolist()]
+    assert formatted == distinct.tolist() and formatter.table is None  # passed whole
+
+
 def _polyline_oracle(series):
     """The points of each drawn series, mapped and formatted one point at a
     time as line_chart did before it worked on whole arrays."""
@@ -235,10 +302,16 @@ def _chart_series(draw):
     return out
 
 
+N_CHART = 3 * svg.POINT_BLOCK + 5
+
+
 @settings(max_examples=60, deadline=None)
 @given(series=_chart_series())
 @example(series=[("c", np.full(5, 2.0), np.full(5, 3.0), svg.STYLE_FEED)])  # both degenerate axes
 @example(series=[("c", [0.0, 1.0, math.nan, 3.0], [1.0, math.inf, 2.0, 0.5], svg.STYLE_FEED)])
+@example(series=[  # one shared x axis; y repeats with a period that straddles block ends
+    (f"s{k}", np.arange(N_CHART + 0.0), k + _periodic(1000, N_CHART), svg.STYLE_FEED) for k in range(3)
+])
 def test_line_chart_points_match_point_oracle(series):
     drawable = any(np.any(np.isfinite(xs) & np.isfinite(ys)) for _, xs, ys, _ in series)
     if not drawable:
@@ -270,6 +343,19 @@ def test_line_chart_near_dbl_max_stays_in_the_plot_box(ys):
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+
+def test_fig2_files_match_the_cell_and_point_oracles(tmp_path):
+    # a periodic run, where the writers reuse the text of earlier blocks
+    assert run(["fig2", "--svg", "--horizon", "3000", "--offset", "0.6", "--out", str(tmp_path)]) == 0
+    _, _, cols = _simulation_bundle(fig2_params(0.6), fig2_init(), 3000)
+    lines = (tmp_path / "fig2_timeseries.csv").read_text().split("\n")
+    assert lines[0] == ",".join(cols) and lines[-1] == "" and len(lines) == len(cols["t"]) + 2
+    for i, line in enumerate(lines[1:-1]):
+        assert line.split(",") == [_format_cell(c[i]) for c in cols.values()]
+    series = [(name, cols["t"], cols[name], None) for name in ("s0", "s", "x")]
+    text = (tmp_path / "fig2_timeseries.svg").read_text()
+    assert re.findall(r'points="([^"]*)"', text) == _polyline_oracle(series)
 
 
 def test_fig2_persistent_summary(tmp_path, capsys):

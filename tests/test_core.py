@@ -185,6 +185,43 @@ def test_constant_and_sequence_bounds():
     assert open_seq.sample(99, 99) == 0.8
 
 
+def test_sequence_values_are_a_read_only_array_compared_by_value():
+    seq = ExplicitSequence(values=(0.2, 0.4, 0.8), periodic=True)
+    assert seq.values.dtype == np.float64 and not seq.values.flags.writeable
+    with pytest.raises(ValueError):
+        seq.values[0] = 1.0
+    drawn = seq.sample(0, 5)
+    drawn[0] = 9.0  # a sample is the caller's own copy
+    assert seq.sample(0, 0)[0] == 0.2
+
+    same = ExplicitSequence(values=[0.2, 0.4, 0.8], periodic=True)
+    assert seq == same and hash(seq) == hash(same)
+    assert ExplicitSequence((0.0,)) == ExplicitSequence((-0.0,))
+    assert hash(ExplicitSequence((0.0,))) == hash(ExplicitSequence((-0.0,)))
+    assert seq != ExplicitSequence(values=(0.2, 0.4, 0.8), periodic=False)
+    assert seq != ExplicitSequence(values=(0.2, 0.4), periodic=True)
+    assert seq != ExplicitSequence(values=(0.2, 0.4, 0.9), periodic=True)
+    assert seq != Constant(0.2)
+
+
+@pytest.mark.parametrize("values, bad", [
+    ((0.5, -0.1, math.nan), "-0.1"),
+    ((0.5, math.nan, -0.1), "nan"),
+    ((math.inf,), "inf"),
+    ((0.1, 0.2, -math.inf), "-inf"),
+])
+def test_sequence_names_its_first_bad_value(values, bad):
+    with pytest.raises(ParameterError) as err:
+        ExplicitSequence(values=values)
+    assert str(err.value) == f"explicit input sequence values must be finite and >= 0, got {bad}"
+
+
+@pytest.mark.parametrize("values", [(), [[0.5, 0.6]], 0.5])
+def test_sequence_needs_a_non_empty_flat_list(values):
+    with pytest.raises(ParameterError, match="non-empty flat list"):
+        ExplicitSequence(values=values)
+
+
 def test_piecewise_linear_clamps_and_interpolates():
     sig = PiecewiseLinear(breakpoints=((0.0, 3.0), (500.0, 3.0), (1500.0, 0.05)))
     values = sig.sample(-10, 5000)
