@@ -43,16 +43,20 @@ def emit_csv(path, names, columns) -> None:
     """Write aligned columns as CSV: header row, shortest-roundtrip floats,
     integral values below 1e15 in magnitude as integers, newline-terminated,
     locale-independent.  Rows are formatted and written CSV_BLOCK_ROWS at a
-    time, and a block formats only the values its column did not format in
-    the block before (formatting.DistinctFormatter), so memory stays bounded
-    by the block whatever n is."""
+    time, and, in a file of more than one block, a block formats only the
+    values its column did not format in the block before
+    (formatting.DistinctFormatter), so memory stays bounded by the block
+    whatever n is."""
     columns = [np.asarray(c) for c in columns]
     if len(names) != len(columns) or not columns:
         raise UsageError("emit_csv needs one name per column")
     n = len(columns[0])
     if n == 0 or any(len(c) != n for c in columns):
         raise UsageError("emit_csv needs non-empty columns of equal length")
-    formatters = [DistinctFormatter(_format_cells) for _ in columns]
+    # a column of one block has no next block to reuse its text, and on
+    # its own repeats the tables cost about what they save
+    one_block = n <= CSV_BLOCK_ROWS
+    formatters = [_format_cells if one_block else DistinctFormatter(_format_cells) for _ in columns]
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
@@ -66,8 +70,9 @@ def _format_cells(col) -> list:
     """Each value v of col as str(int(v)) when v is finite, integral and
     below 1e15 in magnitude, else as repr(float(v)).  Those cells become
     Python ints and the rest floats, so one C repr of the list writes all.
-    emit_csv calls it, through a DistinctFormatter, on the distinct values
-    of a block that its column did not format in the block before."""
+    emit_csv calls it on each column of a one-block file, and otherwise,
+    through a DistinctFormatter, on the distinct values of a block that its
+    column did not format in the block before."""
     f = np.asarray(col, dtype=float)
     values = f.astype(object)
     integral = (np.abs(f) < 1e15) & (f == np.trunc(f))  # false on nan, inf
