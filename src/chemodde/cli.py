@@ -21,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, dynamics, exponents, svg, washout
+from . import analysis, dynamics, exponents, formatting, svg, washout
 from .config import RunConfig, load_config
 from .core import ChemostatParams, InitialHistory, Monod, PiecewiseLinear, Sinusoid
 from .errors import ChemoddeError, ParameterError, UsageError
-from .formatting import DistinctFormatter
 
 DEFAULT_HORIZON = 2000
 
@@ -41,43 +40,31 @@ CSV_BLOCK_ROWS = 1024
 
 def emit_csv(path, names, columns) -> None:
     """Write aligned columns as CSV: header row, shortest-roundtrip floats,
-    integral values below 1e15 in magnitude as integers, newline-terminated,
+    integral values below 1e15 in magnitude as integers, LF-terminated,
     locale-independent.  Rows are formatted and written CSV_BLOCK_ROWS at a
-    time, and, in a file of more than one block, a block formats only the
-    values its column did not format in the block before
-    (formatting.DistinctFormatter), so memory stays bounded by the block
-    whatever n is."""
+    time, all columns of a block in one pass, row by row, as one matrix of
+    characters (formatting.cells) into which the commas and newlines go and
+    from which the NUL padding is dropped.  In a file of more than one
+    block, a block formats only the values that it, or the block before,
+    did not already format (formatting.DistinctFormatter), so memory stays
+    bounded by the block whatever n is."""
     columns = [np.asarray(c) for c in columns]
     if len(names) != len(columns) or not columns:
         raise UsageError("emit_csv needs one name per column")
     n = len(columns[0])
     if n == 0 or any(len(c) != n for c in columns):
         raise UsageError("emit_csv needs non-empty columns of equal length")
-    # a column of one block has no next block to reuse its text, and on
-    # its own repeats the tables cost about what they save
-    one_block = n <= CSV_BLOCK_ROWS
-    formatters = [_format_cells if one_block else DistinctFormatter(_format_cells) for _ in columns]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
+    # a file of one block has no next block to reuse its text: it is
+    # formatted whole, without the formatter's sort and table
+    fmt = formatting.cells if n <= CSV_BLOCK_ROWS else formatting.DistinctFormatter(formatting.cells)
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            cells = [
-                f(c[lo : lo + CSV_BLOCK_ROWS].astype(float)) for f, c in zip(formatters, columns)
-            ]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def _format_cells(col) -> list:
-    """Each value v of col as str(int(v)) when v is finite, integral and
-    below 1e15 in magnitude, else as repr(float(v)).  Those cells become
-    Python ints and the rest floats, so one C repr of the list writes all.
-    emit_csv calls it on each column of a one-block file, and otherwise,
-    through a DistinctFormatter, on the distinct values of a block that its
-    column did not format in the block before."""
-    f = np.asarray(col, dtype=float)
-    values = f.astype(object)
-    integral = (np.abs(f) < 1e15) & (f == np.trunc(f))  # false on nan, inf
-    values[integral] = f[integral].astype(np.int64)
-    return repr(values.tolist())[1:-1].split(", ")
+            block = np.stack([c[lo : lo + CSV_BLOCK_ROWS].astype(float) for c in columns], axis=1)
+            text = fmt(block.reshape(-1)).reshape(len(block), len(columns), -1)
+            text[:, :, -1] = ord(",")  # the last byte of a cell is always NUL
+            text[:, -1, -1] = ord("\n")
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def emit_svg(path, title, series) -> None:

@@ -30,9 +30,9 @@ STYLE_BIOMASS = ("red", None)
 POINT_BLOCK = 1024
 
 
-def _pixel_text(p) -> list:
-    """Pixel coordinates with two decimals."""
-    return list(map("%.2f".__mod__, p.tolist()))
+def _pixel_text(p):
+    """Pixel coordinates with two decimals, as an object array of str."""
+    return np.array(list(map("%.2f".__mod__, p.tolist())), dtype=object)
 
 
 def _polyline_blocks(cleaned, sx, sy) -> list:
@@ -52,10 +52,10 @@ def _polyline_blocks(cleaned, sx, sy) -> list:
             for j, (_, xs, ys, _) in enumerate(cleaned)
             if lo < len(xs)
         ]
-        x_text = x_formatter(np.concatenate([px for _, px, _ in mapped]))
+        x_text = x_formatter(np.concatenate([px for _, px, _ in mapped])).tolist()
         start = 0
         for j, px, py in mapped:
-            y_text = y_formatters[j](py)
+            y_text = y_formatters[j](py).tolist()
             texts[j].append(" ".join(map(",".join, zip(x_text[start : start + len(px)], y_text))))
             start += len(px)
     return texts

@@ -228,20 +228,20 @@ def test_distinct_formatter_formats_only_values_its_column_has_not():
 
     def fmt(values):
         formatted.extend(values.tolist())
-        return [repr(v) for v in values.tolist()]
+        return np.array([repr(v) for v in values.tolist()], dtype=object)
 
     column = _periodic(500, 3 * B)
     formatter = DistinctFormatter(fmt)
     for lo in range(0, len(column), B):
         block = column[lo : lo + B]
-        assert formatter(block) == [repr(v) for v in block.tolist()]
+        assert formatter(block).tolist() == [repr(v) for v in block.tolist()]
         assert formatter.table is not None and len(formatter.table[0]) <= B
     assert sorted(formatted) == sorted(set(column.tolist()))
 
     formatted.clear()
     distinct = np.arange(B, dtype=float)
     formatter = DistinctFormatter(fmt)
-    assert formatter(distinct) == [repr(v) for v in distinct.tolist()]
+    assert formatter(distinct).tolist() == [repr(v) for v in distinct.tolist()]
     assert formatted == distinct.tolist() and formatter.table is None  # passed whole
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chemodde import (
@@ -10,6 +11,7 @@ from chemodde import (
     parse_config,
     load_config,
 )
+from chemodde.config import _as_floats
 
 FULL = """
 # a fig-2 style run
@@ -135,3 +137,30 @@ def test_key_the_kind_does_not_read_rejected(text, key, kind):
     with pytest.raises(UsageError) as err:
         parse_config(text)
     assert str(err.value) == f"{key} is not read by {kind}"
+
+
+def _sequence_config(values):
+    return (
+        "schema = 1\nmodel.E = 0.2\nmodel.r = 0\n"
+        "uptake.kind = linear\nuptake.slope = 0.4\n"
+        f"input.kind = sequence\ninput.values = {values}\n"
+    )
+
+
+@pytest.mark.parametrize("bad", ["0.5x", "nan?", "--1", "1e"])
+def test_bad_token_at_the_end_of_a_long_list_is_named(bad):
+    with pytest.raises(ParameterError) as err:
+        parse_config(_sequence_config(" ".join(["0.5"] * 30_000 + [bad])))
+    assert str(err.value) == f"input.values: expected a number, got {bad!r}"
+
+
+def test_first_of_several_bad_tokens_is_named():
+    with pytest.raises(ParameterError) as err:
+        parse_config(_sequence_config("0.5, 0.25 x1 0.5 y2"))
+    assert str(err.value) == "input.values: expected a number, got 'x1'"
+
+
+def test_list_tokens_parse_as_float_parses_each():
+    tokens = ["0.5", "1e-3", "1_000.25", "-0.0", "+2", "inf", "-Infinity", "nan", "7"]
+    got = np.array(_as_floats("k", " ".join(tokens[:4]) + ", " + ",".join(tokens[4:])))
+    assert got.view(np.int64).tolist() == np.array([float(t) for t in tokens]).view(np.int64).tolist()

@@ -1,0 +1,141 @@
+"""formatting.cells against the cell-by-cell oracle, densely: random bit
+patterns, every power of two and of ten with its neighbours, and the
+boundaries of each layout and of the integer form."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import chemodde
+from chemodde import formatting
+from chemodde.formatting import DistinctFormatter, cells
+from test_cli import _format_cell
+
+CHUNK = 1 << 16
+
+
+def _bytes(rows):
+    """The text of a cells matrix, one line per row, its last byte
+    overwritten."""
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _text(rows):
+    return _bytes(rows).decode().split("\n")[:-1]
+
+
+def _lines(values):
+    return _text(cells(values))
+
+
+def _assert_cells_match_oracle(values):
+    values = np.asarray(values, dtype=np.float64)
+    for lo in range(0, len(values), CHUNK):
+        chunk = values[lo : lo + CHUNK]
+        rows = cells(chunk)
+        assert rows.shape == (len(chunk), 48) and not rows[:, 45:].any()
+        want = "\n".join(map(_format_cell, chunk.tolist())) + "\n"
+        if _bytes(rows) != want.encode():
+            got, want = _text(rows), want.split("\n")
+            bad = [(v, g, w) for v, g, w in zip(chunk.tolist(), got, want) if g != w]
+            pytest.fail(f"{len(bad)} of {len(chunk)} cells differ; first (value, got, oracle): {bad[:3]}")
+
+
+def _neighbours(values, ulps=1):
+    """values and the doubles up to ulps steps below and above each."""
+    values = np.asarray(values, dtype=np.float64)
+    out, down, up = [values], values, values
+    for _ in range(ulps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
+def _signed(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.r_[values, -values]
+
+
+def test_random_bit_patterns():
+    rng = np.random.default_rng(20261018)
+    _assert_cells_match_oracle(rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False).view(np.float64))
+
+
+def test_powers_of_two_with_their_neighbours():
+    # a power of two has an all-zero fraction: its interval below is half
+    # the one above, except at the smallest normal exponent
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    assert (twos[52:] == (np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)).view(np.float64)).all()
+    _assert_cells_match_oracle(_signed(_neighbours(twos, ulps=3)))
+
+
+def test_powers_of_ten_with_their_neighbours():
+    tens = [float(f"1e{k}") for k in range(-323, 309)] + [10.0**k for k in range(-323, 309)]
+    _assert_cells_match_oracle(_signed(_neighbours(tens)))
+
+
+@pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e-3, 0.1, 1.0, 1e15, 1e16, 1e17, 2.0**52, 2.0**53, 2.0**63, 1e308])
+def test_layout_and_integer_boundaries(edge):
+    # 1e-4 is the smallest positional value and 1e16 the smallest in
+    # exponent form; below 1e15 an integral value is written as an integer
+    _assert_cells_match_oracle(_signed(_neighbours([edge], ulps=8)))
+
+
+def test_integers_and_short_decimals():
+    rng = np.random.default_rng(7)
+    ints = rng.integers(-(2**62), 2**62, 1 << 13).astype(float) / 2.0 ** rng.integers(0, 62, 1 << 13)
+    digits = rng.integers(0, 10**8, 1 << 15)
+    scale = 10.0 ** rng.integers(-30, 30, 1 << 15)
+    _assert_cells_match_oracle(np.r_[np.trunc(ints), ints, digits * scale, digits / scale, np.arange(-1000, 1001)])
+
+
+def test_subnormals_zeros_nans_and_infinities():
+    rng = np.random.default_rng(11)
+    subnormal = rng.integers(1, 2**52, 4096, dtype=np.uint64).view(np.float64)
+    edges = np.array([5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-310])
+    payloads = np.array([0x7FF8_0000_0000_0000, 0x7FF0_0000_0000_0001, 0x7FFF_FFFF_FFFF_FFFF], dtype=np.uint64)
+    nans = _signed(payloads.view(np.float64))
+    assert np.signbit(nans).sum() == 3
+    values = np.r_[_signed(subnormal), _signed(_neighbours(edges)), 0.0, -0.0, nans, np.inf, -np.inf]
+    _assert_cells_match_oracle(values)
+    assert _lines(np.array([-0.0, -np.nan, -np.inf, np.inf])) == ["0", "nan", "-inf", "inf"]
+
+
+def test_distinct_formatter_returns_rows_apart_from_its_table():
+    # emit_csv writes its separators into the rows it gets back
+    formatter = DistinctFormatter(cells)
+    block = np.resize([0.5, 1.0, -2.5e-300], 1024)
+    for _ in range(3):
+        rows = formatter(block)
+        assert formatter.table is not None
+        assert _text(rows) == list(map(_format_cell, block.tolist()))
+        rows[:] = ord(",")
+
+
+def test_distinct_formatter_drops_a_table_that_saved_nothing():
+    formatter = DistinctFormatter(cells)
+    formatter(np.r_[np.arange(1023.0), 0.0])  # a repeat: a table is kept
+    assert formatter.table is not None
+    fresh = np.arange(5000.0, 6024.0)  # nothing repeated, nothing known
+    assert _text(formatter(fresh)) == list(map(_format_cell, fresh.tolist()))
+    assert formatter.table is None
+
+
+def test_import_computes_no_power_of_ten():
+    # the powers of ten and the layout tables are built by the first call
+    src = str(Path(chemodde.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import chemodde.cli, chemodde.formatting as f; "
+        "print(int(f._POW10_FILLED.sum()), int(f._POW10.any()), f._tables.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0", "0"]
+    cells(np.array([1.5, 2.0**-1074, 1e300]))
+    filled = formatting._POW10_FILLED
+    assert 0 < filled.sum() < len(filled) and formatting._POW10[:, filled][0].all()
