@@ -68,11 +68,14 @@ def emit_csv(path, names, columns) -> None:
 
 
 def emit_svg(path, title, series) -> None:
-    Path(path).write_text(svg.line_chart(title, series))
+    """Write svg.line_chart's text as UTF-8, LF-terminated on every platform."""
+    Path(path).write_bytes(svg.line_chart(title, series).encode())
 
 
 def emit_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Write payload as indented JSON, UTF-8 and LF-terminated on every
+    platform."""
+    Path(path).write_bytes((json.dumps(payload, indent=2) + "\n").encode())
 
 
 def _write_timeseries(out, stem, title, cols, with_svg) -> None:

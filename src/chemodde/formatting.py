@@ -1,5 +1,5 @@
 """Text of float blocks: exact shortest round-trip cells, each distinct
-value formatted once.
+value formatted once, and exact two-decimal pixel coordinates.
 
 ``cells`` writes a float64 array as a matrix of characters, one row of 48
 bytes per value, holding exactly the text of ``str(int(v))`` for a finite
@@ -17,12 +17,19 @@ Digits are laid out through small tables of four-digit groups and of row
 templates, built on the first call.  Subnormal values are left to ``repr``,
 one value at a time, and so are nan and the infinities.
 
-The CSV and SVG writers format their output a bounded block of values at a
-time.  Under a periodic or converging feed most values repeat, inside a
-block and from one block to the next, so a ``DistinctFormatter`` formats
-each distinct value of a block once, reuses the text of the values that
-the previous block formatted, and gathers the text back in order through
-the inverse of ``np.unique``.  Values are told apart by their bits, so the
+``pixels`` writes the SVG coordinates the same way, as exactly the text of
+``"%.2f" % v``: for |v| < 2**31 the hundredths, rounded half to even, are
+the exact integer quotient of the double's significand times 100 by its
+power of two, found on uint64 lanes, and they are laid out through tables
+of four-digit groups built on the first call.  Larger values, nan and the
+infinities are left to ``%``, one value at a time.
+
+The CSV writer formats its output a bounded block of values at a time.
+Under a periodic or converging feed most values repeat, inside a block
+and from one block to the next, so a ``DistinctFormatter`` formats each
+distinct value of a block once, reuses the text of the values that the
+previous block formatted, and gathers the text back in order through the
+inverse of ``np.unique``.  Values are told apart by their bits, so the
 text is the same, byte for byte, as formatting every value on its own,
 whatever the formatter does with -0.0 or nan.
 """
@@ -299,9 +306,112 @@ def cells(values):
     return out
 
 
+@functools.cache
+def _pixel_tables():
+    """The layout tables of pixels, as uint32 words of 4 bytes.
+
+    groups: the four digits of 0..9999 with their leading zeros (0-9999);
+    with the zeros before the first non-zero digit as NUL and 0 all NUL
+    (10000-19999); the same with 0 as "0" (20000-29999).
+    top: a sign or NUL, a NUL and the digits of 0..99 without leading
+    zeros (0 all NUL), plus 100 if negative.
+    fraction: the point and the two digits of 0..99, then a NUL."""
+    pairs = [b"%02d" % i for i in range(100)]
+    digits = np.frombuffer(b"".join(a + b for a in pairs for b in pairs), dtype=np.uint8).reshape(10000, 4)
+    lead = digits.copy()
+    lead[:1000, 0] = 0
+    lead[:100, 1] = 0
+    lead[:10, 2] = 0
+    blank = lead.copy()
+    blank[0] = 0
+    top = np.zeros((2, 100, 4), dtype=np.uint8)
+    top[:, :, 2:] = blank[:100, 2:]
+    top[1, :, 0] = ord("-")
+    fraction = np.zeros((100, 4), dtype=np.uint8)
+    fraction[:, 0] = ord(".")
+    fraction[:, 1:3] = digits[:100, 2:]
+    return (
+        np.concatenate([digits, blank, lead]).view(np.uint32).reshape(-1),
+        top.view(np.uint32).reshape(-1),
+        fraction.view(np.uint32).reshape(-1),
+    )
+
+
+def pixels(values, sep):
+    """The text of "%.2f" % v for each value of a float64 array, as an
+    (n, w) uint8 matrix, one row per value: the characters, with NUL
+    bytes among them, and the byte sep last.  w is 16, or 8 when every
+    value lies in [0, 10**4), as chart pixels do, or more when a value of
+    magnitude 2**31 or more needs a wider row.
+
+    A finite double is m * 2**-s with an integer m < 2**53.  For s from 22
+    to 63 (|v| < 2**31), the hundredths q = m * 100 >> s, rounded half to
+    even by the exact remainder, are laid out from four-byte words: the
+    sign and the digits of q // 10**10, two groups of four digits, then
+    the point and the last two.  For s > 63 (|v| < 2**-11, subnormal or
+    zero) q is 0, and the same arithmetic at s = 63 gives it.  Values of
+    magnitude 2**31 or more, nan and the infinities are written by %, one
+    value at a time, from the first byte."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    bits = v.view(np.uint64)
+    e = bits >> _U64(52) & _EXPONENT
+    m = bits & _FRACTION
+    m |= _HIDDEN  # below 2**-11 q is 0 with or without it
+    m *= _U64(100)
+    s = np.maximum(e, _U64(1012))
+    np.minimum(s, _U64(1053), out=s)
+    np.subtract(_U64(1075), s, out=s)
+    # q = m >> s rounded half to even: 2**(s-1) - 1 is added before the
+    # shift, and 1 more where the truncated q is odd
+    q = m >> s
+    q &= _U64(1)
+    m += q
+    q = s - _U64(1)
+    m += (_U64(1) << q) - _U64(1)
+    np.right_shift(m, s, out=q)
+    del m, s
+
+    groups, top, fraction = _pixel_tables()
+    whole = q // _U64(100)
+    q -= whole * _U64(100)
+    hi = whole // _U64(10**8)
+    rest = whole - hi * _U64(10**8)
+    mid = rest // _U64(10**4)
+    rest -= mid * _U64(10**4)
+    words = np.empty((len(v), 4), dtype=np.uint32)
+    words[:, 0] = top.take(hi + (bits >> _U64(63)) * _U64(100))
+    mid += (hi == _U64(0)) * _U64(10000)  # no digit yet: leading zeros blank
+    words[:, 1] = groups.take(mid)
+    rest += (whole < _U64(10**4)) * _U64(20000)  # ... and 0 as "0"
+    words[:, 2] = groups.take(rest)
+    words[:, 3] = fraction.take(q)
+    wide = e > _U64(1053)  # |v| >= 2**31, nan, inf
+    if wide.any():
+        out = _with_wide_rows(words.view(np.uint8), v, np.flatnonzero(wide).tolist())
+    elif words[:, :2].any():
+        out = words.view(np.uint8)
+    else:  # all in [0, 10**4): the sign and top digits are NUL in every row
+        out = words[:, 2:].view(np.uint8)
+    out[:, -1] = ord(sep)
+    return out
+
+
+def _with_wide_rows(out, v, wide):
+    """out with the rows at wide overwritten by "%.2f" % v[i], widened
+    with NUL columns to fit the longest text and the separator."""
+    texts = [("%.2f" % float(v[i])).encode() for i in wide]
+    width = -(-(max(map(len, texts)) + 1) // 4) * 4
+    if width > out.shape[1]:
+        out = np.concatenate([out, np.zeros((len(out), width - out.shape[1]), dtype=np.uint8)], axis=1)
+    for i, text in zip(wide, texts):
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
 class DistinctFormatter:
     """Text of the blocks of one stream of values, each distinct value
-    formatted once.
+    formatted once; the CSV writer's cache of cells.
 
     fmt maps a non-empty float64 array to an array with one row per
     element, each row a function of its element's bits alone.  Called on

@@ -3,7 +3,9 @@
 One file, no external references: an axes box, tick labels, one polyline
 per series and a small legend.  Line styles follow the house convention
 for chemostat plots: feed dashed black, substrate dotted blue, biomass
-solid red.
+solid red.  Polyline points are written with two decimals, exactly as
+``"%.2f"`` would, from arrays (``formatting.pixels``), a block of points
+at a time.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import sys
 
 import numpy as np
 
+from . import formatting
 from .errors import UsageError
-from .formatting import DistinctFormatter
 
 WIDTH = 720
 HEIGHT = 420
@@ -26,39 +28,39 @@ STYLE_SUBSTRATE = ("blue", "2 4")
 STYLE_BIOMASS = ("red", None)
 
 
-# polyline points mapped and formatted at a time, to bound the temporary lists
-POINT_BLOCK = 1024
-
-
-def _pixel_text(p):
-    """Pixel coordinates with two decimals, as an object array of str."""
-    return np.array(list(map("%.2f".__mod__, p.tolist())), dtype=object)
+# polyline points mapped and formatted at a time: memory stays bounded by
+# the block whatever n is, and a block is large enough that numpy's
+# per-call cost is small beside its per-point cost
+POINT_BLOCK = 4096
 
 
 def _polyline_blocks(cleaned, sx, sy) -> list:
-    """For each series, the "x,y x,y ..." text of its points as one str per
-    POINT_BLOCK points, to be joined by spaces.  Block lo of every series
-    is mapped and formatted before block lo + POINT_BLOCK, so the x pixels
-    that the series share are formatted once per block, and each series
-    formats only the y pixels its block before did not."""
+    """For each series, the "x,y x,y ..." text of its points.  Block lo of
+    every series is mapped and formatted as one matrix of characters, an
+    x cell and a comma, a y cell and a space per point (formatting.pixels),
+    from which the NUL padding is dropped; a series whose x block holds
+    the same bits as the series before reuses that series' x cells."""
     texts = [[] for _ in cleaned]
-    x_formatter = DistinctFormatter(_pixel_text)
-    y_formatters = [DistinctFormatter(_pixel_text) for _ in cleaned]
     for lo in range(0, max(len(xs) for _, xs, _, _ in cleaned), POINT_BLOCK):
-        # sx/sy on an array do, per element, the float operations they do
-        # on one point, so the pixels are those of a per-point loop
-        mapped = [
-            (j, sx(xs[lo : lo + POINT_BLOCK]), sy(ys[lo : lo + POINT_BLOCK]))
-            for j, (_, xs, ys, _) in enumerate(cleaned)
-            if lo < len(xs)
-        ]
-        x_text = x_formatter(np.concatenate([px for _, px, _ in mapped])).tolist()
-        start = 0
-        for j, px, py in mapped:
-            y_text = y_formatters[j](py).tolist()
-            texts[j].append(" ".join(map(",".join, zip(x_text[start : start + len(px)], y_text))))
-            start += len(px)
-    return texts
+        xb = x_text = None
+        for j, (_, xs, ys, _) in enumerate(cleaned):
+            if lo >= len(xs):
+                continue
+            # sx/sy on an array do, per element, the float operations they
+            # do on one point, so the pixels are those of a per-point loop
+            block = xs[lo : lo + POINT_BLOCK]
+            if xb is None or not np.array_equal(block.view(np.int64), xb.view(np.int64)):
+                xb, x_text = block, formatting.pixels(sx(block), ",").view(np.uint32)
+            y_text = formatting.pixels(sy(ys[lo : lo + POINT_BLOCK]), " ").view(np.uint32)
+            # the matrix is written into a bytearray, so that its text is
+            # translated without a copy to bytes first
+            buf = bytearray(x_text.nbytes + y_text.nbytes)
+            rows = np.frombuffer(buf, dtype=np.uint32).reshape(len(y_text), -1)
+            np.concatenate([x_text, y_text], axis=1, out=rows)
+            texts[j].append(buf.translate(None, b"\0"))
+    for blocks in texts:
+        del blocks[-1][-1]  # the space after the last point
+    return [b"".join(blocks).decode() for blocks in texts]
 
 
 def _fmt(v: float) -> str:
@@ -70,10 +72,9 @@ def line_chart(title: str, series) -> str:
 
     Non-finite points are dropped per series; finite values up to the
     largest double stay inside the plot box.  Points are mapped and
-    formatted POINT_BLOCK at a time: a block formats the x pixels its
-    series share once, and the y pixels its series did not format in the
-    block before; the tables this keeps hold at most one block per series.
-    Raises UsageError when there is nothing to draw.
+    formatted POINT_BLOCK at a time, each block of a series as one matrix
+    of characters; series with the same x values in a block format them
+    once.  Raises UsageError when there is nothing to draw.
     """
     cleaned = []
     for label, xs, ys, style in series:
@@ -134,11 +135,11 @@ def line_chart(title: str, series) -> str:
             f'font-family="sans-serif" font-size="10">{_fmt(fy)}</text>'
         )
 
-    for (_, _, _, (color, dash)), blocks in zip(cleaned, _polyline_blocks(cleaned, sx, sy)):
+    for (_, _, _, (color, dash)), points in zip(cleaned, _polyline_blocks(cleaned, sx, sy)):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.4"{dash_attr} '
-            f'points="{" ".join(blocks)}"/>'
+            f'points="{points}"/>'
         )
 
     ly = MARGIN_T + 14

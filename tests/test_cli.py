@@ -20,7 +20,8 @@ from chemodde import (
     washout_periodic, washout_sequence,
 )
 from chemodde.cli import (
-    CSV_BLOCK_ROWS, COMMANDS, _simulation_bundle, build_parser, emit_csv, fig2_init, fig2_params, run,
+    CSV_BLOCK_ROWS, COMMANDS, _simulation_bundle, build_parser, emit_csv, emit_json, emit_svg, fig2_init,
+    fig2_params, run,
 )
 from chemodde.config import _KIND_KEYS, _KNOWN_KEYS
 from chemodde.formatting import DistinctFormatter
@@ -262,10 +263,12 @@ def _polyline_oracle(series):
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:
-        y_max = y_min + 1.0
+        y_max = y_min + max(1.0, abs(y_min) * 2.0**-52)
     pad = 0.05 * (y_max - y_min)
-    y_min -= pad
-    y_max += pad
+    # near DBL_MAX the padded range is clamped and the span taken at 1/8
+    y_min = max(y_min - pad, -svg.DBL_MAX)
+    y_max = min(y_max + pad, svg.DBL_MAX)
+    k = 1.0 if math.isfinite(4.0 * (y_max - y_min)) else 0.125
     plot_w = svg.WIDTH - svg.MARGIN_L - svg.MARGIN_R
     plot_h = svg.HEIGHT - svg.MARGIN_T - svg.MARGIN_B
 
@@ -273,7 +276,7 @@ def _polyline_oracle(series):
         return svg.MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
 
     def sy(y):
-        return svg.MARGIN_T + (y_max - y) / (y_max - y_min) * plot_h
+        return svg.MARGIN_T + (y_max * k - y * k) / (y_max * k - y_min * k) * plot_h
 
     return [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)) for xs, ys in cleaned]
 
@@ -469,6 +472,31 @@ def test_sliding_product_beyond_largest_double_is_inf(tmp_path):
     logs = prefix[t + 1] - prefix[t // 2]
     assert np.all(logs[overflow] > math.log(np.finfo(float).max))
     assert [math.exp(d) for d in logs[~overflow].tolist()] == stat[~overflow].tolist()
+
+
+def test_sliding_svg_matches_point_oracle(tmp_path):
+    # the inf products are dropped and the threshold is a constant series
+    cfg = tmp_path / "persistent.cfg"
+    cfg.write_text(SMALL_CFG.replace("model.E = 0.2", "model.E = 0.05")
+                   .replace("uptake.kind = linear\nuptake.slope = 0.4",
+                            "uptake.kind = monod\nuptake.p_max = 1\nuptake.k_s = 1"))
+    assert run(["sliding", "--config", str(cfg), "--horizon", "20000", "--svg", "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "sliding.csv")
+    t, stat = rows[:, 0], rows[:, 1]
+    assert np.isinf(stat).any()
+    series = [("product", t, stat, None), ("threshold 1", t, np.ones_like(stat), None)]
+    text = (tmp_path / "sliding.svg").read_text()
+    assert re.findall(r'points="([^"]*)"', text) == _polyline_oracle(series)
+
+
+def test_svg_and_json_files_are_their_text_in_utf8_with_lf(tmp_path):
+    title = "\u03c9-periodic orbit"  # not ASCII
+    series = [("y", np.arange(3.0), [1.0, 2.0, 0.5], svg.STYLE_BIOMASS)]
+    emit_svg(tmp_path / "a.svg", title, series)
+    assert (tmp_path / "a.svg").read_bytes() == svg.line_chart(title, series).encode("utf-8")
+    payload = {"title": title, "values": [1.5, None]}
+    emit_json(tmp_path / "a.json", payload)
+    assert (tmp_path / "a.json").read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 def test_allocation_failure_exits_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """formatting.cells against the cell-by-cell oracle, densely: random bit
 patterns, every power of two and of ten with its neighbours, and the
-boundaries of each layout and of the integer form."""
+boundaries of each layout and of the integer form; formatting.pixels
+against "%.2f" on ties, range edges and random values."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import chemodde
 from chemodde import formatting
-from chemodde.formatting import DistinctFormatter, cells
+from chemodde.formatting import DistinctFormatter, cells, pixels
 from test_cli import _format_cell
 
 CHUNK = 1 << 16
@@ -106,6 +107,42 @@ def test_subnormals_zeros_nans_and_infinities():
     assert _lines(np.array([-0.0, -np.nan, -np.inf, np.inf])) == ["0", "nan", "-inf", "inf"]
 
 
+def _assert_pixels_match_oracle(values, sep):
+    values = np.asarray(values, dtype=np.float64)
+    rows = pixels(values, sep)
+    assert len(rows) == len(values) and (rows[:, -1] == ord(sep)).all()
+    want = "".join("%.2f" % v + sep for v in values.tolist())
+    if rows.tobytes().translate(None, b"\0") != want.encode():
+        got = rows.tobytes().translate(None, b"\0").decode().split(sep)
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want.split(sep)) if g != w]
+        pytest.fail(f"{len(bad)} of {len(values)} pixels differ; first (value, got, oracle): {bad[:3]}")
+
+
+def test_pixels_match_percent_oracle():
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2**64, 1 << 14, dtype=np.uint64)
+    lanes = bits & np.uint64(0x800F_FFFF_FFFF_FFFF) | rng.integers(1012, 1054, len(bits)).astype(np.uint64) << np.uint64(52)
+    finite = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
+    eighths = np.arange(720 * 8 + 1) / 8  # 0.125, 0.375, ... are half-cent ties
+    edges = [2.0**-11, 2.0**31, 0.005, 0.015, 0.995, 9999.995, 99999999.995, 2147483647.995]
+    tiny = np.r_[rng.uniform(0, 0.005, 1 << 12), rng.integers(1, 2**52, 1 << 10, dtype=np.uint64).view(np.float64)]
+    huge = np.r_[np.ldexp(1.0, np.arange(31, 1024)), [float(f"1e{k}") for k in range(9, 309)]]
+    for sep in " ,":
+        _assert_pixels_match_oracle(_signed(rng.uniform(-1e3, 1e3, 1 << 16)), sep)
+        _assert_pixels_match_oracle(np.r_[lanes.view(np.float64), finite[: 1 << 11]], sep)
+        _assert_pixels_match_oracle(_signed(_neighbours(eighths)), sep)
+        _assert_pixels_match_oracle(_signed(_neighbours(np.r_[edges, tiny, 0.0], ulps=2)), sep)
+        _assert_pixels_match_oracle(_signed(_neighbours(huge)), sep)
+        _assert_pixels_match_oracle([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308], sep)
+
+
+def test_pixels_rows_widen_only_as_their_values_need():
+    assert pixels(np.array([0.0, 58.0, 9999.994]), ",").shape == (3, 8)  # no sign, no top digits
+    assert pixels(np.array([10000.0, 1.5]), ",").shape == (2, 16)
+    assert pixels(np.array([-0.0, 1.5]), ",").shape == (2, 16)
+    assert pixels(np.array([1e308]), ",").shape == (1, 4 * -(-(len("%.2f" % 1e308) + 1) // 4))
+
+
 def test_distinct_formatter_returns_rows_apart_from_its_table():
     # emit_csv writes its separators into the rows it gets back
     formatter = DistinctFormatter(cells)
@@ -127,15 +164,17 @@ def test_distinct_formatter_drops_a_table_that_saved_nothing():
 
 
 def test_import_computes_no_power_of_ten():
-    # the powers of ten and the layout tables are built by the first call
+    # the powers of ten and the layout tables of cells and of pixels are
+    # built by the first call
     src = str(Path(chemodde.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = (
         "import chemodde.cli, chemodde.formatting as f; "
-        "print(int(f._POW10_FILLED.sum()), int(f._POW10.any()), f._tables.cache_info().currsize)"
+        "print(int(f._POW10_FILLED.sum()), int(f._POW10.any()), f._tables.cache_info().currsize, "
+        "f._pixel_tables.cache_info().currsize)"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0", "0", "0", "0"]
     cells(np.array([1.5, 2.0**-1074, 1e300]))
     filled = formatting._POW10_FILLED
     assert 0 < filled.sum() < len(filled) and formatting._POW10[:, filled][0].all()
