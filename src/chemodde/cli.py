@@ -43,25 +43,26 @@ def emit_csv(path, names, columns) -> None:
     integral values below 1e15 in magnitude as integers, LF-terminated,
     locale-independent.  Rows are formatted and written CSV_BLOCK_ROWS at a
     time, all columns of a block in one pass, row by row, as one matrix of
-    characters (formatting.cells) into which the commas and newlines go and
-    from which the NUL padding is dropped.  In a file of more than one
-    block, a block formats only the values that it, or the block before,
-    did not already format (formatting.DistinctFormatter), so memory stays
-    bounded by the block whatever n is."""
+    characters into which the commas and newlines go and from which the NUL
+    padding is dropped.  Each block formats its own distinct values once
+    (formatting.cells on np.unique of their bits, so -0.0 and each nan
+    payload keep their own text) and gathers the text back in order; no
+    state is kept from one block to the next, so memory stays bounded by
+    the block whatever n is."""
     columns = [np.asarray(c) for c in columns]
     if len(names) != len(columns) or not columns:
         raise UsageError("emit_csv needs one name per column")
     n = len(columns[0])
     if n == 0 or any(len(c) != n for c in columns):
         raise UsageError("emit_csv needs non-empty columns of equal length")
-    # a file of one block has no next block to reuse its text: it is
-    # formatted whole, without the formatter's sort and table
-    fmt = formatting.cells if n <= CSV_BLOCK_ROWS else formatting.DistinctFormatter(formatting.cells)
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
         for lo in range(0, n, CSV_BLOCK_ROWS):
             block = np.stack([c[lo : lo + CSV_BLOCK_ROWS].astype(float) for c in columns], axis=1)
-            text = fmt(block.reshape(-1)).reshape(len(block), len(columns), -1)
+            keys, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
+            # numpy 2.0.0 returns inverse in the shape of its input
+            text = np.take(formatting.cells(keys.view(np.float64)), inverse.reshape(-1), axis=0)
+            text = text.reshape(len(block), len(columns), -1)
             text[:, :, -1] = ord(",")  # the last byte of a cell is always NUL
             text[:, -1, -1] = ord("\n")
             fh.write(text.tobytes().translate(None, b"\0"))

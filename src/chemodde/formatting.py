@@ -1,5 +1,5 @@
-"""Text of float blocks: exact shortest round-trip cells, each distinct
-value formatted once, and exact two-decimal pixel coordinates.
+"""Text of float arrays: exact shortest round-trip cells and exact
+two-decimal pixel coordinates.
 
 ``cells`` writes a float64 array as a matrix of characters, one row of 48
 bytes per value, holding exactly the text of ``str(int(v))`` for a finite
@@ -23,15 +23,6 @@ the exact integer quotient of the double's significand times 100 by its
 power of two, found on uint64 lanes, and they are laid out through tables
 of four-digit groups built on the first call.  Larger values, nan and the
 infinities are left to ``%``, one value at a time.
-
-The CSV writer formats its output a bounded block of values at a time.
-Under a periodic or converging feed most values repeat, inside a block
-and from one block to the next, so a ``DistinctFormatter`` formats each
-distinct value of a block once, reuses the text of the values that the
-previous block formatted, and gathers the text back in order through the
-inverse of ``np.unique``.  Values are told apart by their bits, so the
-text is the same, byte for byte, as formatting every value on its own,
-whatever the formatter does with -0.0 or nan.
 """
 
 from __future__ import annotations
@@ -407,45 +398,3 @@ def _with_wide_rows(out, v, wide):
         out[i] = 0
         out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
     return out
-
-
-class DistinctFormatter:
-    """Text of the blocks of one stream of values, each distinct value
-    formatted once; the CSV writer's cache of cells.
-
-    fmt maps a non-empty float64 array to an array with one row per
-    element, each row a function of its element's bits alone.  Called on
-    blocks in order, the formatter returns fmt's rows for each block, as a
-    new array, but calls fmt only on the distinct values of a block that
-    the block before did not hold: it keeps that block's distinct values
-    and their rows, a table no larger than the block, when the block
-    repeated a value.  A block of all-distinct values with no table before
-    it is passed to fmt whole and leaves no table, so it costs one sort
-    more than fmt alone.
-    """
-
-    def __init__(self, fmt):
-        self.fmt = fmt
-        self.table = None
-
-    def __call__(self, values):
-        keys = values.view(np.int64)
-        if self.table is None:
-            ordered = np.sort(keys)
-            if not (ordered[1:] == ordered[:-1]).any():
-                return self.fmt(values)
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        if self.table is None:
-            texts, old = self.fmt(distinct.view(np.float64)), np.zeros(len(distinct), dtype=bool)
-        else:
-            known, known_texts = self.table
-            self.table = None
-            at = np.searchsorted(known, distinct).clip(max=len(known) - 1)
-            old = known[at] == distinct
-            texts = np.take(known_texts, at, axis=0)
-            del known, known_texts, at  # the previous block's table goes here
-            if not old.all():
-                texts[~old] = self.fmt(distinct[~old].view(np.float64))
-        if len(distinct) < len(keys) or old.any():
-            self.table = (distinct, texts)
-        return np.take(texts, inverse.reshape(-1), axis=0)

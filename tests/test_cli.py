@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from chemodde import (
-    ChemostatParams, Constant, Monod, UsageError, periodic_phi, phi_sequence, svg,
+    ChemostatParams, Constant, Monod, UsageError, formatting, periodic_phi, phi_sequence, svg,
     washout_periodic, washout_sequence,
 )
 from chemodde.cli import (
@@ -24,7 +24,6 @@ from chemodde.cli import (
     fig2_params, run,
 )
 from chemodde.config import _KIND_KEYS, _KNOWN_KEYS
-from chemodde.formatting import DistinctFormatter
 
 FIG2_CFG = """
 schema = 1
@@ -183,7 +182,8 @@ def test_emit_csv_peak_memory_does_not_grow_with_rows(tmp_path):
 
 
 def test_emit_csv_peak_memory_does_not_grow_with_repeating_columns(tmp_path):
-    # columns that repeat keep a DistinctFormatter table from block to block
+    # columns that repeat inside a block, and values that recur in every
+    # block, are formatted once a block and gathered through np.unique
     def peak(n):
         t = np.arange(n)
         periodic = np.resize(np.sin(2 * np.pi * np.arange(500) / 500), n)  # as a feed repeats
@@ -213,8 +213,9 @@ def _periodic(period, n):
     pytest.param(np.tile([1e15, math.nextafter(1e15, 0.0), math.nextafter(1e15, 2e15),
                           -1e15, math.nextafter(-1e15, 0.0)], B), id="1e15 neighbours"),
     pytest.param(np.r_[np.arange(B), np.arange(B) % 7, np.arange(B) + 0.5], id="distinct then repeating"),
+    pytest.param(np.resize([0.0, -0.0, np.nan, -np.nan, 1e-310, 0.5, 1e-310], B), id="signed zeros, nans, subnormals"),
 ])
-def test_emit_csv_reuses_cells_across_blocks_like_the_cell_oracle(tmp_path, column):
+def test_emit_csv_reuses_cells_inside_a_block_like_the_cell_oracle(tmp_path, column):
     # the column and its reverse, beside an all-distinct time axis
     columns = [np.arange(len(column)), column, column[::-1].copy()]
     emit_csv(tmp_path / "t.csv", ["t", "a", "b"], columns)
@@ -224,26 +225,25 @@ def test_emit_csv_reuses_cells_across_blocks_like_the_cell_oracle(tmp_path, colu
         assert line.split(",") == [_format_cell(c[i]) for c in columns]
 
 
-def test_distinct_formatter_formats_only_values_its_column_has_not():
-    formatted = []
+def test_emit_csv_formats_the_distinct_values_of_each_block_once(tmp_path, monkeypatch):
+    cells, formatted = formatting.cells, []
 
-    def fmt(values):
-        formatted.extend(values.tolist())
-        return np.array([repr(v) for v in values.tolist()], dtype=object)
+    def counting_cells(values):
+        formatted.append(values.copy())
+        return cells(values)
 
-    column = _periodic(500, 3 * B)
-    formatter = DistinctFormatter(fmt)
-    for lo in range(0, len(column), B):
-        block = column[lo : lo + B]
-        assert formatter(block).tolist() == [repr(v) for v in block.tolist()]
-        assert formatter.table is not None and len(formatter.table[0]) <= B
-    assert sorted(formatted) == sorted(set(column.tolist()))
-
-    formatted.clear()
-    distinct = np.arange(B, dtype=float)
-    formatter = DistinctFormatter(fmt)
-    assert formatter(distinct).tolist() == [repr(v) for v in distinct.tolist()]
-    assert formatted == distinct.tolist() and formatter.table is None  # passed whole
+    monkeypatch.setattr(formatting, "cells", counting_cells)
+    column = _periodic(500, 3 * B + 7)
+    columns = [np.arange(len(column)) % 3, column, np.full(len(column), -0.0)]
+    emit_csv(tmp_path / "t.csv", ["t", "a", "z"], columns)
+    assert len(formatted) == 4
+    for lo, values in zip(range(0, len(column), B), formatted):
+        block = np.stack([c[lo : lo + B].astype(float) for c in columns], axis=1)
+        assert values.view(np.int64).tolist() == np.unique(block.view(np.int64)).tolist()
+    lines = (tmp_path / "t.csv").read_text().split("\n")
+    assert len(lines) == len(column) + 2 and lines[-1] == ""
+    for i, line in enumerate(lines[1:-1]):
+        assert line.split(",") == [_format_cell(c[i]) for c in columns]
 
 
 def _polyline_oracle(series):

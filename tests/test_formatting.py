@@ -13,7 +13,7 @@ import pytest
 
 import chemodde
 from chemodde import formatting
-from chemodde.formatting import DistinctFormatter, cells, pixels
+from chemodde.formatting import cells, pixels
 from test_cli import _format_cell
 
 CHUNK = 1 << 16
@@ -141,26 +141,6 @@ def test_pixels_rows_widen_only_as_their_values_need():
     assert pixels(np.array([10000.0, 1.5]), ",").shape == (2, 16)
     assert pixels(np.array([-0.0, 1.5]), ",").shape == (2, 16)
     assert pixels(np.array([1e308]), ",").shape == (1, 4 * -(-(len("%.2f" % 1e308) + 1) // 4))
-
-
-def test_distinct_formatter_returns_rows_apart_from_its_table():
-    # emit_csv writes its separators into the rows it gets back
-    formatter = DistinctFormatter(cells)
-    block = np.resize([0.5, 1.0, -2.5e-300], 1024)
-    for _ in range(3):
-        rows = formatter(block)
-        assert formatter.table is not None
-        assert _text(rows) == list(map(_format_cell, block.tolist()))
-        rows[:] = ord(",")
-
-
-def test_distinct_formatter_drops_a_table_that_saved_nothing():
-    formatter = DistinctFormatter(cells)
-    formatter(np.r_[np.arange(1023.0), 0.0])  # a repeat: a table is kept
-    assert formatter.table is not None
-    fresh = np.arange(5000.0, 6024.0)  # nothing repeated, nothing known
-    assert _text(formatter(fresh)) == list(map(_format_cell, fresh.tolist()))
-    assert formatter.table is None
 
 
 def test_import_computes_no_power_of_ten():
