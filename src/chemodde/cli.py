@@ -141,6 +141,12 @@ def _horizon(cfg: RunConfig) -> int:
     return cfg.horizon if cfg.horizon is not None else DEFAULT_HORIZON
 
 
+def _given(**options):
+    """The options that the config or a flag set, so that the library's
+    defaults apply to the rest."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _feed(params, t):
     """The feed s0 at the consecutive integer times t, as a column."""
     return params.input.sample(int(t[0]), int(t[-1]))
@@ -261,10 +267,7 @@ def _cmd_sliding(args) -> int:
 def _cmd_classify(args) -> int:
     cfg = _load(args)
     report = analysis.classify(
-        cfg.params,
-        horizon=_horizon(cfg),
-        window_min=cfg.window_min,
-        tol=1e-12 if cfg.tol is None else cfg.tol,
+        cfg.params, horizon=_horizon(cfg), **_given(window_min=cfg.window_min, tol=cfg.tol)
     )
     out = _out_dir(args)
     emit_json(out / "classify.json", {
@@ -289,12 +292,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_periodic(args) -> int:
     cfg = _load(args)
-    init = _need_init(cfg)
     result = analysis.find_periodic_orbit(
-        cfg.params,
-        init,
-        tol=1e-9 if cfg.tol is None else cfg.tol,
-        max_periods=args.max_periods,
+        cfg.params, _need_init(cfg), **_given(tol=cfg.tol, max_periods=args.max_periods)
     )
     out = _out_dir(args)
     if isinstance(result, analysis.WashoutConvergence):
@@ -451,7 +450,7 @@ _FLAGS = {
     "--horizon": dict(type=int, help="steps past time 0"),
     "--tol": dict(type=float, help="tolerance override"),
     "--svg": dict(action="store_true", help="also write SVG charts"),
-    "--max-periods": dict(type=int, default=400),
+    "--max-periods": dict(type=int),
     "--E": dict(type=float, default=0.5),
     "--r": dict(type=int, default=0),
     "--n-max": dict(type=int, default=5),

@@ -17,12 +17,13 @@ Digits are laid out through small tables of four-digit groups and of row
 templates, built on the first call.  Subnormal values are left to ``repr``,
 one value at a time, and so are nan and the infinities.
 
-``pixels`` writes the SVG coordinates the same way, as exactly the text of
-``"%.2f" % v``: for |v| < 2**31 the hundredths, rounded half to even, are
-the exact integer quotient of the double's significand times 100 by its
-power of two, found on uint64 lanes, and they are laid out through tables
-of four-digit groups built on the first call.  Larger values, nan and the
-infinities are left to ``%``, one value at a time.
+``pixels`` writes chart coordinates, positions in an SVG plot box, as
+exactly the text of ``"%.2f" % v`` for v in [0, 9999.995): the
+hundredths, rounded half to even, are the exact integer quotient of the
+double's significand times 100 by its power of two, found on uint64
+lanes, and laid out through tables of the whole part and of the
+fraction built on the first call.  Any other value (negative, ``-0.0``,
+nan, infinite or 9999.995 and up) is refused with UsageError.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import UsageError
 
 # numpy 1.x turns uint64 mixed with int64 or a negative Python int into
 # float64, so the lane arithmetic below uses uint64 scalars throughout
@@ -40,6 +43,7 @@ _FRACTION = _U64(2**52 - 1)
 _HIDDEN = _U64(2**52)
 _EXPONENT = _U64(0x7FF)
 _ONE_BITS = _U64(0x3FF0_0000_0000_0000)  # stands in for lanes Schubfach skips
+_TEN_THOUSAND = _U64(0x40C3_8800_0000_0000)  # the bits of 1e4
 
 # For e = -k in [-325, 325], at column e + 325: g = floor(10**e * 2**(125 -
 # floor(e * log2(10)))) + 1, a 126-bit overestimate of the power of ten,
@@ -301,56 +305,35 @@ def cells(values):
 def _pixel_tables():
     """The layout tables of pixels, as uint32 words of 4 bytes.
 
-    groups: the four digits of 0..9999 with their leading zeros (0-9999);
-    with the zeros before the first non-zero digit as NUL and 0 all NUL
-    (10000-19999); the same with 0 as "0" (20000-29999).
-    top: a sign or NUL, a NUL and the digits of 0..99 without leading
-    zeros (0 all NUL), plus 100 if negative.
+    whole: the digits of 0..9999 without leading zeros, NUL before them.
     fraction: the point and the two digits of 0..99, then a NUL."""
-    pairs = [b"%02d" % i for i in range(100)]
-    digits = np.frombuffer(b"".join(a + b for a in pairs for b in pairs), dtype=np.uint8).reshape(10000, 4)
-    lead = digits.copy()
-    lead[:1000, 0] = 0
-    lead[:100, 1] = 0
-    lead[:10, 2] = 0
-    blank = lead.copy()
-    blank[0] = 0
-    top = np.zeros((2, 100, 4), dtype=np.uint8)
-    top[:, :, 2:] = blank[:100, 2:]
-    top[1, :, 0] = ord("-")
-    fraction = np.zeros((100, 4), dtype=np.uint8)
-    fraction[:, 0] = ord(".")
-    fraction[:, 1:3] = digits[:100, 2:]
-    return (
-        np.concatenate([digits, blank, lead]).view(np.uint32).reshape(-1),
-        top.view(np.uint32).reshape(-1),
-        fraction.view(np.uint32).reshape(-1),
-    )
+    whole = "".join(str(i).rjust(4, "\0") for i in range(10000)).encode()
+    fraction = "".join(f".{i:02d}\0" for i in range(100)).encode()
+    return np.frombuffer(whole, dtype=np.uint32), np.frombuffer(fraction, dtype=np.uint32)
 
 
 def pixels(values, sep):
-    """The text of "%.2f" % v for each value of a float64 array, as an
-    (n, w) uint8 matrix, one row per value: the characters, with NUL
-    bytes among them, and the byte sep last.  w is 16, or 8 when every
-    value lies in [0, 10**4), as chart pixels do, or more when a value of
-    magnitude 2**31 or more needs a wider row.
+    """The text of "%.2f" % v for each value of a float64 array of chart
+    coordinates, v in [0, 9999.995), as an (n, 8) uint8 matrix, one row
+    per value: the digits before the point, NUL before them, then the
+    point, two digits and the byte sep.  Raises UsageError, naming the
+    first, if a value lies outside that range (-0.0, nan and the
+    infinities included).
 
-    A finite double is m * 2**-s with an integer m < 2**53.  For s from 22
-    to 63 (|v| < 2**31), the hundredths q = m * 100 >> s, rounded half to
-    even by the exact remainder, are laid out from four-byte words: the
-    sign and the digits of q // 10**10, two groups of four digits, then
-    the point and the last two.  For s > 63 (|v| < 2**-11, subnormal or
-    zero) q is 0, and the same arithmetic at s = 63 gives it.  Values of
-    magnitude 2**31 or more, nan and the infinities are written by %, one
-    value at a time, from the first byte."""
+    A double in the range is m * 2**-s with an integer m < 2**53 and s from
+    39 (below 10**4) up; the hundredths q = m * 100 >> s, rounded half to
+    even by the exact remainder, are found on uint64 lanes.  For s > 63
+    (v < 2**-11, subnormal or zero) q is 0, and the same arithmetic at
+    s = 63 gives it."""
     v = np.ascontiguousarray(values, dtype=np.float64)
     bits = v.view(np.uint64)
-    e = bits >> _U64(52) & _EXPONENT
+    ok = bits < _TEN_THOUSAND  # not negative, -0.0, nan or infinite either
     m = bits & _FRACTION
     m |= _HIDDEN  # below 2**-11 q is 0 with or without it
     m *= _U64(100)
-    s = np.maximum(e, _U64(1012))
-    np.minimum(s, _U64(1053), out=s)
+    s = bits >> _U64(52)
+    np.maximum(s, _U64(1012), out=s)
+    np.minimum(s, _U64(1036), out=s)  # lanes outside the range, rejected below
     np.subtract(_U64(1075), s, out=s)
     # q = m >> s rounded half to even: 2**(s-1) - 1 is added before the
     # shift, and 1 more where the truncated q is odd
@@ -361,40 +344,16 @@ def pixels(values, sep):
     m += (_U64(1) << q) - _U64(1)
     np.right_shift(m, s, out=q)
     del m, s
+    ok &= q < _U64(10**6)  # 9999.995 and above round to 10000.00
+    if not ok.all():
+        raise UsageError(f"chart coordinate {float(v[np.argmin(ok)])!r} is outside [0, 9999.995)")
 
-    groups, top, fraction = _pixel_tables()
-    whole = q // _U64(100)
-    q -= whole * _U64(100)
-    hi = whole // _U64(10**8)
-    rest = whole - hi * _U64(10**8)
-    mid = rest // _U64(10**4)
-    rest -= mid * _U64(10**4)
-    words = np.empty((len(v), 4), dtype=np.uint32)
-    words[:, 0] = top.take(hi + (bits >> _U64(63)) * _U64(100))
-    mid += (hi == _U64(0)) * _U64(10000)  # no digit yet: leading zeros blank
-    words[:, 1] = groups.take(mid)
-    rest += (whole < _U64(10**4)) * _U64(20000)  # ... and 0 as "0"
-    words[:, 2] = groups.take(rest)
-    words[:, 3] = fraction.take(q)
-    wide = e > _U64(1053)  # |v| >= 2**31, nan, inf
-    if wide.any():
-        out = _with_wide_rows(words.view(np.uint8), v, np.flatnonzero(wide).tolist())
-    elif words[:, :2].any():
-        out = words.view(np.uint8)
-    else:  # all in [0, 10**4): the sign and top digits are NUL in every row
-        out = words[:, 2:].view(np.uint8)
+    whole, fraction = _pixel_tables()
+    units = q // _U64(100)
+    q -= units * _U64(100)
+    words = np.empty((len(v), 2), dtype=np.uint32)
+    words[:, 0] = whole.take(units)
+    words[:, 1] = fraction.take(q)
+    out = words.view(np.uint8)
     out[:, -1] = ord(sep)
-    return out
-
-
-def _with_wide_rows(out, v, wide):
-    """out with the rows at wide overwritten by "%.2f" % v[i], widened
-    with NUL columns to fit the longest text and the separator."""
-    texts = [("%.2f" % float(v[i])).encode() for i in wide]
-    width = -(-(max(map(len, texts)) + 1) // 4) * 4
-    if width > out.shape[1]:
-        out = np.concatenate([out, np.zeros((len(out), width - out.shape[1]), dtype=np.uint8)], axis=1)
-    for i, text in zip(wide, texts):
-        out[i] = 0
-        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
     return out

@@ -3,9 +3,9 @@
 One file, no external references: an axes box, tick labels, one polyline
 per series and a small legend.  Line styles follow the house convention
 for chemostat plots: feed dashed black, substrate dotted blue, biomass
-solid red.  Polyline points are written with two decimals, exactly as
-``"%.2f"`` would, from arrays (``formatting.pixels``), a block of points
-at a time.
+solid red.  Points are written as ``"%.2f"`` of their plot-box positions,
+from arrays (``formatting.pixels``), a block at a time; both axes keep a
+finite range near the largest double and widen an empty one (``_axis``).
 """
 
 from __future__ import annotations
@@ -63,6 +63,25 @@ def _polyline_blocks(cleaned, sx, sy) -> list:
     return [b"".join(blocks).decode() for blocks in texts]
 
 
+def _axis(lo, hi, pad):
+    """(a, b, k, ticks) of an axis whose data run from lo to hi: v lies at
+    (v * k - a) / (b - a) along it, and ticks are the values at its
+    quarters.  An empty range is widened by 1.0, or by about an ulp where
+    that rounds back to lo (|lo| >= 2**53), downwards at the top of the
+    doubles; the range is padded by pad times its span and clamped to
+    finite values, and k = 1/8 where four times the span overflows.  On
+    ordinary ranges the clamp and k = 1 are exact no-ops."""
+    if hi == lo:
+        w = max(1.0, abs(lo) * 2.0**-52)
+        lo, hi = (lo, lo + w) if lo + w <= DBL_MAX else (lo - w, lo)
+    if pad:
+        pad *= hi - lo
+        lo, hi = max(lo - pad, -DBL_MAX), min(hi + pad, DBL_MAX)
+    k = 1.0 if math.isfinite(4.0 * (hi - lo)) else 0.125
+    a, b = lo * k, hi * k
+    return a, b, k, [min((a + (b - a) * i / 4) / k, DBL_MAX) for i in range(5)]
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -70,11 +89,13 @@ def _fmt(v: float) -> str:
 def line_chart(title: str, series) -> str:
     """Render series = [(label, xs, ys, (color, dasharray)), ...] to SVG text.
 
-    Non-finite points are dropped per series; finite values up to the
-    largest double stay inside the plot box.  Points are mapped and
-    formatted POINT_BLOCK at a time, each block of a series as one matrix
-    of characters; series with the same x values in a block format them
-    once.  Raises UsageError when there is nothing to draw.
+    Non-finite points are dropped per series.  x and y follow one axis
+    rule (_axis, y padded by 5%): a point's coordinates are "%.2f" of its
+    position in the plot box, inside it for any finite values, and tick
+    labels are finite.  Points are mapped and formatted POINT_BLOCK at a
+    time, each block of a series as one matrix of characters; series with
+    the same x values in a block format them once.  Raises UsageError when
+    there is nothing to draw.
     """
     cleaned = []
     for label, xs, ys, style in series:
@@ -86,32 +107,20 @@ def line_chart(title: str, series) -> str:
     if not cleaned:
         raise UsageError("nothing to plot: all series are empty or non-finite")
 
-    x_min = min(float(xs.min()) for _, xs, _, _ in cleaned)
-    x_max = max(float(xs.max()) for _, xs, _, _ in cleaned)
-    y_min = min(float(ys.min()) for _, _, ys, _ in cleaned)
-    y_max = max(float(ys.max()) for _, _, ys, _ in cleaned)
-    if x_max == x_min:
-        x_max = x_min + 1.0
-    if y_max == y_min:
-        # 1.0, or one ulp where adding 1.0 rounds back to y_min (|y| >= 2**53)
-        y_max = y_min + max(1.0, abs(y_min) * 2.0**-52)
-    # Near DBL_MAX the padded range is clamped to finite values and the
-    # mapping works at scale k = 1/8, where four times the span stays
-    # finite; on ordinary ranges both are exact no-ops (k = 1).
-    pad = 0.05 * (y_max - y_min)
-    y_min = max(y_min - pad, -DBL_MAX)
-    y_max = min(y_max + pad, DBL_MAX)
-    k = 1.0 if math.isfinite(4.0 * (y_max - y_min)) else 0.125
-    top, span = y_max * k, y_max * k - y_min * k
-
+    x0, x1, kx, x_ticks = _axis(
+        min(float(xs.min()) for _, xs, _, _ in cleaned), max(float(xs.max()) for _, xs, _, _ in cleaned), 0.0
+    )
+    y0, y1, ky, y_ticks = _axis(
+        min(float(ys.min()) for _, _, ys, _ in cleaned), max(float(ys.max()) for _, _, ys, _ in cleaned), 0.05
+    )
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def sx(x):
-        return MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
+        return MARGIN_L + (x * kx - x0) / (x1 - x0) * plot_w
 
     def sy(y):
-        return MARGIN_T + (top - y * k) / span * plot_h
+        return MARGIN_T + (y1 - y * ky) / (y1 - y0) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -123,9 +132,7 @@ def line_chart(title: str, series) -> str:
         f'fill="none" stroke="#444" stroke-width="1"/>',
     ]
 
-    for i in range(5):
-        fx = x_min + (x_max - x_min) * i / 4
-        fy = min((y_min * k + span * i / 4) / k, DBL_MAX)
+    for fx, fy in zip(x_ticks, y_ticks):
         out.append(
             f'<text x="{sx(fx):.1f}" y="{HEIGHT - MARGIN_B + 16:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10">{_fmt(fx)}</text>'

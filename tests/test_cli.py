@@ -246,9 +246,23 @@ def test_emit_csv_formats_the_distinct_values_of_each_block_once(tmp_path, monke
         assert line.split(",") == [_format_cell(c[i]) for c in columns]
 
 
+def _oracle_axis(lo, hi, pad):
+    """The span (a, b) and scale k of one chart axis: an empty range widened
+    by 1.0 (by about an ulp at |lo| >= 2**53, downwards at the top of the
+    doubles), padded by pad times the span, clamped to finite values and
+    taken at 1/8 where four times the span overflows."""
+    if hi == lo:
+        w = max(1.0, abs(lo) * 2.0**-52)
+        lo, hi = (lo, lo + w) if math.isfinite(lo + w) else (lo - w, lo)
+    if pad:
+        lo, hi = max(lo - pad * (hi - lo), -svg.DBL_MAX), min(hi + pad * (hi - lo), svg.DBL_MAX)
+    k = 1.0 if math.isfinite(4.0 * (hi - lo)) else 0.125
+    return lo * k, hi * k, k
+
+
 def _polyline_oracle(series):
     """The points of each drawn series, mapped and formatted one point at a
-    time as line_chart did before it worked on whole arrays."""
+    time with "%.2f", as line_chart did before it worked on whole arrays."""
     cleaned = []
     for _, xs, ys, _ in series:
         xs = np.asarray(xs, dtype=float)
@@ -256,32 +270,26 @@ def _polyline_oracle(series):
         keep = np.isfinite(xs) & np.isfinite(ys)
         if keep.any():
             cleaned.append((xs[keep], ys[keep]))
-    x_min = min(float(xs.min()) for xs, _ in cleaned)
-    x_max = max(float(xs.max()) for xs, _ in cleaned)
-    y_min = min(float(ys.min()) for _, ys in cleaned)
-    y_max = max(float(ys.max()) for _, ys in cleaned)
-    if x_max == x_min:
-        x_max = x_min + 1.0
-    if y_max == y_min:
-        y_max = y_min + max(1.0, abs(y_min) * 2.0**-52)
-    pad = 0.05 * (y_max - y_min)
-    # near DBL_MAX the padded range is clamped and the span taken at 1/8
-    y_min = max(y_min - pad, -svg.DBL_MAX)
-    y_max = min(y_max + pad, svg.DBL_MAX)
-    k = 1.0 if math.isfinite(4.0 * (y_max - y_min)) else 0.125
+    all_x, all_y = (np.concatenate(column) for column in zip(*cleaned))
+    x0, x1, kx = _oracle_axis(float(all_x.min()), float(all_x.max()), 0.0)
+    y0, y1, ky = _oracle_axis(float(all_y.min()), float(all_y.max()), 0.05)
     plot_w = svg.WIDTH - svg.MARGIN_L - svg.MARGIN_R
     plot_h = svg.HEIGHT - svg.MARGIN_T - svg.MARGIN_B
 
     def sx(x):
-        return svg.MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
+        return svg.MARGIN_L + (x * kx - x0) / (x1 - x0) * plot_w
 
     def sy(y):
-        return svg.MARGIN_T + (y_max * k - y * k) / (y_max * k - y_min * k) * plot_h
+        return svg.MARGIN_T + (y1 - y * ky) / (y1 - y0) * plot_h
 
-    return [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)) for xs, ys in cleaned]
+    return [
+        " ".join("%.2f,%.2f" % (sx(x), sy(y)) for x, y in zip(xs.tolist(), ys.tolist())) for xs, ys in cleaned
+    ]
 
 
-FINITE = st.floats(-1e6, 1e6)
+# mostly moderate values, sometimes any finite double: near DBL_MAX the
+# spans overflow unless the axes guard them
+FINITE = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
@@ -325,22 +333,34 @@ def test_line_chart_points_match_point_oracle(series):
     assert re.findall(r'points="([^"]*)"', text) == _polyline_oracle(series)
 
 
+# ranges whose span or ticks overflow, or which adding 1.0 leaves empty; a
+# constant DBL_MAX can only be widened downwards
+NEAR_DBL_MAX = [
+    [0.0, 1e308, 1.7e308], [-1.7e308, 1.7e308], [1.7e308] * 2, [1e20, 1e20], [0.0, 1.7e308], [svg.DBL_MAX] * 2
+]
+
+
 @pytest.mark.parametrize(
-    "ys", [[0.0, 1e308, 1.7e308], [-1.7e308, 1.7e308], [1.7e308, 1.7e308], [1e20, 1e20]]
+    "axis, values", [pytest.param(a, v, id=f"{a}s{i}") for a in "yx" for i, v in enumerate(NEAR_DBL_MAX)]
 )
-def test_line_chart_near_dbl_max_stays_in_the_plot_box(ys):
-    # the padded range y_max + 0.05*(y_max - y_min) used to overflow, making
-    # every y coordinate nan; a constant 1e20 divided by a zero span
+def test_line_chart_near_dbl_max_stays_in_the_plot_box(axis, values):
+    # spans and ticks near DBL_MAX used to overflow, writing nan coordinates
+    # and inf ticks; a constant 1e20 plus 1.0 is 1e20, a zero span
+    values = np.array(values)
+    xs, ys = (values, np.arange(len(values)) + 0.0)[:: 1 if axis == "x" else -1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = svg.line_chart("t", [("y", np.arange(len(ys)), ys, svg.STYLE_BIOMASS)])
+        text = svg.line_chart("t", [("v", xs, ys, svg.STYLE_BIOMASS)])
     assert "nan" not in text and "inf" not in text
     (points,) = re.findall(r'points="([^"]*)"', text)
+    assert points == _polyline_oracle([("v", xs, ys, None)])[0]
     px, py = np.array([p.split(",") for p in points.split()], dtype=float).T
     assert np.all((svg.MARGIN_L <= px) & (px <= svg.WIDTH - svg.MARGIN_R))
     assert np.all((svg.MARGIN_T <= py) & (py <= svg.HEIGHT - svg.MARGIN_B))
-    if ys[0] != ys[-1]:
-        assert py[0] > py[-1]  # the larger value is drawn higher
+    if values[0] != values[-1]:  # the larger value is drawn further right or higher
+        assert px[0] < px[-1] if axis == "x" else py[0] > py[-1]
+    ticks = [float(t) for t in re.findall(r'font-size="10">([^<]*)<', text)]
+    assert len(ticks) == 10 and all(map(math.isfinite, ticks))
 
 
 # ---------------------------------------------------------------------------
