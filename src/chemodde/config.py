@@ -128,7 +128,11 @@ def _as_floats(key, value):
     parts = value.replace(",", " ").split()
     if not parts:
         raise ParameterError(f"{key}: expected a list of numbers")
-    return [_as_float(key, p) for p in parts]
+    try:
+        return list(map(float, parts))
+    except ValueError:
+        # rescan to name the first bad token
+        return [_as_float(key, p) for p in parts]
 
 
 def _as_bool(key, value):

@@ -53,17 +53,21 @@ def _integrate(params, s, x, ps, feed):
     sampled s0 from the current last time on.
 
     Lists are indexed so that position i holds time i - r; ps caches p(s).
+    The latest s, x and p(s) are carried in locals; x and p(s) r steps
+    back are read at position j.
     """
     E, r = params.E, params.r
     omE = 1.0 - E
     fac = omE ** (r + 1)
     p = params.uptake.evaluate
-    for i, s0 in enumerate(feed, len(s) - 1):
-        s_next = E * s0 + omE * (s[i] - x[i] * ps[i])
-        x_next = omE * x[i] + x[i - r] * ps[i - r] * fac
-        s.append(s_next)
-        x.append(x_next)
-        ps.append(p(s_next))
+    s_t, x_t, p_t = s[-1], x[-1], ps[-1]
+    s_append, x_append, ps_append = s.append, x.append, ps.append
+    for j, s0 in enumerate(feed, len(s) - 1 - r):
+        s_t, x_t = E * s0 + omE * (s_t - x_t * p_t), omE * x_t + x[j] * ps[j] * fac
+        p_t = p(s_t)
+        s_append(s_t)
+        x_append(x_t)
+        ps_append(p_t)
 
 
 def _initial_state(params, init):

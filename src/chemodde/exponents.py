@@ -156,13 +156,15 @@ def phi_sequence(
     pz_arr = params.uptake.evaluate(z.window(-r, horizon))
     pz = pz_arr.tolist()  # index t: p(z[t - r])
 
-    n = horizon + 2 * r + 1  # log c on [-r, horizon + r]
-    log_c = np.empty(n)
-    log_c[: r + 1] = math.log(c_seed)
-    for t in range(0, horizon + r):
-        i = t + r
-        ratio = math.exp(log_c[i - r] - log_c[i]) * omE_r
-        log_c[i + 1] = log_c[i] + lomE + math.log1p(pz[t] * ratio)
+    # log c on [-r, horizon + r]; logs[t] is log c[t - r] and cur the
+    # latest log c, so each step reads and writes Python floats only
+    cur = math.log(c_seed)
+    logs = [cur] * (r + 1)
+    append, exp, log1p = logs.append, math.exp, math.log1p
+    for t in range(horizon + r):
+        cur = cur + lomE + log1p(pz[t] * (exp(logs[t] - cur) * omE_r))
+        append(cur)
+    log_c = np.array(logs)
 
     phi = TimeSeries(np.exp(log_c[: horizon + r + 1] - log_c[r:]) * omE_r, t_start=-r)
     growth = TimeSeries(omE * (1.0 + phi.values * pz_arr), t_start=-r)

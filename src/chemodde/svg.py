@@ -82,8 +82,14 @@ def _axis(lo, hi, pad):
     return a, b, k, [min((a + (b - a) * i / 4) / k, DBL_MAX) for i in range(5)]
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _labels(ticks) -> list:
+    """Tick labels with the least precision, from 6 up to 17 significant
+    digits, at which distinct tick values get distinct labels."""
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in ticks]
+        if len(set(labels)) == len(set(ticks)):
+            break
+    return labels
 
 
 def line_chart(title: str, series) -> str:
@@ -92,10 +98,10 @@ def line_chart(title: str, series) -> str:
     Non-finite points are dropped per series.  x and y follow one axis
     rule (_axis, y padded by 5%): a point's coordinates are "%.2f" of its
     position in the plot box, inside it for any finite values, and tick
-    labels are finite.  Points are mapped and formatted POINT_BLOCK at a
-    time, each block of a series as one matrix of characters; series with
-    the same x values in a block format them once.  Raises UsageError when
-    there is nothing to draw.
+    labels are finite and tell distinct ticks apart (_labels).  Points are
+    mapped and formatted POINT_BLOCK at a time, each block of a series as
+    one matrix of characters; series with the same x values in a block
+    format them once.  Raises UsageError when there is nothing to draw.
     """
     cleaned = []
     for label, xs, ys, style in series:
@@ -132,14 +138,14 @@ def line_chart(title: str, series) -> str:
         f'fill="none" stroke="#444" stroke-width="1"/>',
     ]
 
-    for fx, fy in zip(x_ticks, y_ticks):
+    for fx, fy, x_label, y_label in zip(x_ticks, y_ticks, _labels(x_ticks), _labels(y_ticks)):
         out.append(
             f'<text x="{sx(fx):.1f}" y="{HEIGHT - MARGIN_B + 16:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{_fmt(fx)}</text>'
+            f'font-family="sans-serif" font-size="10">{x_label}</text>'
         )
         out.append(
             f'<text x="{MARGIN_L - 6:.1f}" y="{sy(fy) + 3:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{_fmt(fy)}</text>'
+            f'font-family="sans-serif" font-size="10">{y_label}</text>'
         )
 
     for (_, _, _, (color, dash)), points in zip(cleaned, _polyline_blocks(cleaned, sx, sy)):

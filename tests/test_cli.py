@@ -333,6 +333,14 @@ def test_line_chart_points_match_point_oracle(series):
     assert re.findall(r'points="([^"]*)"', text) == _polyline_oracle(series)
 
 
+def _tick_labels(text):
+    """The x and the y tick labels of a chart, each in tick order."""
+    return [
+        re.findall(rf'text-anchor="{anchor}" font-family="sans-serif" font-size="10">([^<]*)<', text)
+        for anchor in ("middle", "end")
+    ]
+
+
 # ranges whose span or ticks overflow, or which adding 1.0 leaves empty; a
 # constant DBL_MAX can only be widened downwards
 NEAR_DBL_MAX = [
@@ -361,6 +369,27 @@ def test_line_chart_near_dbl_max_stays_in_the_plot_box(axis, values):
         assert px[0] < px[-1] if axis == "x" else py[0] > py[-1]
     ticks = [float(t) for t in re.findall(r'font-size="10">([^<]*)<', text)]
     assert len(ticks) == 10 and all(map(math.isfinite, ticks))
+    # distinct ticks get distinct labels: "%.6g" read 1.7e+308 at every tick
+    # of a constant DBL_MAX
+    values_ticks = svg._axis(float(values.min()), float(values.max()), 0.0 if axis == "x" else 0.05)[3]
+    labels = _tick_labels(text)[0 if axis == "x" else 1]
+    assert [v == w for v in values_ticks for w in values_ticks] == [a == b for a in labels for b in labels]
+
+
+@pytest.mark.parametrize("xs, labels", [
+    # a constant 1e20 is widened by about an ulp: its ticks are two doubles
+    ([1e20, 1e20], ["1e+20"] * 3 + ["1.0000000000000002e+20"] * 2),
+    ([1e6, 1e6 + 4], ["1000000", "1000001", "1000002", "1000003", "1000004"]),
+    ([1e6, 1e6 + 1], ["1000000", "1000000.2", "1000000.5", "1000000.8", "1000001"]),
+    ([0.0, 1.0], ["0", "0.25", "0.5", "0.75", "1"]),
+])
+def test_tick_labels_tell_distinct_ticks_apart(xs, labels):
+    # "%.6g" labelled every tick of the first two ranges alike; a range it
+    # tells apart keeps its "%.6g" labels
+    text = svg.line_chart("t", [("v", np.array(xs), np.arange(2.0), svg.STYLE_BIOMASS)])
+    x_ticks = svg._axis(xs[0], xs[-1], 0.0)[3]
+    assert _tick_labels(text) == [labels, ["-0.05", "0.225", "0.5", "0.775", "1.05"]]
+    assert [v == w for v in x_ticks for w in x_ticks] == [a == b for a in labels for b in labels]
 
 
 # ---------------------------------------------------------------------------

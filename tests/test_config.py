@@ -164,3 +164,20 @@ def test_list_tokens_parse_as_float_parses_each():
     tokens = ["0.5", "1e-3", "1_000.25", "-0.0", "+2", "inf", "-Infinity", "nan", "7"]
     got = np.array(_as_floats("k", " ".join(tokens[:4]) + ", " + ",".join(tokens[4:])))
     assert got.view(np.int64).tolist() == np.array([float(t) for t in tokens]).view(np.int64).tolist()
+
+
+def test_list_with_a_bad_token_names_the_key_and_the_token():
+    with pytest.raises(ParameterError) as err:
+        _as_floats("k", "1.0 2.0 abc 4.0")
+    assert str(err.value) == "k: expected a number, got 'abc'"
+
+
+def test_list_mixing_commas_and_whitespace_parses():
+    assert _as_floats("k", " 1.5,2\t-3 ,\n4e1,,5 ") == [1.5, 2.0, -3.0, 40.0, 5.0]
+
+
+@pytest.mark.parametrize("value", ["", "   ", ", ,\t,"])
+def test_empty_list_is_refused(value):
+    with pytest.raises(ParameterError) as err:
+        _as_floats("k", value)
+    assert str(err.value) == "k: expected a list of numbers"

@@ -6,8 +6,12 @@ import pytest
 from chemodde import (
     ChemostatParams,
     Constant,
+    DyadicBlocks,
     InitialHistory,
     LinearUptake,
+    Monod,
+    Sinusoid,
+    TabulatedUptake,
     UsageError,
     check_positivity_preconditions,
     conservation_deficit,
@@ -18,6 +22,7 @@ from chemodde import (
     washout_sequence,
 )
 from chemodde.cli import fig1_init, fig1_params, fig2_init, fig2_params
+from chemodde.dynamics import _initial_state, _integrate
 
 from conftest import random_feasible_instance
 
@@ -180,6 +185,75 @@ def test_recursion_residuals_vanish(rng):
         ) ** (r + 1)
         assert abs(s_next - traj.s.at(t + 1)) <= 1e-12 * scale
         assert abs(x_next - traj.x.at(t + 1)) <= 1e-12 * scale
+
+
+def _integrate_indexed(params, s, x, ps, feed):
+    """_integrate with every state read back from the lists by index: the
+    reference the carried-locals loop must match bit for bit."""
+    E, r = params.E, params.r
+    omE = 1.0 - E
+    fac = omE ** (r + 1)
+    p = params.uptake.evaluate
+    for i, s0 in enumerate(feed, len(s) - 1):
+        s_next = E * s0 + omE * (s[i] - x[i] * ps[i])
+        x_next = omE * x[i] + x[i - r] * ps[i - r] * fac
+        s.append(s_next)
+        x.append(x_next)
+        ps.append(p(s_next))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_integrators_agree(params, init, feeds):
+    """Run both integrators over the feeds in turn, each call continuing
+    the lists the one before left; returns the reference lists."""
+    got = _initial_state(params, init)
+    want = _initial_state(params, init)
+    for feed in feeds:
+        _integrate(params, *got, feed)
+        _integrate_indexed(params, *want, feed)
+        for g, w in zip(got, want):
+            assert _bits(g) == _bits(w)
+    return want
+
+
+@pytest.mark.parametrize("uptake", [
+    Monod(1.0, 1.0), LinearUptake(0.4), TabulatedUptake((0.0, 1.0, 2.0), (0.0, 0.5, 0.8)),
+])
+def test_simulate_matches_indexed_integrator(uptake):
+    params = ChemostatParams(E=0.05, r=8, uptake=uptake, input=Sinusoid(0.3, 37, 0.8))
+    init = InitialHistory.constant(8, 0.2, 0.1)
+    traj = simulate(params, init, horizon=3000)
+    s, x, _ = _assert_integrators_agree(params, init, [params.input.sample(0, 2999).tolist()])
+    assert _bits(traj.s.values) == _bits(s)
+    assert _bits(traj.x.values) == _bits(x)
+
+
+def test_continued_integration_matches_indexed_integrator():
+    # one period per call on the same lists, as find_periodic_orbit makes them
+    params = fig2_params(0.6)
+    feed = params.input.sample(0, params.input.period - 1).tolist()
+    _assert_integrators_agree(params, fig2_init(), [feed] * 6)
+
+
+def test_r0_integration_matches_indexed_integrator():
+    params = ChemostatParams(E=0.3, r=0, uptake=Monod(2.0, 0.5), input=Sinusoid(0.4, 11, 0.9))
+    feed = params.input.sample(0, 499).tolist()
+    _assert_integrators_agree(params, InitialHistory(s=(0.3,), x=(0.2,)), [feed, [], feed[:7]])
+
+
+def test_infeasible_dyadic_integration_matches_indexed_integrator():
+    # the dyadic feed drives s negative at t = 12 and the states then
+    # overflow to inf and nan; the same bits must come out
+    params = ChemostatParams(E=0.5, r=2, uptake=LinearUptake(1.0), input=DyadicBlocks(0.5, 2))
+    s, x, _ = _assert_integrators_agree(
+        params, InitialHistory.constant(2, 0.25, 0.01), [params.input.sample(0, 129).tolist()]
+    )
+    assert min(s) < 0.0
+    states = np.array(s + x)
+    assert np.isinf(states).any() and np.isnan(states).any()
 
 
 def test_results_are_immutable():

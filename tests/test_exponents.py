@@ -141,6 +141,68 @@ def test_growth_is_the_growth_factor_expression(case):
     assert corr.growth.values.tobytes() == expect.tobytes()
 
 
+def _phi_sequence_indexed(params, z, horizon, c_seed):
+    """phi_sequence with the log-c generator indexed into a numpy array,
+    reading and writing log c one numpy scalar at a time: the reference
+    the list recurrence must match bit for bit."""
+    r = params.r
+    omE = 1.0 - params.E
+    lomE = math.log(omE)
+    omE_r = omE**r
+    pz_arr = params.uptake.evaluate(z.window(-r, horizon))
+    pz = pz_arr.tolist()
+    log_c = np.empty(horizon + 2 * r + 1)
+    log_c[: r + 1] = math.log(c_seed)
+    for t in range(0, horizon + r):
+        i = t + r
+        ratio = math.exp(log_c[i - r] - log_c[i]) * omE_r
+        log_c[i + 1] = log_c[i] + lomE + math.log1p(pz[t] * ratio)
+    phi = np.exp(log_c[: horizon + r + 1] - log_c[r:]) * omE_r  # phi on [-r, horizon]
+    growth = omE * (1.0 + phi * pz_arr)
+    cross = 0.0
+    if r > 0 and horizon > 0:
+        direct = correction_recursion(pz[1 : horizon + r], phi[1 : r + 1])[r:]
+        cross = float(np.max(np.abs(direct - phi[r + 1 :])))
+    return log_c, phi, growth, cross
+
+
+@st.composite
+def _generator_cases(draw):
+    E = draw(st.floats(0.01, 0.95))
+    r = draw(st.integers(0, 12))
+    horizon = draw(st.integers(0, 300))
+    uptake = draw(st.sampled_from([
+        Monod(1.0, 1.0), Monod(2.5, 0.3), LinearUptake(0.4), LinearUptake(3.0),
+        TabulatedUptake((0.0, 1.0, 2.0), (0.0, 0.5, 0.8)),
+    ]))
+    feed = draw(st.sampled_from([
+        Constant(0.7),
+        Sinusoid(amplitude=0.25, period_steps=draw(st.integers(1, 30)), offset=0.6),
+        ExplicitSequence(values=(0.4, 0.9, 0.6, 2.5), periodic=True),
+    ]))
+    return _generator_case(E, r, uptake, feed, horizon, draw(st.floats(1e-300, 1e300)))
+
+
+def _generator_case(E, r, uptake, feed, horizon, c_seed):
+    params = ChemostatParams(E=E, r=r, uptake=uptake, input=feed)
+    return params, washout_sequence(params, horizon + r), horizon, c_seed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_generator_cases())
+@example(_generator_case(0.3, 0, Monod(1.0, 1.0), Constant(0.7), 0, 1.0))
+@example(_generator_case(0.3, 4, LinearUptake(0.4), Constant(0.7), 0, 5.0))
+@example(_generator_case(0.2, 0, TabulatedUptake((0.0, 1.0), (0.0, 0.5)), Constant(0.7), 40, 1e-300))
+def test_phi_sequence_matches_indexed_generator(case):
+    params, z, horizon, c_seed = case
+    corr = phi_sequence(params, z, horizon, c_seed=c_seed)
+    log_c, phi, growth, cross = _phi_sequence_indexed(params, z, horizon, c_seed)
+    for got, want in ((corr.log_c, log_c), (corr.phi, phi), (corr.growth, growth)):
+        assert got.t_start == -params.r
+        assert got.values.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert np.array(corr.cross_check_error).view(np.int64) == np.array(cross).view(np.int64)
+
+
 def test_seed_scale_invariance():
     params = fig2_params(0.6)
     z = washout_periodic(params)
