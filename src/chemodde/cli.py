@@ -69,8 +69,13 @@ def emit_csv(path, names, columns) -> None:
 
 
 def emit_svg(path, title, series) -> None:
-    """Write svg.line_chart's text as UTF-8, LF-terminated on every platform."""
-    Path(path).write_bytes(svg.line_chart(title, series).encode())
+    """Write the text of svg.line_chart as UTF-8, LF-terminated on every
+    platform, a piece at a time (svg.chart_pieces), with no joined copy of
+    the text or of its bytes.  The pieces are made before the file is
+    opened, so a chart that cannot be drawn writes no file."""
+    pieces = svg.chart_pieces(title, series)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(pieces)
 
 
 def emit_json(path, payload) -> None:

@@ -6,6 +6,16 @@ for chemostat plots: feed dashed black, substrate dotted blue, biomass
 solid red.  Points are written as ``"%.2f"`` of their plot-box positions,
 from arrays (``formatting.pixels``), a block at a time; both axes keep a
 finite range near the largest double and widen an empty one (``_axis``).
+
+A polyline holds only the points M4 keeps (Jugel et al., "M4: A
+Visualization-Oriented Time Series Data Aggregation", PVLDB 7(10), 2014):
+of each run of consecutive points in one pixel column of the plot box,
+the first, the last and the first of the lowest and of the highest y, in
+their order.  The line drawn at the chart's 720x420 size is the same as
+that through every point.  The SVG text differs from that through every
+point only where a run holds a point that is none of the four, which
+takes a run of three or more, and a dash pattern may then start at
+another phase along a jagged series.
 """
 
 from __future__ import annotations
@@ -27,6 +37,10 @@ STYLE_FEED = ("black", "8 5")
 STYLE_SUBSTRATE = ("blue", "2 4")
 STYLE_BIOMASS = ("red", None)
 
+# the characters XML text must escape; xml.sax.saxutils.escape does the
+# same, but importing it imports urllib.request, http.client and ssl
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 
 # polyline points mapped and formatted at a time: memory stays bounded by
 # the block whatever n is, and a block is large enough that numpy's
@@ -34,45 +48,70 @@ STYLE_BIOMASS = ("red", None)
 POINT_BLOCK = 4096
 
 
-def _polyline_blocks(cleaned, sx, sy) -> list:
-    """For each series, the "x,y x,y ..." text of its points.  Block lo of
-    every series is mapped and formatted as one matrix of characters, an
-    x cell and a comma, a y cell and a space per point (formatting.pixels),
-    from which the NUL padding is dropped; a series whose x block holds
-    the same bits as the series before reuses that series' x cells."""
-    texts = [[] for _ in cleaned]
-    for lo in range(0, max(len(xs) for _, xs, _, _ in cleaned), POINT_BLOCK):
-        xb = x_text = None
-        for j, (_, xs, ys, _) in enumerate(cleaned):
-            if lo >= len(xs):
-                continue
-            # sx/sy on an array do, per element, the float operations they
-            # do on one point, so the pixels are those of a per-point loop
-            block = xs[lo : lo + POINT_BLOCK]
-            if xb is None or not np.array_equal(block.view(np.int64), xb.view(np.int64)):
-                xb, x_text = block, formatting.pixels(sx(block), ",").view(np.uint32)
-            y_text = formatting.pixels(sy(ys[lo : lo + POINT_BLOCK]), " ").view(np.uint32)
-            # the matrix is written into a bytearray, so that its text is
-            # translated without a copy to bytes first
-            buf = bytearray(x_text.nbytes + y_text.nbytes)
-            rows = np.frombuffer(buf, dtype=np.uint32).reshape(len(y_text), -1)
-            np.concatenate([x_text, y_text], axis=1, out=rows)
-            texts[j].append(buf.translate(None, b"\0"))
-    for blocks in texts:
-        del blocks[-1][-1]  # the space after the last point
-    return [b"".join(blocks).decode() for blocks in texts]
+def _finite(series):
+    """(label, xs, ys, style) of each series with a finite point, its
+    non-finite points dropped."""
+    for label, xs, ys, style in series:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        if not keep.all():
+            xs, ys = xs[keep], ys[keep]
+        if len(xs):
+            yield label, xs, ys, style
+
+
+def _m4(columns, ys):
+    """Mask of the points M4 keeps of a series whose points lie in the
+    pixel columns `columns`: of each run of consecutive points in one
+    column, the first, the last and the first at the run's least and at
+    its greatest y."""
+    starts = np.flatnonzero(columns[1:] != columns[:-1]) + 1
+    keep = np.zeros(len(ys), dtype=bool)
+    keep[[0, -1]] = True
+    keep[starts - 1] = keep[starts] = True
+    starts = np.r_[0, starts]
+    lengths = np.diff(starts, append=len(ys))
+    for extreme in (np.minimum, np.maximum):
+        hits = np.flatnonzero(ys == np.repeat(extreme.reduceat(ys, starts), lengths))
+        # every run holds a hit, so the first hit at or after a run's start
+        # is that run's first
+        keep[hits[np.searchsorted(hits, starts)]] = True
+    return keep
+
+
+def _points(xs, ys, sx, sy) -> str:
+    """The "x,y x,y ..." text of a polyline.  A block of points is mapped
+    and formatted as one matrix of characters, an x cell and a comma, a y
+    cell and a space per point (formatting.pixels), from which the NUL
+    padding is dropped."""
+    blocks = []
+    for lo in range(0, len(xs), POINT_BLOCK):
+        # sx/sy on an array do, per element, the float operations they do
+        # on one point, so the pixels are those of a per-point loop
+        x_text = formatting.pixels(sx(xs[lo : lo + POINT_BLOCK]), ",").view(np.uint32)
+        y_text = formatting.pixels(sy(ys[lo : lo + POINT_BLOCK]), " ").view(np.uint32)
+        # the matrix is written into a bytearray, so that its text is
+        # translated without a copy to bytes first
+        buf = bytearray(x_text.nbytes + y_text.nbytes)
+        rows = np.frombuffer(buf, dtype=np.uint32).reshape(len(y_text), -1)
+        np.concatenate([x_text, y_text], axis=1, out=rows)
+        blocks.append(buf.translate(None, b"\0"))
+    del blocks[-1][-1]  # the space after the last point
+    return b"".join(blocks).decode()
 
 
 def _axis(lo, hi, pad):
     """(a, b, k, ticks) of an axis whose data run from lo to hi: v lies at
     (v * k - a) / (b - a) along it, and ticks are the values at its
-    quarters.  An empty range is widened by 1.0, or by about an ulp where
-    that rounds back to lo (|lo| >= 2**53), downwards at the top of the
-    doubles; the range is padded by pad times its span and clamped to
-    finite values, and k = 1/8 where four times the span overflows.  On
-    ordinary ranges the clamp and k = 1 are exact no-ops."""
+    quarters.  An empty range is widened by 1.0, or by at least four ulps
+    of lo where that is wider (|lo| >= 2**50), so that the five ticks are
+    distinct doubles, downwards at the top of the doubles; the range is
+    padded by pad times its span and clamped to finite values, and k = 1/8
+    where four times the span overflows.  On ordinary ranges the clamp and
+    k = 1 are exact no-ops."""
     if hi == lo:
-        w = max(1.0, abs(lo) * 2.0**-52)
+        w = max(1.0, abs(lo) * 2.0**-50)
         lo, hi = (lo, lo + w) if lo + w <= DBL_MAX else (lo - w, lo)
     if pad:
         pad *= hi - lo
@@ -92,82 +131,94 @@ def _labels(ticks) -> list:
     return labels
 
 
-def line_chart(title: str, series) -> str:
-    """Render series = [(label, xs, ys, (color, dasharray)), ...] to SVG text.
+def chart_pieces(title: str, series) -> list:
+    """The SVG text of series = [(label, xs, ys, (color, dasharray)), ...]
+    as a list of pieces, each ending in a newline, for a writer to take in
+    turn.
 
     Non-finite points are dropped per series.  x and y follow one axis
     rule (_axis, y padded by 5%): a point's coordinates are "%.2f" of its
     position in the plot box, inside it for any finite values, and tick
-    labels are finite and tell distinct ticks apart (_labels).  Points are
-    mapped and formatted POINT_BLOCK at a time, each block of a series as
-    one matrix of characters; series with the same x values in a block
-    format them once.  Raises UsageError when there is nothing to draw.
+    labels are finite and tell distinct ticks apart (_labels).  The x axis
+    is fixed first, from every finite point; then each series keeps only
+    the points M4 keeps (_m4) of the pixel columns, the integer parts of
+    their x offsets in the plot box, which include each series' least and
+    greatest y, and the y axis is fixed from those.  The kept points are
+    mapped and formatted POINT_BLOCK at a time.  The title and the labels
+    are escaped as XML text.  Raises UsageError when there is nothing to
+    draw.
     """
-    cleaned = []
-    for label, xs, ys, style in series:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        if keep.any():
-            cleaned.append((label, xs[keep], ys[keep], style))
-    if not cleaned:
+    # a series' finite points are found again after the x axis is fixed,
+    # rather than kept, so that at most one series is held in full at a time
+    x_ranges = [(float(xs.min()), float(xs.max())) for _, xs, _, _ in _finite(series)]
+    if not x_ranges:
         raise UsageError("nothing to plot: all series are empty or non-finite")
-
-    x0, x1, kx, x_ticks = _axis(
-        min(float(xs.min()) for _, xs, _, _ in cleaned), max(float(xs.max()) for _, xs, _, _ in cleaned), 0.0
-    )
-    y0, y1, ky, y_ticks = _axis(
-        min(float(ys.min()) for _, _, ys, _ in cleaned), max(float(ys.max()) for _, _, ys, _ in cleaned), 0.05
-    )
+    x0, x1, kx, x_ticks = _axis(min(lo for lo, _ in x_ranges), max(hi for _, hi in x_ranges), 0.0)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
+    def ox(x):
+        return (x * kx - x0) / (x1 - x0) * plot_w
+
     def sx(x):
-        return MARGIN_L + (x * kx - x0) / (x1 - x0) * plot_w
+        return MARGIN_L + ox(x)
+
+    drawn = []
+    for label, xs, ys, style in _finite(series):
+        keep = _m4(np.clip(np.floor(ox(xs)), 0, plot_w - 1), ys)
+        drawn.append((label, xs[keep], ys[keep], style))
+    y0, y1, ky, y_ticks = _axis(
+        min(float(ys.min()) for _, _, ys, _ in drawn), max(float(ys.max()) for _, _, ys, _ in drawn), 0.05
+    )
 
     def sy(y):
         return MARGIN_T + (y1 - y * ky) / (y1 - y0) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n',
         f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{title.translate(_XML_TEXT)}</text>\n',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#444" stroke-width="1"/>',
+        f'fill="none" stroke="#444" stroke-width="1"/>\n',
     ]
 
     for fx, fy, x_label, y_label in zip(x_ticks, y_ticks, _labels(x_ticks), _labels(y_ticks)):
         out.append(
             f'<text x="{sx(fx):.1f}" y="{HEIGHT - MARGIN_B + 16:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{x_label}</text>'
+            f'font-family="sans-serif" font-size="10">{x_label}</text>\n'
         )
         out.append(
             f'<text x="{MARGIN_L - 6:.1f}" y="{sy(fy) + 3:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{y_label}</text>'
+            f'font-family="sans-serif" font-size="10">{y_label}</text>\n'
         )
 
-    for (_, _, _, (color, dash)), points in zip(cleaned, _polyline_blocks(cleaned, sx, sy)):
+    for _, xs, ys, (color, dash) in drawn:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.4"{dash_attr} '
-            f'points="{points}"/>'
+            f'points="{_points(xs, ys, sx, sy)}"/>\n'
         )
 
     ly = MARGIN_T + 14
-    for label, _, _, (color, dash) in cleaned:
+    for label, _, _, (color, dash) in drawn:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         lx = WIDTH - MARGIN_R - 150
         out.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 30}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.6"{dash_attr}/>'
+            f'stroke="{color}" stroke-width="1.6"{dash_attr}/>\n'
         )
         out.append(
-            f'<text x="{lx + 36}" y="{ly}" font-family="sans-serif" font-size="11">{label}</text>'
+            f'<text x="{lx + 36}" y="{ly}" font-family="sans-serif" font-size="11">'
+            f"{label.translate(_XML_TEXT)}</text>\n"
         )
         ly += 16
 
-    out.append("</svg>")
-    out.append("")  # the final newline, without a second copy of the text
-    return "\n".join(out)
+    out.append("</svg>\n")
+    return out
+
+
+def line_chart(title: str, series) -> str:
+    """The SVG text of a chart: chart_pieces joined."""
+    return "".join(chart_pieces(title, series))

@@ -8,6 +8,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -248,11 +249,11 @@ def test_emit_csv_formats_the_distinct_values_of_each_block_once(tmp_path, monke
 
 def _oracle_axis(lo, hi, pad):
     """The span (a, b) and scale k of one chart axis: an empty range widened
-    by 1.0 (by about an ulp at |lo| >= 2**53, downwards at the top of the
-    doubles), padded by pad times the span, clamped to finite values and
-    taken at 1/8 where four times the span overflows."""
+    by 1.0 (by about four ulps or more at |lo| >= 2**50, downwards at the
+    top of the doubles), padded by pad times the span, clamped to finite
+    values and taken at 1/8 where four times the span overflows."""
     if hi == lo:
-        w = max(1.0, abs(lo) * 2.0**-52)
+        w = max(1.0, abs(lo) * 2.0**-50)
         lo, hi = (lo, lo + w) if math.isfinite(lo + w) else (lo - w, lo)
     if pad:
         lo, hi = max(lo - pad * (hi - lo), -svg.DBL_MAX), min(hi + pad * (hi - lo), svg.DBL_MAX)
@@ -260,31 +261,70 @@ def _oracle_axis(lo, hi, pad):
     return lo * k, hi * k, k
 
 
-def _polyline_oracle(series):
-    """The points of each drawn series, mapped and formatted one point at a
-    time with "%.2f", as line_chart did before it worked on whole arrays."""
+def _point_oracle(series):
+    """Per drawn series, every finite point mapped and formatted one point
+    at a time: its "%.2f,%.2f" text, its pixel column (the integer part of
+    its x offset in the plot box, clipped to the box) and its y."""
     cleaned = []
     for _, xs, ys, _ in series:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
         if keep.any():
-            cleaned.append((xs[keep], ys[keep]))
-    all_x, all_y = (np.concatenate(column) for column in zip(*cleaned))
-    x0, x1, kx = _oracle_axis(float(all_x.min()), float(all_x.max()), 0.0)
-    y0, y1, ky = _oracle_axis(float(all_y.min()), float(all_y.max()), 0.05)
+            cleaned.append((xs[keep].tolist(), ys[keep].tolist()))
+    x0, x1, kx = _oracle_axis(min(min(xs) for xs, _ in cleaned), max(max(xs) for xs, _ in cleaned), 0.0)
+    y0, y1, ky = _oracle_axis(min(min(ys) for _, ys in cleaned), max(max(ys) for _, ys in cleaned), 0.05)
     plot_w = svg.WIDTH - svg.MARGIN_L - svg.MARGIN_R
     plot_h = svg.HEIGHT - svg.MARGIN_T - svg.MARGIN_B
+    out = []
+    for xs, ys in cleaned:
+        offsets = [(x * kx - x0) / (x1 - x0) * plot_w for x in xs]
+        texts = [
+            "%.2f,%.2f" % (svg.MARGIN_L + o, svg.MARGIN_T + (y1 - y * ky) / (y1 - y0) * plot_h)
+            for o, y in zip(offsets, ys)
+        ]
+        out.append((texts, [min(max(math.floor(o), 0), plot_w - 1) for o in offsets], ys))
+    return out
 
-    def sx(x):
-        return svg.MARGIN_L + (x * kx - x0) / (x1 - x0) * plot_w
 
-    def sy(y):
-        return svg.MARGIN_T + (y1 - y * ky) / (y1 - y0) * plot_h
+def _m4_oracle(columns, ys):
+    """The runs of consecutive points in one column, as index lists, and
+    the indices M4 keeps: of each run, the first, the last and the first at
+    its least and at its greatest y."""
+    runs = []
+    for i, c in enumerate(columns):
+        if runs and columns[runs[-1][0]] == c:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    kept = set()
+    for run in runs:
+        lo = hi = run[0]
+        for i in run:
+            if ys[i] < ys[lo]:
+                lo = i
+            if ys[i] > ys[hi]:
+                hi = i
+        kept |= {run[0], run[-1], lo, hi}
+    return runs, sorted(kept)
 
-    return [
-        " ".join("%.2f,%.2f" % (sx(x), sy(y)) for x, y in zip(xs.tolist(), ys.tolist())) for xs, ys in cleaned
-    ]
+
+def _assert_m4_polylines(text, series):
+    """The chart's polylines hold the point oracle's text at exactly the
+    indices M4 keeps; every dropped point's y lies within the kept y of its
+    run, and a series with at most one point per column is drawn whole."""
+    drawn = re.findall(r'points="([^"]*)"', text)
+    oracle = _point_oracle(series)
+    assert len(drawn) == len(oracle)
+    for points, (texts, columns, ys) in zip(drawn, oracle):
+        runs, kept = _m4_oracle(columns, ys)
+        assert points == " ".join(texts[i] for i in kept)
+        kept = set(kept)
+        for run in runs:
+            run_kept = [ys[i] for i in run if i in kept]
+            assert all(min(run_kept) <= ys[i] <= max(run_kept) for i in run)
+        if len(runs) == len(texts):
+            assert points == " ".join(texts)
 
 
 # mostly moderate values, sometimes any finite double: near DBL_MAX the
@@ -329,8 +369,7 @@ def test_line_chart_points_match_point_oracle(series):
         with pytest.raises(UsageError):
             svg.line_chart("t", series)
         return
-    text = svg.line_chart("t", series)
-    assert re.findall(r'points="([^"]*)"', text) == _polyline_oracle(series)
+    _assert_m4_polylines(svg.line_chart("t", series), series)
 
 
 def _tick_labels(text):
@@ -360,8 +399,8 @@ def test_line_chart_near_dbl_max_stays_in_the_plot_box(axis, values):
         warnings.simplefilter("error")
         text = svg.line_chart("t", [("v", xs, ys, svg.STYLE_BIOMASS)])
     assert "nan" not in text and "inf" not in text
+    _assert_m4_polylines(text, [("v", xs, ys, None)])
     (points,) = re.findall(r'points="([^"]*)"', text)
-    assert points == _polyline_oracle([("v", xs, ys, None)])[0]
     px, py = np.array([p.split(",") for p in points.split()], dtype=float).T
     assert np.all((svg.MARGIN_L <= px) & (px <= svg.WIDTH - svg.MARGIN_R))
     assert np.all((svg.MARGIN_T <= py) & (py <= svg.HEIGHT - svg.MARGIN_B))
@@ -377,8 +416,10 @@ def test_line_chart_near_dbl_max_stays_in_the_plot_box(axis, values):
 
 
 @pytest.mark.parametrize("xs, labels", [
-    # a constant 1e20 is widened by about an ulp: its ticks are two doubles
-    ([1e20, 1e20], ["1e+20"] * 3 + ["1.0000000000000002e+20"] * 2),
+    # a constant 1e20 is widened by a few ulps, so that its five ticks are
+    # distinct doubles; widened by one ulp, three of them coincided
+    ([1e20, 1e20], ["1e+20", "1.0000000000000002e+20", "1.0000000000000003e+20",
+                    "1.0000000000000007e+20", "1.0000000000000008e+20"]),
     ([1e6, 1e6 + 4], ["1000000", "1000001", "1000002", "1000003", "1000004"]),
     ([1e6, 1e6 + 1], ["1000000", "1000000.2", "1000000.5", "1000000.8", "1000001"]),
     ([0.0, 1.0], ["0", "0.25", "0.5", "0.75", "1"]),
@@ -406,8 +447,34 @@ def test_fig2_files_match_the_cell_and_point_oracles(tmp_path):
     for i, line in enumerate(lines[1:-1]):
         assert line.split(",") == [_format_cell(c[i]) for c in cols.values()]
     series = [(name, cols["t"], cols[name], None) for name in ("s0", "s", "x")]
+    _assert_m4_polylines((tmp_path / "fig2_timeseries.svg").read_text(), series)
+
+
+def test_fig2_svg_with_at_most_one_point_per_column_draws_every_point(tmp_path):
+    # 606 points on 646 pixel columns: M4 keeps them all, so the polylines
+    # are those through every point
+    assert run(["fig2", "--svg", "--horizon", "600", "--out", str(tmp_path)]) == 0
+    _, _, cols = _simulation_bundle(fig2_params(0.6), fig2_init(), 600)
+    series = [(name, cols["t"], cols[name], None) for name in ("s0", "s", "x")]
     text = (tmp_path / "fig2_timeseries.svg").read_text()
-    assert re.findall(r'points="([^"]*)"', text) == _polyline_oracle(series)
+    assert re.findall(r'points="([^"]*)"', text) == [" ".join(texts) for texts, _, _ in _point_oracle(series)]
+
+
+def test_emit_svg_of_the_fig2_chart_peaks_below_1_mb(tmp_path):
+    # M4 keeps about 1,370 of the 20,006 points of a series, and the pieces
+    # of the text go to the file in turn; with every point drawn, and the
+    # text joined and encoded whole, the peak was 3.3 MB
+    _, _, cols = _simulation_bundle(fig2_params(0.6), fig2_init(), 20_000)
+    styles = {"s0": svg.STYLE_FEED, "s": svg.STYLE_SUBSTRATE, "x": svg.STYLE_BIOMASS}
+    series = [(name, cols["t"], cols[name], style) for name, style in styles.items()]
+    emit_svg(tmp_path / "warm.svg", "t", series)  # builds the pixel tables, once a process
+    tracemalloc.start()
+    try:
+        emit_svg(tmp_path / "fig2.svg", "periodic feed, offset 0.6", series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_fig2_persistent_summary(tmp_path, capsys):
@@ -534,8 +601,7 @@ def test_sliding_svg_matches_point_oracle(tmp_path):
     t, stat = rows[:, 0], rows[:, 1]
     assert np.isinf(stat).any()
     series = [("product", t, stat, None), ("threshold 1", t, np.ones_like(stat), None)]
-    text = (tmp_path / "sliding.svg").read_text()
-    assert re.findall(r'points="([^"]*)"', text) == _polyline_oracle(series)
+    _assert_m4_polylines((tmp_path / "sliding.svg").read_text(), series)
 
 
 def test_svg_and_json_files_are_their_text_in_utf8_with_lf(tmp_path):
@@ -546,6 +612,18 @@ def test_svg_and_json_files_are_their_text_in_utf8_with_lf(tmp_path):
     payload = {"title": title, "values": [1.5, None]}
     emit_json(tmp_path / "a.json", payload)
     assert (tmp_path / "a.json").read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+def test_line_chart_escapes_its_title_and_labels():
+    text = svg.line_chart("growth < 1 & decay", [("a<b & c>d", [0.0, 1.0], [1.0, 2.0], svg.STYLE_BIOMASS)])
+    texts = [t.text for t in ET.fromstring(text).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "growth < 1 & decay" and texts[-1] == "a<b & c>d"
+
+
+def test_emit_svg_writes_no_file_for_a_chart_with_nothing_to_draw(tmp_path):
+    with pytest.raises(UsageError):
+        emit_svg(tmp_path / "a.svg", "t", [("v", [math.nan, 1.0], [1.0, math.inf], svg.STYLE_FEED)])
+    assert not (tmp_path / "a.svg").exists()
 
 
 def test_allocation_failure_exits_1(tmp_path, capsys):
