@@ -78,10 +78,24 @@ def emit_svg(path, title, series) -> None:
         fh.writelines(pieces)
 
 
+def _finite_json(v):
+    """v with each non-finite float, which strict JSON has no token for,
+    replaced by the CSV's text of it: "nan", "inf" or "-inf"."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(float(v))
+    if isinstance(v, dict):
+        return {k: _finite_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_json(x) for x in v]
+    return v
+
+
 def emit_json(path, payload) -> None:
-    """Write payload as indented JSON, UTF-8 and LF-terminated on every
+    """Write payload as indented strict JSON, non-finite floats as the
+    strings "nan", "inf" and "-inf", UTF-8 and LF-terminated on every
     platform."""
-    Path(path).write_bytes((json.dumps(payload, indent=2) + "\n").encode())
+    text = json.dumps(_finite_json(payload), indent=2, allow_nan=False)
+    Path(path).write_bytes((text + "\n").encode())
 
 
 def _write_timeseries(out, stem, title, cols, with_svg) -> None:

@@ -5,7 +5,7 @@ comment (full-line or trailing), blank lines ignored.  Lists are
 whitespace- or comma-separated numbers.  Keys:
 
     schema            -- required, must be 1
-    model.E           -- washout fraction in (0, 1)
+    model.E           -- washout fraction in (0, 1), above 2**-54
     model.r           -- delay in steps, nonnegative integer
     uptake.kind       -- monod | linear | tabulated
     uptake.p_max, uptake.k_s       (monod)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,7 +414,16 @@ def _validate_E_r(E, r):
         raise ParameterError(f"washout fraction E must be a number, got {E!r}") from None
     if not 0.0 < E < 1.0:
         raise ParameterError(f"washout fraction E must lie in (0, 1), got {E}")
+    if 1.0 - E == 1.0:  # E <= 2**-54: a washout step would keep everything
+        raise ParameterError(f"washout fraction E must exceed 2**-54, so that 1 - E < 1, got {E}")
     return E, _validate_integer("delay r must be a nonnegative integer", r, 0)
+
+
+def _validate_steps(what, n):
+    """Raise MemoryError, naming n, where n steps of float64 values are
+    more than one numpy array can address (its size in bytes is an intp)."""
+    if n > sys.maxsize // 8:
+        raise MemoryError(f"{what} of {n} steps is beyond the size one array can address")
 
 
 def _validate_integer(rule, v, least):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChemostatParams, FeasibilityReport, InitialHistory
+from .core import ChemostatParams, FeasibilityReport, InitialHistory, _validate_steps
 from .errors import ParameterError, UsageError
 from .series import TimeSeries
 from .washout import WashoutSolution
@@ -102,6 +102,7 @@ def simulate(params: ChemostatParams, init: InitialHistory, horizon: int) -> Tra
     """
     if horizon < 0:
         raise UsageError(f"horizon must be >= 0, got {horizon}")
+    _validate_steps("simulation", horizon + params.r + 1)
     s, x, ps = _initial_state(params, init)
     _integrate(params, s, x, ps, params.input.sample(0, horizon - 1).tolist())
 

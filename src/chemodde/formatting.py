@@ -1,5 +1,4 @@
-"""Text of float arrays: exact shortest round-trip cells and exact
-two-decimal pixel coordinates.
+"""Text of float arrays: exact shortest round-trip cells.
 
 ``cells`` writes a float64 array as a matrix of characters, one row of 48
 bytes per value, holding exactly the text of ``str(int(v))`` for a finite
@@ -16,14 +15,6 @@ computed with Python ints for the exponents a call meets, and kept.
 Digits are laid out through small tables of four-digit groups and of row
 templates, built on the first call.  Subnormal values are left to ``repr``,
 one value at a time, and so are nan and the infinities.
-
-``pixels`` writes chart coordinates, positions in an SVG plot box, as
-exactly the text of ``"%.2f" % v`` for v in [0, 9999.995): the
-hundredths, rounded half to even, are the exact integer quotient of the
-double's significand times 100 by its power of two, found on uint64
-lanes, and laid out through tables of the whole part and of the
-fraction built on the first call.  Any other value (negative, ``-0.0``,
-nan, infinite or 9999.995 and up) is refused with UsageError.
 """
 
 from __future__ import annotations
@@ -31,8 +22,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from .errors import UsageError
 
 # numpy 1.x turns uint64 mixed with int64 or a negative Python int into
 # float64, so the lane arithmetic below uses uint64 scalars throughout
@@ -43,7 +32,6 @@ _FRACTION = _U64(2**52 - 1)
 _HIDDEN = _U64(2**52)
 _EXPONENT = _U64(0x7FF)
 _ONE_BITS = _U64(0x3FF0_0000_0000_0000)  # stands in for lanes Schubfach skips
-_TEN_THOUSAND = _U64(0x40C3_8800_0000_0000)  # the bits of 1e4
 
 # For e = -k in [-325, 325], at column e + 325: g = floor(10**e * 2**(125 -
 # floor(e * log2(10)))) + 1, a 126-bit overestimate of the power of ten,
@@ -300,60 +288,3 @@ def cells(values):
         out[i, : len(text)] = text
     return out
 
-
-@functools.cache
-def _pixel_tables():
-    """The layout tables of pixels, as uint32 words of 4 bytes.
-
-    whole: the digits of 0..9999 without leading zeros, NUL before them.
-    fraction: the point and the two digits of 0..99, then a NUL."""
-    whole = "".join(str(i).rjust(4, "\0") for i in range(10000)).encode()
-    fraction = "".join(f".{i:02d}\0" for i in range(100)).encode()
-    return np.frombuffer(whole, dtype=np.uint32), np.frombuffer(fraction, dtype=np.uint32)
-
-
-def pixels(values, sep):
-    """The text of "%.2f" % v for each value of a float64 array of chart
-    coordinates, v in [0, 9999.995), as an (n, 8) uint8 matrix, one row
-    per value: the digits before the point, NUL before them, then the
-    point, two digits and the byte sep.  Raises UsageError, naming the
-    first, if a value lies outside that range (-0.0, nan and the
-    infinities included).
-
-    A double in the range is m * 2**-s with an integer m < 2**53 and s from
-    39 (below 10**4) up; the hundredths q = m * 100 >> s, rounded half to
-    even by the exact remainder, are found on uint64 lanes.  For s > 63
-    (v < 2**-11, subnormal or zero) q is 0, and the same arithmetic at
-    s = 63 gives it."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    bits = v.view(np.uint64)
-    ok = bits < _TEN_THOUSAND  # not negative, -0.0, nan or infinite either
-    m = bits & _FRACTION
-    m |= _HIDDEN  # below 2**-11 q is 0 with or without it
-    m *= _U64(100)
-    s = bits >> _U64(52)
-    np.maximum(s, _U64(1012), out=s)
-    np.minimum(s, _U64(1036), out=s)  # lanes outside the range, rejected below
-    np.subtract(_U64(1075), s, out=s)
-    # q = m >> s rounded half to even: 2**(s-1) - 1 is added before the
-    # shift, and 1 more where the truncated q is odd
-    q = m >> s
-    q &= _U64(1)
-    m += q
-    q = s - _U64(1)
-    m += (_U64(1) << q) - _U64(1)
-    np.right_shift(m, s, out=q)
-    del m, s
-    ok &= q < _U64(10**6)  # 9999.995 and above round to 10000.00
-    if not ok.all():
-        raise UsageError(f"chart coordinate {float(v[np.argmin(ok)])!r} is outside [0, 9999.995)")
-
-    whole, fraction = _pixel_tables()
-    units = q // _U64(100)
-    q -= units * _U64(100)
-    words = np.empty((len(v), 2), dtype=np.uint32)
-    words[:, 0] = whole.take(units)
-    words[:, 1] = fraction.take(q)
-    out = words.view(np.uint8)
-    out[:, -1] = ord(sep)
-    return out

@@ -3,9 +3,9 @@
 One file, no external references: an axes box, tick labels, one polyline
 per series and a small legend.  Line styles follow the house convention
 for chemostat plots: feed dashed black, substrate dotted blue, biomass
-solid red.  Points are written as ``"%.2f"`` of their plot-box positions,
-from arrays (``formatting.pixels``), a block at a time; both axes keep a
-finite range near the largest double and widen an empty one (``_axis``).
+solid red.  Points are written as ``"%.2f"`` of their positions in the
+plot box, which both axes keep finite and inside the box: an axis keeps a
+finite range near the largest double and widens an empty one (``_axis``).
 
 A polyline holds only the points M4 keeps (Jugel et al., "M4: A
 Visualization-Oriented Time Series Data Aggregation", PVLDB 7(10), 2014):
@@ -25,7 +25,6 @@ import sys
 
 import numpy as np
 
-from . import formatting
 from .errors import UsageError
 
 WIDTH = 720
@@ -40,12 +39,6 @@ STYLE_BIOMASS = ("red", None)
 # the characters XML text must escape; xml.sax.saxutils.escape does the
 # same, but importing it imports urllib.request, http.client and ssl
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
-
-
-# polyline points mapped and formatted at a time: memory stays bounded by
-# the block whatever n is, and a block is large enough that numpy's
-# per-call cost is small beside its per-point cost
-POINT_BLOCK = 4096
 
 
 def _finite(series):
@@ -81,24 +74,10 @@ def _m4(columns, ys):
 
 
 def _points(xs, ys, sx, sy) -> str:
-    """The "x,y x,y ..." text of a polyline.  A block of points is mapped
-    and formatted as one matrix of characters, an x cell and a comma, a y
-    cell and a space per point (formatting.pixels), from which the NUL
-    padding is dropped."""
-    blocks = []
-    for lo in range(0, len(xs), POINT_BLOCK):
-        # sx/sy on an array do, per element, the float operations they do
-        # on one point, so the pixels are those of a per-point loop
-        x_text = formatting.pixels(sx(xs[lo : lo + POINT_BLOCK]), ",").view(np.uint32)
-        y_text = formatting.pixels(sy(ys[lo : lo + POINT_BLOCK]), " ").view(np.uint32)
-        # the matrix is written into a bytearray, so that its text is
-        # translated without a copy to bytes first
-        buf = bytearray(x_text.nbytes + y_text.nbytes)
-        rows = np.frombuffer(buf, dtype=np.uint32).reshape(len(y_text), -1)
-        np.concatenate([x_text, y_text], axis=1, out=rows)
-        blocks.append(buf.translate(None, b"\0"))
-    del blocks[-1][-1]  # the space after the last point
-    return b"".join(blocks).decode()
+    """The "x,y x,y ..." text of a polyline, "%.2f" of each point's
+    position.  sx and sy on an array do, per element, the float operations
+    they do on one point."""
+    return " ".join(["%.2f,%.2f" % p for p in zip(sx(xs).tolist(), sy(ys).tolist())])
 
 
 def _axis(lo, hi, pad):
@@ -143,10 +122,9 @@ def chart_pieces(title: str, series) -> list:
     is fixed first, from every finite point; then each series keeps only
     the points M4 keeps (_m4) of the pixel columns, the integer parts of
     their x offsets in the plot box, which include each series' least and
-    greatest y, and the y axis is fixed from those.  The kept points are
-    mapped and formatted POINT_BLOCK at a time.  The title and the labels
-    are escaped as XML text.  Raises UsageError when there is nothing to
-    draw.
+    greatest y, and the y axis is fixed from those.  The title and the
+    labels are escaped as XML text.  Raises UsageError when there is
+    nothing to draw.
     """
     # a series' finite points are found again after the x axis is fixed,
     # rather than kept, so that at most one series is held in full at a time

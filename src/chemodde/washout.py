@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import ChemostatParams
+from .core import ChemostatParams, _validate_steps
 from .errors import UsageError
 from .series import TimeSeries
 
@@ -91,6 +91,7 @@ def washout_sequence(
     if tail_depth < 0:
         raise UsageError(f"tail_depth must be >= 0, got {tail_depth}")
 
+    _validate_steps("washout", horizon + r + 1 + tail_depth)
     E = params.E
     feed = params.input.sample(-r - 1 - tail_depth, horizon - 1).tolist()
     values = np.fromiter(

@@ -21,10 +21,11 @@ from chemodde import (
     washout_periodic, washout_sequence,
 )
 from chemodde.cli import (
-    CSV_BLOCK_ROWS, COMMANDS, _simulation_bundle, build_parser, emit_csv, emit_json, emit_svg, fig2_init,
-    fig2_params, run,
+    CSV_BLOCK_ROWS, COMMANDS, _simulation_bundle, build_parser, emit_csv, emit_json, emit_svg, fig1_params,
+    fig2_init, fig2_params, run,
 )
 from chemodde.config import _KIND_KEYS, _KNOWN_KEYS
+from chemodde.washout import default_tail_depth
 
 FIG2_CFG = """
 schema = 1
@@ -334,11 +335,11 @@ FINITE = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infini
 
 @st.composite
 def _chart_series(draw):
-    """1-3 series of up to 2 blocks of points; x is a time axis or random,
+    """1-3 series of up to 8193 points; x is a time axis or random,
     some points are non-finite, and a series may be constant in x or y."""
     out = []
     for k in range(draw(st.integers(1, 3))):
-        n = draw(st.sampled_from([1, 2, 17, svg.POINT_BLOCK, svg.POINT_BLOCK + 1, 2 * svg.POINT_BLOCK + 1]))
+        n = draw(st.sampled_from([1, 2, 17, 4096, 4097, 8193]))
         shape = draw(st.sampled_from(["time", "random", "constant x", "constant y"]))
         pool = draw(st.lists(FINITE, min_size=1, max_size=16))
         if draw(st.booleans()):
@@ -353,14 +354,14 @@ def _chart_series(draw):
     return out
 
 
-N_CHART = 3 * svg.POINT_BLOCK + 5
+N_CHART = 3 * 4096 + 5
 
 
 @settings(max_examples=60, deadline=None)
 @given(series=_chart_series())
 @example(series=[("c", np.full(5, 2.0), np.full(5, 3.0), svg.STYLE_FEED)])  # both degenerate axes
 @example(series=[("c", [0.0, 1.0, math.nan, 3.0], [1.0, math.inf, 2.0, 0.5], svg.STYLE_FEED)])
-@example(series=[  # one shared x axis; y repeats with a period that straddles block ends
+@example(series=[  # one shared x axis of 12,293 points; y repeats with a period of 1000
     (f"s{k}", np.arange(N_CHART + 0.0), k + _periodic(1000, N_CHART), svg.STYLE_FEED) for k in range(3)
 ])
 def test_line_chart_points_match_point_oracle(series):
@@ -467,7 +468,7 @@ def test_emit_svg_of_the_fig2_chart_peaks_below_1_mb(tmp_path):
     _, _, cols = _simulation_bundle(fig2_params(0.6), fig2_init(), 20_000)
     styles = {"s0": svg.STYLE_FEED, "s": svg.STYLE_SUBSTRATE, "x": svg.STYLE_BIOMASS}
     series = [(name, cols["t"], cols[name], style) for name, style in styles.items()]
-    emit_svg(tmp_path / "warm.svg", "t", series)  # builds the pixel tables, once a process
+    emit_svg(tmp_path / "warm.svg", "t", series)  # first-call costs, once a process
     tracemalloc.start()
     try:
         emit_svg(tmp_path / "fig2.svg", "periodic feed, offset 0.6", series)
@@ -637,6 +638,53 @@ def test_allocation_failure_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
     assert not (tmp_path / "classify.json").exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "washout", "simulate"])
+@pytest.mark.parametrize("feed", [
+    "input.kind = sinusoid\ninput.amplitude = 0.25\ninput.period = 20\ninput.offset = 0.6",
+    "input.kind = constant\ninput.value = 1.0",
+], ids=["sinusoid", "constant"])
+def test_E_that_leaves_one_minus_E_at_one_exits_2(tmp_path, capsys, command, feed):
+    # these ended in a ZeroDivisionError or ValueError traceback
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(SMALL_CFG.replace("model.E = 0.2", "model.E = 1e-300")
+                   .replace("input.kind = constant\ninput.value = 1.0", feed))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: washout fraction E must exceed 2**-54, so that 1 - E < 1, got 1e-300\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, params", [("fig1", fig1_params()), ("fig2", fig2_params(0.6))])
+def test_horizon_beyond_one_array_exits_1(tmp_path, capsys, command, params):
+    # the washout runs over its tail, r + 1 steps of history and the horizon
+    steps = default_tail_depth(params.E) + params.r + 1 + 10**19
+    assert run([command, "--horizon", str(10**19), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: out of memory: washout of {steps} steps is beyond the size one array can address\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def _no_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_neither_nor_json_is_strict_json(tmp_path):
+    # x hits -inf in the low blocks of this demo; it was written -Infinity
+    assert run(["neither-nor", "--E", "0.5", "--r", "0", "--n-max", "5", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "neither_nor.json").read_text(), parse_constant=_no_constant)
+    assert payload["low_block_infima"].count("-inf") == 3
+
+
+def test_emit_json_writes_non_finite_floats_as_csv_text(tmp_path):
+    payload = {"a": [math.nan, (math.inf, -math.inf)], "b": {"c": -math.nan, "d": 1.5}, "e": None}
+    emit_json(tmp_path / "a.json", payload)
+    text = (tmp_path / "a.json").read_text()
+    assert json.loads(text, parse_constant=_no_constant) == {
+        "a": ["nan", ["inf", "-inf"]], "b": {"c": "nan", "d": 1.5}, "e": None
+    }
 
 
 CLASSIFY_KEYS = [
@@ -984,6 +1032,11 @@ def _run_in(work, argv):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_argvs())
 @example(case=(["neither-nor", "--n-max", "30"], None))  # was a ValueError traceback
+@example(case=(["neither-nor", "--E", "1e-300"], None))  # 1 - E == 1: was a ValueError traceback
+@example(case=(["neither-nor", "--E", repr(2.0**-54)], None))
+@example(case=(["neither-nor", "--E", repr(2.0**-53)], None))  # accepted; its washout tail is too long
+@example(case=(["fig2", "--horizon", "10000000000000000000"], None))  # was a ValueError traceback
+@example(case=(["fig1", "--horizon", "10000000000000000000"], None))
 def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, case):
     argv, foreign = case
     monkeypatch.delenv("CHEMODDE_OUT", raising=False)

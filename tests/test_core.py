@@ -399,6 +399,23 @@ def test_params_reject_bad_E(E):
         ChemostatParams(E=E, r=1, uptake=Monod(1.0, 1.0), input=Constant(1.0))
 
 
+@pytest.mark.parametrize("E", [2.0**-54, 1e-300, 5e-324])
+def test_params_reject_E_that_leaves_one_minus_E_at_one(E):
+    # 1 - E rounds to 1.0: the washout would never forget, and its tail
+    # depth and periodic closure 1 - (1-E)**w break down
+    assert 1.0 - E == 1.0
+    with pytest.raises(ParameterError, match=r"must exceed 2\*\*-54"):
+        ChemostatParams(E=E, r=1, uptake=Monod(1.0, 1.0), input=Constant(1.0))
+    with pytest.raises(ParameterError, match=r"must exceed 2\*\*-54"):
+        DyadicBlocks(E=E, r=0)
+
+
+def test_params_accept_E_of_two_to_the_minus_53():
+    E = 2.0**-53
+    assert 1.0 - E < 1.0
+    assert ChemostatParams(E=E, r=1, uptake=Monod(1.0, 1.0), input=Constant(1.0)).E == E
+
+
 @pytest.mark.parametrize("r", [-1, 0.5, "two", True, math.inf, math.nan])
 def test_params_reject_bad_r(r):
     with pytest.raises(ParameterError):

@@ -153,6 +153,13 @@ def test_dimension_mismatch_is_usage_error():
         simulate(params, InitialHistory(s=(0.5, 0.5), x=(0.2, 0.2)), horizon=-1)
 
 
+def test_horizon_beyond_one_array_is_refused_before_allocating():
+    params = _half_linear()
+    # s and x run over [-r, horizon], r = 1
+    with pytest.raises(MemoryError, match=f"simulation of {10**19 + 2} steps"):
+        simulate(params, InitialHistory(s=(0.5, 0.5), x=(0.2, 0.2)), horizon=10**19)
+
+
 def test_negative_substrate_recorded_not_fatal():
     # grossly infeasible: huge biomass against a small feed
     params = ChemostatParams(E=0.5, r=0, uptake=LinearUptake(2.0), input=Constant(0.1))

@@ -1,11 +1,8 @@
 """formatting.cells against the cell-by-cell oracle, densely: random bit
 patterns, every power of two and of ten with its neighbours, and the
-boundaries of each layout and of the integer form; formatting.pixels
-against "%.2f" on chart coordinates: ties, range edges and random values
-in [0, 9999.995), and its refusal of everything else."""
+boundaries of each layout and of the integer form."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +12,7 @@ import pytest
 
 import chemodde
 from chemodde import formatting
-from chemodde.errors import UsageError
-from chemodde.formatting import cells, pixels
+from chemodde.formatting import cells
 from test_cli import _format_cell
 
 CHUNK = 1 << 16
@@ -110,49 +106,17 @@ def test_subnormals_zeros_nans_and_infinities():
     assert _lines(np.array([-0.0, -np.nan, -np.inf, np.inf])) == ["0", "nan", "-inf", "inf"]
 
 
-def _assert_pixels_match_oracle(values, sep):
-    values = np.asarray(values, dtype=np.float64)
-    rows = pixels(values, sep)
-    assert len(rows) == len(values) and (rows[:, -1] == ord(sep)).all()
-    want = "".join("%.2f" % v + sep for v in values.tolist())
-    if rows.tobytes().translate(None, b"\0") != want.encode():
-        got = rows.tobytes().translate(None, b"\0").decode().split(sep)
-        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want.split(sep)) if g != w]
-        pytest.fail(f"{len(bad)} of {len(values)} pixels differ; first (value, got, oracle): {bad[:3]}")
-
-
-def test_pixels_match_percent_oracle():
-    rng = np.random.default_rng(20261019)
-    eighths = np.arange(720 * 8 + 1) / 8  # 0.125, 0.375, ... are half-cent ties
-    below_edge = np.nextafter(9999.995, 0)  # the largest double written as 9999.99
-    assert "%.2f" % below_edge == "9999.99" and "%.2f" % 9999.995 == "10000.00"
-    edges = np.r_[_neighbours([0.005, 0.015, 0.995, 2.0**-11], ulps=2), 9999.99, below_edge]
-    tiny = np.r_[rng.uniform(0, 0.005, 1 << 12), rng.integers(1, 2**52, 1 << 10, dtype=np.uint64).view(np.float64)]
-    for sep in " ,":
-        _assert_pixels_match_oracle(rng.uniform(0, 9999.995, 1 << 16), sep)
-        _assert_pixels_match_oracle(_neighbours(eighths[1:]), sep)
-        _assert_pixels_match_oracle(np.r_[edges, tiny, 5e-324, 2.2250738585072014e-308, 0.0], sep)
-    assert pixels(np.array([0.0, 58.0, below_edge]), ",").shape == (3, 8)
-
-
-@pytest.mark.parametrize("bad", [-0.0, -1e-300, np.nan, np.inf, -np.inf, 9999.995, 1e4, 1e308])
-def test_pixels_reject_values_outside_chart_coordinates(bad):
-    with pytest.raises(UsageError, match=re.escape(f"chart coordinate {bad!r} is outside")):
-        pixels(np.array([1.0, 704.0, bad, -1.0]), ",")
-
-
 def test_import_computes_no_power_of_ten():
-    # the powers of ten and the layout tables of cells and of pixels are
-    # built by the first call
+    # the powers of ten and the layout tables of cells are built by the
+    # first call
     src = str(Path(chemodde.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = (
         "import chemodde.cli, chemodde.formatting as f; "
-        "print(int(f._POW10_FILLED.sum()), int(f._POW10.any()), f._tables.cache_info().currsize, "
-        "f._pixel_tables.cache_info().currsize)"
+        "print(int(f._POW10_FILLED.sum()), int(f._POW10.any()), f._tables.cache_info().currsize)"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0", "0", "0"]
+    assert out.stdout.split() == ["0", "0", "0"]
     cells(np.array([1.5, 2.0**-1074, 1e300]))
     filled = formatting._POW10_FILLED
     assert 0 < filled.sum() < len(filled) and formatting._POW10[:, filled][0].all()

@@ -133,6 +133,13 @@ def test_preconditions():
         washout_periodic(open_ended)
 
 
+def test_steps_beyond_one_array_are_refused_before_allocating():
+    # the feed runs over tail_depth + r + 1 + horizon steps
+    params = _params(0.125, 5, fig2_input())
+    with pytest.raises(MemoryError, match=f"washout of {10**19 + 6 + default_tail_depth(0.125)} steps"):
+        washout_sequence(params, horizon=10**19)
+
+
 def test_out_of_range_access_raises():
     params = _params(0.125, 2, fig2_input())
     z = washout_sequence(params, horizon=10)
