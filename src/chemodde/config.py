@@ -203,8 +203,8 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         raise UsageError(f"unsupported schema version {schema}; this build reads schema = 1")
 
     E = _as_float("model.E", _require(pairs, "model.E"))
-    if not 0.0 < E < 1.0:
-        raise ParameterError(f"model.E: must lie in (0, 1), got {E}")
+    if not (0.0 < E < 1.0 and 1.0 - E < 1.0):  # 1 - E rounds to 1 for E <= 2**-54
+        raise ParameterError(f"model.E: must lie in (2**-54, 1), so that 0 < 1 - E < 1, got {E}")
     r = _as_int("model.r", _require(pairs, "model.r"))
     if r < 0:
         raise ParameterError(f"model.r: must be >= 0, got {r}")

@@ -426,6 +426,42 @@ def _validate_steps(what, n):
         raise MemoryError(f"{what} of {n} steps is beyond the size one array can address")
 
 
+# Least lag, in steps, at which simulate and washout_sequence look for an
+# exact recurrence of their state.  The lag is the least multiple of the
+# feed's period that reaches it, so a feed of short period (a Constant has
+# period 1) costs one window compare per few hundred steps, not one a step.
+RECURRENCE_MIN_LAG = 256
+
+
+def _recurrence_lag(period, feed):
+    """The lag L, the least multiple of period of at least
+    RECURRENCE_MIN_LAG, when the sampled feed array is longer than L and
+    repeats with lag L bit for bit; None otherwise.  period is the input's
+    claim and is not trusted: the samples decide."""
+    if period is None:
+        return None
+    lag = -(-RECURRENCE_MIN_LAG // period) * period
+    bits = np.asarray(feed, dtype=float).view(np.int64)
+    if len(bits) <= lag or not np.array_equal(bits[lag:], bits[:-lag]):
+        return None
+    return lag
+
+
+def _same_bits(a, b):
+    """True when the float sequences a and b hold the same doubles bit for
+    bit: unlike ==, -0.0 differs from 0.0 and a nan equals the same nan."""
+    return np.array_equal(np.array(a, dtype=float).view(np.int64),
+                          np.array(b, dtype=float).view(np.int64))
+
+
+def _repeat_tail(values, lag, n):
+    """The array values extended to n entries by repeating its last lag
+    entries; values itself when it already holds n."""
+    if len(values) == n:
+        return values
+    return np.concatenate((values, np.resize(values[-lag:], n - len(values))))
+
+
 def _validate_integer(rule, v, least):
     """v as an int: an integral number, not a bool, and >= least; otherwise
     ParameterError with the rule and v."""

@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChemostatParams, FeasibilityReport, InitialHistory, _validate_steps
+from .core import (
+    ChemostatParams, FeasibilityReport, InitialHistory, _recurrence_lag, _repeat_tail, _same_bits,
+    _validate_steps,
+)
 from .errors import ParameterError, UsageError
 from .series import TimeSeries
 from .washout import WashoutSolution
@@ -82,7 +85,7 @@ def _initial_state(params, init):
 
 
 def _stored_nutrient_series(params, s, x, ps, horizon):
-    """y[t] for t in [0, horizon] from the integrated state lists."""
+    """y[t] for t in [0, horizon] from the integrated state sequences."""
     E, r = params.E, params.r
     omE = 1.0 - E
     with np.errstate(over="ignore", invalid="ignore"):
@@ -99,25 +102,49 @@ def simulate(params: ChemostatParams, init: InitialHistory, horizon: int) -> Tra
     """Integrate the system for `horizon` steps past time 0.
 
     Returns sequences on [-r, horizon].
+
+    Exact recurrence: when the sampled feed repeats bit for bit with lag L,
+    the least multiple of its period of at least core.RECURRENCE_MIN_LAG,
+    the steps run in chunks of L.  Once a chunk leaves the last r + 1
+    values of s and of x equal, bit for bit, to those L steps earlier, the
+    rest of the horizon repeats the last L values: each step is a
+    deterministic function of that window and s0[t], so the result is the
+    one the full pass gives, to the bit.  Feeds without a period or whose
+    samples do not repeat run the one plain pass; no option controls this.
     """
     if horizon < 0:
         raise UsageError(f"horizon must be >= 0, got {horizon}")
-    _validate_steps("simulation", horizon + params.r + 1)
-    s, x, ps = _initial_state(params, init)
-    _integrate(params, s, x, ps, params.input.sample(0, horizon - 1).tolist())
-
     r = params.r
-    s_arr = np.array(s)
-    x_arr = np.array(x)
+    n = horizon + r + 1
+    _validate_steps("simulation", n)
+    s, x, ps = _initial_state(params, init)
+    feed = params.input.sample(0, horizon - 1)
+    lag = _recurrence_lag(params.input.period, feed)
+    feed = feed.tolist()
+    if lag is None:
+        _integrate(params, s, x, ps, feed)
+    else:
+        w = r + 1
+        # counting chunks, not steps, keeps the counter a cached small int:
+        # an int made while the lists fill would outlive their floats and
+        # keep a 1-MiB pymalloc arena of them from being freed
+        for k in range(-(-horizon // lag)):
+            _integrate(params, s, x, ps, feed[k * lag : (k + 1) * lag])
+            if _same_bits(s[-w:] + x[-w:], s[-w - lag : -lag] + x[-w - lag : -lag]):
+                break
+    # the feed and the state lists, each a float object per step, are
+    # dropped before y is built
+    del feed
+    s, x, ps = (_repeat_tail(np.array(v), lag, n) for v in (s, x, ps))
     y = _stored_nutrient_series(params, s, x, ps, horizon)
 
-    neg = np.flatnonzero(s_arr < 0.0)
+    neg = np.flatnonzero(s < 0.0)
     first_neg = int(neg[0]) - r if neg.size else None
 
     return Trajectory(
         params=params,
-        s=TimeSeries(s_arr, t_start=-r),
-        x=TimeSeries(x_arr, t_start=-r),
+        s=TimeSeries(s, t_start=-r),
+        x=TimeSeries(x, t_start=-r),
         y=y,
         first_negative_s=first_neg,
     )

@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from chemodde import (
-    ChemostatParams, Constant, Monod, UsageError, formatting, periodic_phi, phi_sequence, svg,
-    washout_periodic, washout_sequence,
+    ChemostatParams, Constant, Monod, UsageError, dynamics, formatting, periodic_phi, phi_sequence, svg,
+    washout, washout_periodic, washout_sequence,
 )
 from chemodde.cli import (
     CSV_BLOCK_ROWS, COMMANDS, _simulation_bundle, build_parser, emit_csv, emit_json, emit_svg, fig1_params,
@@ -439,10 +439,20 @@ def test_tick_labels_tell_distinct_ticks_apart(xs, labels):
 # ---------------------------------------------------------------------------
 
 
-def test_fig2_files_match_the_cell_and_point_oracles(tmp_path):
-    # a periodic run, where the writers reuse the text of earlier blocks
+def _plain_bundle(monkeypatch, params, init, horizon):
+    """_simulation_bundle with simulate and washout_sequence held to their
+    one plain pass: without a recurrence lag they neither chunk nor repeat."""
+    with monkeypatch.context() as m:
+        for module in (dynamics, washout):
+            m.setattr(module, "_recurrence_lag", lambda period, feed: None)
+        return _simulation_bundle(params, init, horizon)
+
+
+def test_fig2_files_match_the_cell_and_point_oracles(tmp_path, monkeypatch):
+    # a periodic run, where the writers reuse the text of earlier blocks and
+    # the state recurs from t = 1703, so the CLI repeats the last period
     assert run(["fig2", "--svg", "--horizon", "3000", "--offset", "0.6", "--out", str(tmp_path)]) == 0
-    _, _, cols = _simulation_bundle(fig2_params(0.6), fig2_init(), 3000)
+    _, _, cols = _plain_bundle(monkeypatch, fig2_params(0.6), fig2_init(), 3000)
     lines = (tmp_path / "fig2_timeseries.csv").read_text().split("\n")
     assert lines[0] == ",".join(cols) and lines[-1] == "" and len(lines) == len(cols["t"]) + 2
     for i, line in enumerate(lines[1:-1]):
@@ -652,7 +662,9 @@ def test_E_that_leaves_one_minus_E_at_one_exits_2(tmp_path, capsys, command, fee
                    .replace("input.kind = constant\ninput.value = 1.0", feed))
     out = tmp_path / "out"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: washout fraction E must exceed 2**-54, so that 1 - E < 1, got 1e-300\n"
+    assert capsys.readouterr().err == (
+        "error: model.E: must lie in (2**-54, 1), so that 0 < 1 - E < 1, got 1e-300\n"
+    )
     assert not out.exists()
 
 
