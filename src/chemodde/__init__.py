@@ -43,7 +43,6 @@ from .dynamics import (
     conservation_deficit,
     initial_stored_nutrient,
     simulate,
-    stored_nutrient,
 )
 from .errors import (
     ChemoddeError,
@@ -117,7 +116,6 @@ __all__ = [
     "psi_sequence",
     "reconstruct_biomass",
     "simulate",
-    "stored_nutrient",
     "washout_periodic",
     "washout_sequence",
 ]

@@ -12,6 +12,7 @@ environment variable overrides --out.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -34,38 +35,88 @@ DEFAULT_HORIZON = 2000
 # ---------------------------------------------------------------------------
 
 
-# rows formatted and written at a time: memory stays bounded whatever n is
+# rows formatted and written at a time, and the longest cycle emit_csv
+# writes from one formatted copy: memory stays bounded whatever n is
 CSV_BLOCK_ROWS = 1024
+
+
+def _csv_rows(columns, lo, hi):
+    """The text of rows lo..hi of the columns, each row's cells separated by
+    commas and ended by a newline.  All cells are formatted in one pass, as
+    one matrix of characters into which the commas and newlines go and from
+    which the NUL padding is dropped; the distinct values are formatted
+    once (formatting.cells on np.unique of their bits, so -0.0 and each nan
+    payload keep their own text) and the text is gathered back in order."""
+    block = np.stack([c[lo:hi].astype(float) for c in columns], axis=1)
+    keys, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
+    # numpy 2.0.0 returns inverse in the shape of its input
+    text = np.take(formatting.cells(keys.view(np.float64)), inverse.reshape(-1), axis=0)
+    text = text.reshape(len(block), len(columns), -1)
+    text[:, :, -1] = ord(",")  # the last byte of a cell is always NUL
+    text[:, -1, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0")
+
+
+def _cycle(columns, n):
+    """(start, lag) of the exact cycle in which n rows of the columns end:
+    lag is the least distance, up to CSV_BLOCK_ROWS, at which the last row
+    recurs bit for bit in every column, and every row from start on has
+    the bits of the row lag before it, start as small as that allows;
+    (n, 0) if the last row does not recur within that distance.  Each
+    column is compared on its own, one bool per row accumulating."""
+    reach = min(CSV_BLOCK_ROWS, n - 1)
+    if not columns or reach < 1:
+        return n, 0
+    recurs = np.ones(reach, dtype=bool)  # the last row at lag reach - i
+    for c in columns:
+        bits = c[n - 1 - reach :].astype(float).view(np.int64)
+        recurs &= bits[:-1] == bits[-1]
+    if not recurs.any():
+        return n, 0
+    lag = reach - int(np.flatnonzero(recurs)[-1])
+    differs = np.zeros(n - lag, dtype=bool)  # row i + lag against row i
+    for c in columns:
+        bits = np.asarray(c, dtype=float).view(np.int64)
+        differs |= bits[lag:] != bits[:-lag]
+    # k rows before the end lies the last row that differs; differs[-1] is
+    # False (the last row recurs), so k == 0 means that no row differs
+    k = int(np.argmax(differs[::-1]))
+    return (n - lag - k if k else 0), lag
 
 
 def emit_csv(path, names, columns) -> None:
     """Write aligned columns as CSV: header row, shortest-roundtrip floats,
     integral values below 1e15 in magnitude as integers, LF-terminated,
     locale-independent.  Rows are formatted and written CSV_BLOCK_ROWS at a
-    time, all columns of a block in one pass, row by row, as one matrix of
-    characters into which the commas and newlines go and from which the NUL
-    padding is dropped.  Each block formats its own distinct values once
-    (formatting.cells on np.unique of their bits, so -0.0 and each nan
-    payload keep their own text) and gathers the text back in order; no
-    state is kept from one block to the next, so memory stays bounded by
-    the block whatever n is."""
+    time, all columns of a block in one pass (_csv_rows).  When every
+    column after the first ends in an exact cycle (_cycle: the same bits
+    every lag rows from some row on, lag at most CSV_BLOCK_ROWS), as a
+    periodic trajectory does once its state recurs, the rows of one cycle
+    of those columns are formatted once and kept, and each later row is
+    written as the text of its first cell followed by the kept text of its
+    cycle row.  Equal bits have equal text, so the bytes are those of
+    formatting every row.  Memory stays bounded by a block and one cycle
+    whatever n is."""
     columns = [np.asarray(c) for c in columns]
     if len(names) != len(columns) or not columns:
         raise UsageError("emit_csv needs one name per column")
     n = len(columns[0])
     if n == 0 or any(len(c) != n for c in columns):
         raise UsageError("emit_csv needs non-empty columns of equal length")
+    start, lag = _cycle(columns[1:], n)
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
-        for lo in range(0, n, CSV_BLOCK_ROWS):
-            block = np.stack([c[lo : lo + CSV_BLOCK_ROWS].astype(float) for c in columns], axis=1)
-            keys, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
-            # numpy 2.0.0 returns inverse in the shape of its input
-            text = np.take(formatting.cells(keys.view(np.float64)), inverse.reshape(-1), axis=0)
-            text = text.reshape(len(block), len(columns), -1)
-            text[:, :, -1] = ord(",")  # the last byte of a cell is always NUL
-            text[:, -1, -1] = ord("\n")
-            fh.write(text.tobytes().translate(None, b"\0"))
+        for lo in range(0, start, CSV_BLOCK_ROWS):
+            fh.write(_csv_rows(columns, lo, min(lo + CSV_BLOCK_ROWS, start)))
+        if start == n:
+            return
+        cycle = [b"," + row + b"\n" for row in _csv_rows(columns[1:], start, start + lag).split(b"\n")[:-1]]
+        ring = cycle * (CSV_BLOCK_ROWS // lag + 2)  # any block's rows, from any phase
+        for lo in range(start, n, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, n)
+            keys = _csv_rows(columns[:1], lo, hi).split(b"\n")
+            phase = (lo - start) % lag
+            fh.write(b"".join(itertools.chain.from_iterable(zip(keys, ring[phase : phase + hi - lo]))))
 
 
 def emit_svg(path, title, series) -> None:

@@ -150,27 +150,6 @@ def simulate(params: ChemostatParams, init: InitialHistory, horizon: int) -> Tra
     )
 
 
-def stored_nutrient(traj: Trajectory, t: int) -> float:
-    """Literal evaluation of the stored-nutrient sum at time t.
-
-    This is the slow reference form; Trajectory.y holds the same values.
-    For r = 0 the sum is empty and y is identically 0.
-    """
-    params = traj.params
-    r = params.r
-    if t - 1 - (r - 1) < -r:
-        raise UsageError(f"not enough history to evaluate y[{t}] with r={r}")
-    if t > traj.horizon:
-        raise UsageError(f"time {t} beyond horizon {traj.horizon}")
-    omE = 1.0 - params.E
-    p = params.uptake.evaluate
-    total = 0.0
-    for k in range(r):
-        tk = t - 1 - k
-        total += traj.x.at(tk) * p(traj.s.at(tk)) * omE ** (k + 1)
-    return total
-
-
 def conservation_deficit(traj: Trajectory, z: WashoutSolution) -> TimeSeries:
     """d[t] = s[t] + x[t] + y[t] - z[t] on [0, horizon].
 

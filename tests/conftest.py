@@ -60,3 +60,21 @@ def random_feasible_instance(rng, horizon=1000):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def reference_cli():
+    """chemodde_ref.cli, the frozen copy of the package that the benchmark
+    times against (perfbench/reference), imported without writing bytecode
+    into that directory."""
+    import importlib
+    import sys
+    from pathlib import Path
+
+    reference = str(Path(__file__).resolve().parents[1] / "perfbench" / "reference")
+    if reference not in sys.path:
+        sys.path.append(reference)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module("chemodde_ref.cli")
+    finally:
+        sys.dont_write_bytecode = dont_write

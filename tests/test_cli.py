@@ -21,7 +21,7 @@ from chemodde import (
     washout, washout_periodic, washout_sequence,
 )
 from chemodde.cli import (
-    CSV_BLOCK_ROWS, COMMANDS, _simulation_bundle, build_parser, emit_csv, emit_json, emit_svg, fig1_params,
+    CSV_BLOCK_ROWS, COMMANDS, _cycle, _simulation_bundle, build_parser, emit_csv, emit_json, emit_svg, fig1_params,
     fig2_init, fig2_params, run,
 )
 from chemodde.config import _KIND_KEYS, _KNOWN_KEYS
@@ -201,6 +201,24 @@ def test_emit_csv_peak_memory_does_not_grow_with_repeating_columns(tmp_path):
     assert peak(60_000) <= 1.25 * peak(15_000)
 
 
+def test_emit_csv_peak_memory_does_not_grow_with_rows_of_a_cycle(tmp_path):
+    # six columns that settle into one exact cycle of 500 rows after 2000,
+    # as a periodic trajectory does: one cycle's text is kept, not n rows
+    rng = np.random.default_rng(11)
+
+    def peak(n):
+        columns = [np.arange(n), *(np.r_[rng.random(2000), np.resize(rng.random(500), n - 2000)] for _ in range(6))]
+        assert _cycle(columns[1:], n) == (2000, 500)
+        tracemalloc.start()
+        try:
+            emit_csv(tmp_path / "m.csv", list("tabcdef"), columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(60_000) <= 1.25 * peak(15_000)
+
+
 def _periodic(period, n):
     """n values repeating one period exactly, as a periodic feed repeats."""
     return np.resize(np.sin(2 * np.pi * np.arange(period) / period) / 3, n)
@@ -227,7 +245,7 @@ def test_emit_csv_reuses_cells_inside_a_block_like_the_cell_oracle(tmp_path, col
         assert line.split(",") == [_format_cell(c[i]) for c in columns]
 
 
-def test_emit_csv_formats_the_distinct_values_of_each_block_once(tmp_path, monkeypatch):
+def test_emit_csv_formats_blocks_then_one_cycle_then_the_first_column(tmp_path, monkeypatch):
     cells, formatted = formatting.cells, []
 
     def counting_cells(values):
@@ -235,15 +253,112 @@ def test_emit_csv_formats_the_distinct_values_of_each_block_once(tmp_path, monke
         return cells(values)
 
     monkeypatch.setattr(formatting, "cells", counting_cells)
-    column = _periodic(500, 3 * B + 7)
-    columns = [np.arange(len(column)) % 3, column, np.full(len(column), -0.0)]
+    n, start, lag = 3 * B + 7, B + 476, 500
+    column = np.r_[np.arange(start) / 7, _periodic(lag, n - start)]
+    # a first column that repeats too, and a constant -0.0 column
+    columns = [np.arange(n) % 3, column, np.full(n, -0.0)]
     emit_csv(tmp_path / "t.csv", ["t", "a", "z"], columns)
-    assert len(formatted) == 4
-    for lo, values in zip(range(0, len(column), B), formatted):
-        block = np.stack([c[lo : lo + B].astype(float) for c in columns], axis=1)
+    calls = [
+        (columns, 0, B), (columns, B, start),  # the rows before the cycle, in blocks
+        (columns[1:], start, start + lag),  # one cycle of the columns after the first
+        (columns[:1], start, start + B), (columns[:1], start + B, n),  # then the first column per block
+    ]
+    assert len(formatted) == len(calls)
+    for values, (cols, lo, hi) in zip(formatted, calls):
+        block = np.stack([c[lo:hi].astype(float) for c in cols], axis=1)
         assert values.view(np.int64).tolist() == np.unique(block.view(np.int64)).tolist()
     lines = (tmp_path / "t.csv").read_text().split("\n")
-    assert len(lines) == len(column) + 2 and lines[-1] == ""
+    assert len(lines) == n + 2 and lines[-1] == ""
+    for i, line in enumerate(lines[1:-1]):
+        assert line.split(",") == [_format_cell(c[i]) for c in columns]
+
+
+def _cycle_oracle(columns):
+    """(start, lag) of the exact cycle the rows of the columns end in, row
+    by row on the bits of each cell: the least lag up to B at which the
+    last row recurs, and the least start from which every row equals the
+    row lag before it; (n, 0) if the last row does not recur."""
+    rows = list(zip(*(np.asarray(c, dtype=float).view(np.int64).tolist() for c in columns)))
+    n = len(rows)
+    lag = next((k for k in range(1, min(B, n - 1) + 1) if rows[-1 - k] == rows[-1]), 0)
+    if not lag:
+        return n, 0
+    start = n - lag
+    while start > 0 and rows[start - 1] == rows[start - 1 + lag]:
+        start -= 1
+    return start, lag
+
+
+NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0001], dtype=np.int64).view(np.float64)[0]
+
+
+def _planted_table(seed, lag, start, extra, pooled, width, change, keys):
+    """A first column and width columns whose rows end in a planted cycle:
+    start rows of their own, then lag rows repeated up to n = start + lag +
+    extra rows, drawn from the edge values with repeats (pooled) or as
+    distinct values.  change may break the cycle at one cell by -0.0 for
+    0.0 or by another nan payload, or replace the cycle by distinct rows
+    whose last row copies an earlier one.  The first column is a time axis
+    or repeats 0, 1, 2.  Returns the columns."""
+    rng = np.random.default_rng(seed)
+    n = max(1, start + lag + extra)
+    columns = []
+    for _ in range(width):
+        if pooled:
+            cycle = np.array([EDGE_FLOATS[i] for i in rng.integers(0, len(EDGE_FLOATS), lag)])
+        else:
+            cycle = rng.standard_normal(lag)
+        columns.append(np.r_[rng.standard_normal(start), np.resize(cycle, max(n - start, 0))][:n])
+    if change != "none" and n > start + lag:
+        col, at = columns[0], int(rng.integers(start + lag, n))
+        if change == "copied last row":
+            for c in columns:
+                c[start:] = rng.standard_normal(n - start)
+                c[-1] = c[int(rng.integers(max(0, n - 1 - B), n - 1))]
+        else:
+            pair = (0.0, -0.0) if change == "signed zero" else (math.nan, NAN_PAYLOAD)
+            col[start + (at - start) % lag :: lag] = pair[0]  # this cell of every cycle
+            col[at] = pair[1]  # but one
+    first = np.arange(n) if keys == "time" else np.arange(n) % 3
+    return [first, *columns]
+
+
+_PLANTED = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 5, 500, B - 1, B, B + 1]),
+    st.sampled_from([0, 1, B // 2, B, B + 3, 2 * B]),
+    st.sampled_from([-1, 0, 1, 2 * B + 5]),
+    st.booleans(),
+    st.integers(1, 3),
+    st.sampled_from(["none", "signed zero", "nan payload", "copied last row"]),
+    st.sampled_from(["time", "repeating"]),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(plant=_PLANTED)
+@example(plant=(1, 1, 0, 2 * B + 5, False, 2, "none", "time"))  # lag 1 from the first row
+@example(plant=(2, B, B, 1, False, 3, "none", "time"))  # lag B from a block boundary
+@example(plant=(3, B + 1, B // 2, 2 * B + 5, False, 2, "none", "time"))  # too long a lag: no cycle
+@example(plant=(4, 500, B + 3, -1, False, 2, "none", "time"))  # n = start + lag - 1
+@example(plant=(5, 500, B + 3, 0, False, 2, "none", "time"))  # n = start + lag
+@example(plant=(6, 500, B + 3, 1, False, 2, "none", "repeating"))  # n = start + lag + 1
+@example(plant=(7, 500, B // 2, 2 * B + 5, True, 3, "signed zero", "time"))
+@example(plant=(8, 500, B, 2 * B + 5, True, 2, "nan payload", "time"))
+@example(plant=(9, 5, B + 3, 2 * B + 5, False, 2, "copied last row", "repeating"))
+def test_emit_csv_writes_a_trailing_cycle_like_the_cell_oracle(tmp_path, plant):
+    columns = _planted_table(*plant)
+    _, lag, start, extra, pooled, _, change, _ = plant
+    n = len(columns[0])
+    found = _cycle(columns[1:], n)
+    assert found == _cycle_oracle(columns[1:])
+    if change == "none" and not pooled and lag <= B and extra > 0:
+        assert found == (start, lag)  # distinct values recur only where planted
+    path = tmp_path / "t.csv"
+    emit_csv(path, [f"c{i}" for i in range(len(columns))], columns)
+    lines = path.read_text().split("\n")
+    assert len(lines) == n + 2 and lines[-1] == ""
     for i, line in enumerate(lines[1:-1]):
         assert line.split(",") == [_format_cell(c[i]) for c in columns]
 

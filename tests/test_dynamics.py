@@ -17,7 +17,6 @@ from chemodde import (
     conservation_deficit,
     initial_stored_nutrient,
     simulate,
-    stored_nutrient,
     washout_periodic,
     washout_sequence,
 )
@@ -48,6 +47,25 @@ def test_zero_biomass_reduces_to_washout():
     z = washout_sequence(params, horizon=200)
     # the linear substrate equation forgets its start geometrically
     assert abs(traj.s.at(200) - z.at(200)) <= abs(0.3 - z.at(-1)) * 0.5**200 + 1e-14
+
+
+def stored_nutrient(traj, t):
+    """Literal evaluation of the stored-nutrient sum at time t, term by
+    term: the slow oracle of Trajectory.y.  For r = 0 the sum is empty and
+    y is identically 0."""
+    params = traj.params
+    r = params.r
+    if t - 1 - (r - 1) < -r:
+        raise UsageError(f"not enough history to evaluate y[{t}] with r={r}")
+    if t > traj.horizon:
+        raise UsageError(f"time {t} beyond horizon {traj.horizon}")
+    omE = 1.0 - params.E
+    p = params.uptake.evaluate
+    total = 0.0
+    for k in range(r):
+        tk = t - 1 - k
+        total += traj.x.at(tk) * p(traj.s.at(tk)) * omE ** (k + 1)
+    return total
 
 
 def test_stored_nutrient_r0_empty_sum():
