@@ -190,6 +190,15 @@ class WashoutConvergence:
     max_x_last_period: float
 
 
+def _gap(new, old, s_scale, x_scale):
+    """Sup deviation between two stretches (s, x) of the state, s relative
+    to s_scale and x to x_scale."""
+    return max(
+        float(np.max(np.abs(new[0] - old[0]))) / s_scale,
+        float(np.max(np.abs(new[1] - old[1]))) / x_scale,
+    )
+
+
 def find_periodic_orbit(
     params: ChemostatParams,
     init: InitialHistory,
@@ -203,8 +212,9 @@ def find_periodic_orbit(
     map has reached its fixed point, and one more closed-loop period is
     integrated to verify and extract the profile.  If biomass drops below
     EXTINCTION_FLOOR * sup z for a whole period the run is declared a
-    washout convergence instead.  Returns PeriodicOrbit or
-    WashoutConvergence.
+    washout convergence instead.  Only the state window and the period
+    being integrated are kept, so memory does not grow with the number of
+    periods.  Returns PeriodicOrbit or WashoutConvergence.
     """
     _validate_tol(tol)
     if max_periods < 1:
@@ -221,21 +231,17 @@ def find_periodic_orbit(
     feed = params.input.sample(0, omega - 1).tolist()
     window = r + 1
     s_scale = max(z.z_sup, 1e-300)
-    prev_s = np.array(s[-window:])
-    prev_x = np.array(x[-window:])
+    end = np.array(s[-window:]), np.array(x[-window:])
     for n in range(1, max_periods + 1):
+        # a period reads only the state window: drop what lies before it
+        del s[:-window], x[:-window], ps[:-window]
         _integrate(params, s, x, ps, feed)
-        state_s = np.array(s[-window:])
-        state_x = np.array(x[-window:])
+        prev, end = end, (np.array(s[-window:]), np.array(x[-window:]))
         # biomass residual is measured against its own scale: a geometric
         # extinction tail keeps a constant relative step and is never
         # mistaken for orbit closure no matter how small it gets
-        x_scale = max(float(np.max(state_x)), float(np.max(prev_x)), 1e-300)
-        residual = max(
-            float(np.max(np.abs(state_s - prev_s))) / s_scale,
-            float(np.max(np.abs(state_x - prev_x))) / x_scale,
-        )
-        prev_s, prev_x = state_s, state_x
+        x_scale = max(float(np.max(end[1])), float(np.max(prev[1])), 1e-300)
+        residual = _gap(end, prev, s_scale, x_scale)
 
         max_x_period = max(x[-omega:])
         if max_x_period < EXTINCTION_FLOOR * z.z_sup:
@@ -245,16 +251,10 @@ def find_periodic_orbit(
         if residual < tol:
             # closed-loop verification period: re-integrate and compare
             # the whole period, not just the end window
+            old = np.array(s[-omega:]), np.array(x[-omega:])
             _integrate(params, s, x, ps, feed)
-            new_s = np.array(s[-omega:])
-            old_s = np.array(s[-2 * omega : -omega])
-            new_x = np.array(x[-omega:])
-            old_x = np.array(x[-2 * omega : -omega])
-            closure = max(
-                float(np.max(np.abs(new_s - old_s))) / s_scale,
-                float(np.max(np.abs(new_x - old_x)))
-                / max(float(np.max(new_x)), 1e-300),
-            )
+            new_s, new_x = np.array(s[-omega:]), np.array(x[-omega:])
+            closure = _gap((new_s, new_x), old, s_scale, max(float(np.max(new_x)), 1e-300))
             # every period ends at a multiple of omega, so the last omega
             # entries sit at phases 1 .. omega-1, 0; roll so that
             # index = phase t % omega
@@ -407,8 +407,8 @@ def neither_nor_demo(
     signal = DyadicBlocks(E, r)  # validates E, r and guards the high value
     params = ChemostatParams(E=float(E), r=int(r), uptake=LinearUptake(1.0), input=signal)
     if not 1 <= n_max <= 9:
-        # the classification's Bohl scan costs 16x more per unit of n_max:
-        # 9 ran about 80 s on one 2-vCPU Xeon, 30 exceeds any memory
+        # the classification's Bohl scan costs ~16x more per unit of n_max:
+        # 8 takes 3 s and 9 takes 62 s on a 2-vCPU Xeon, 30 exceeds any memory
         raise UsageError(f"n_max must be in [1, 9], got {n_max}")
     if x_init is None:
         x_init = 0.01

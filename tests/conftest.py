@@ -62,19 +62,19 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-def reference_cli():
-    """chemodde_ref.cli, the frozen copy of the package that the benchmark
-    times against (perfbench/reference), imported without writing bytecode
-    into that directory."""
+def reference(module):
+    """chemodde_ref.<module>, from the frozen copy of the package that the
+    benchmark times against (perfbench/reference), imported read-only:
+    without writing bytecode into that directory."""
     import importlib
     import sys
     from pathlib import Path
 
-    reference = str(Path(__file__).resolve().parents[1] / "perfbench" / "reference")
-    if reference not in sys.path:
-        sys.path.append(reference)
+    root = str(Path(__file__).resolve().parents[1] / "perfbench" / "reference")
+    if root not in sys.path:
+        sys.path.append(root)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        return importlib.import_module("chemodde_ref.cli")
+        return importlib.import_module(f"chemodde_ref.{module}")
     finally:
         sys.dont_write_bytecode = dont_write

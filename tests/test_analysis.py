@@ -1,7 +1,11 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from chemodde import (
     ChemostatParams,
@@ -26,6 +30,8 @@ from chemodde import (
 )
 from chemodde.analysis import BASIS_BOHL, BASIS_PERIODIC, EXTINCT, INCONCLUSIVE, PERSISTENT
 from chemodde.cli import _feed, fig2_init, fig2_params
+
+from conftest import reference
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +85,20 @@ def test_classify_undelayed_thresholds():
     rep2 = classify(persistent)
     assert math.isclose(rep2.mean, 1.12, rel_tol=1e-12)
     assert rep2.verdict == PERSISTENT
+
+
+def test_classify_periodic_mean_of_exactly_one_is_borderline():
+    # r = 0, feed 1, p(s) = s: z = 1 and (1-E)(1+p(z)) = 0.5 * 2 = 1 exactly
+    params = ChemostatParams(E=0.5, r=0, uptake=LinearUptake(1.0), input=Constant(1.0))
+    report = classify(params)
+    assert report.mean == 1.0
+    assert report.verdict == INCONCLUSIVE
+    assert report.borderline
+    assert report.note == (
+        "periodic mean within the borderline band of 1; the theory assigns "
+        "mean <= 1 to extinction but the computed margin (0.00e+00) is below "
+        "numerical resolution"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +233,90 @@ def test_orbit_attracts_perturbed_runs():
     assert rate.rho < 1.0
     # both runs end on the orbit
     assert abs(traj_a.x.at(20_000) - orbit.x[20_000 % 500]) <= 1e-6
+
+
+@st.composite
+def _orbit_cases(draw):
+    """A regime for find_periodic_orbit, as constructor names and keywords
+    that either package can build: a sinusoid or periodic-sequence feed of
+    period 1..30, Monod or tabulated uptake, r in 0..19 (so the period is
+    often shorter than the state window r + 1), a random initial history,
+    and a small or the default period budget."""
+    r, period = draw(st.integers(0, 19)), draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        amplitude = draw(st.floats(0.0, 0.5))
+        offset = amplitude + draw(st.floats(0.05, 1.5))
+        feed = "Sinusoid", dict(amplitude=amplitude, period_steps=period, offset=offset)
+    else:
+        values = draw(st.lists(st.floats(0.0, 2.0), min_size=period, max_size=period))
+        feed = "ExplicitSequence", dict(values=tuple(values), periodic=True)
+    if draw(st.booleans()):
+        uptake = "Monod", dict(p_max=draw(st.floats(0.05, 3.0)), k_s=draw(st.floats(0.1, 3.0)))
+    else:  # slopes shrink segment by segment, so the first is the steepest
+        grid, values, slope = [0.0], [0.0], draw(st.floats(0.1, 3.0))
+        for width, shrink in draw(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 0.9)), min_size=1, max_size=4)):
+            grid.append(grid[-1] + width)
+            values.append(values[-1] + slope * width)
+            slope *= shrink
+        uptake = "TabulatedUptake", dict(grid=tuple(grid), values=tuple(values))
+    window = st.lists(st.floats(0.0, 1.0), min_size=r + 1, max_size=r + 1).map(tuple)
+    return dict(
+        E=draw(st.floats(0.02, 0.6)), r=r, feed=feed, uptake=uptake, s=draw(window), x=draw(window),
+        tol=draw(st.sampled_from([1e-6, 1e-9, 1e-12])), max_periods=draw(st.sampled_from([3, 400])),
+    )
+
+
+def _orbit_outcome(core, analysis, errors, case):
+    """find_periodic_orbit of the case as comparable values: the bytes and
+    hex floats of an orbit or a washout, or the error's type and message."""
+    params = core.ChemostatParams(
+        E=case["E"], r=case["r"],
+        uptake=getattr(core, case["uptake"][0])(**case["uptake"][1]),
+        input=getattr(core, case["feed"][0])(**case["feed"][1]),
+    )
+    init = core.InitialHistory(s=case["s"], x=case["x"])
+    try:
+        result = analysis.find_periodic_orbit(params, init, tol=case["tol"], max_periods=case["max_periods"])
+    except errors.ChemoddeError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "residual", None)
+    if isinstance(result, analysis.WashoutConvergence):
+        return "washout", result.periods_used, result.max_x_last_period.hex()
+    return ("orbit", result.period, result.s.tobytes(), result.x.tobytes(),
+            result.residual.hex(), result.delta.hex(), result.periods_used)
+
+
+_SHORT_PERIOD = dict(  # period 7 < r + 1 = 13; closes after 55 periods
+    E=0.05, r=12, feed=("Sinusoid", dict(amplitude=0.25, period_steps=7, offset=1.5)),
+    uptake=("Monod", dict(p_max=1.0, k_s=1.0)), s=(0.5,) * 13, x=(0.2,) * 13, tol=1e-9, max_periods=400,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_orbit_cases())
+@example(_SHORT_PERIOD)
+@example({**_SHORT_PERIOD, "max_periods": 53})  # one period short: ConvergenceError
+@example({**_SHORT_PERIOD, "r": 0, "s": (0.5,), "x": (0.2,), "uptake": ("Monod", dict(p_max=0.01, k_s=1.0))})  # washout
+def test_find_periodic_orbit_matches_the_reference_bit_for_bit(case):
+    modules = ("core", "analysis", "errors")
+    got = _orbit_outcome(*(importlib.import_module(f"chemodde.{m}") for m in modules), case)
+    want = _orbit_outcome(*map(reference, modules), case)
+    event(got[0])
+    assert got == want
+
+
+def test_find_periodic_orbit_memory_does_not_grow_with_the_number_of_periods():
+    # at offset 0.427 the period map is still open after 160 periods; only
+    # the r+1 steps of its state are kept from one period to the next
+    def peak(max_periods):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match=f"within {max_periods} periods"):
+                find_periodic_orbit(fig2_params(0.427), fig2_init(), max_periods=max_periods)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(160) <= 1.1 * peak(40)
 
 
 # ---------------------------------------------------------------------------

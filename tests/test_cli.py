@@ -1219,6 +1219,45 @@ def test_key_the_kind_does_not_read_exits_2(tmp_path, capsys, key, value, kind):
     assert not out.exists()
 
 
+_SINUSOID_INPUT = "input.kind = sinusoid\ninput.amplitude = 0.25\ninput.period = 500\ninput.offset = 0.6\n"
+_INIT = "init.s = 0.5 0.5 0.5 0.5 0.5 0.5\ninit.x = 0.2 0.2 0.2 0.2 0.2 0.2\n"
+
+
+@pytest.mark.parametrize("old, new, err", [
+    ("run.horizon = 800", "run.horizon 800", "{cfg}:14: expected 'key = value', got 'run.horizon 800'"),
+    ("uptake.kind = monod\nuptake.p_max = 1.0\nuptake.k_s = 1.0", "uptake.kind = hill",
+     "uptake.kind: unknown kind 'hill'"),
+    ("schema = 1", "schema = 2", "unsupported schema version 2; this build reads schema = 1"),
+    ("model.r = 5", "model.r = -1", "model.r: must be >= 0, got -1"),
+    ("model.r = 5", "model.r = 2.5", "model.r: expected an integer, got '2.5'"),
+    ("run.horizon = 800", "run.horizon = -1", "run.horizon: must be >= 0, got -1"),
+    (_SINUSOID_INPUT, "input.kind = piecewise\ninput.t = 0 5 9\ninput.values = 1 0.5\n",
+     "input.t and input.values must have matching lengths"),
+    (_SINUSOID_INPUT, "input.kind = sequence\ninput.values = 1 0.5\ninput.periodic = maybe\n",
+     "input.periodic: expected true/false, got 'maybe'"),
+    (_INIT, "", "this subcommand needs init.s and init.x in the config"),
+])
+def test_config_error_exits_2(tmp_path, capsys, old, new, err):
+    assert old in FIG2_CFG
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FIG2_CFG.replace(old, new))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err.format(cfg=cfg)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_neither_nor_zero_biomass_is_the_trivial_case(tmp_path, capsys):
+    assert run(["neither-nor", "--x0", "0", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {tmp_path / 'neither_nor.json'}\n"
+        "trivial case: biomass history is identically zero, x stays 0\n"
+    )
+    assert json.loads((tmp_path / "neither_nor.json").read_text())["trivial"] is True
+
+
 # a valid value for each config key, bounded so that every example runs in
 # well under a second; lists match their partners (input.t and
 # input.values, uptake.s and uptake.values) and init.* hold r+1 values

@@ -388,6 +388,30 @@ def test_dyadic_sample_at_block_edges(n):
         assert sig.sample(t, t)[0] == _dyadic_oracle(sig, t), t
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Monod(p_max=0.0, k_s=1.0), "Monod p_max must be positive, got 0.0"),
+    (lambda: Monod(p_max=-1.0, k_s=1.0), "Monod p_max must be positive, got -1.0"),
+    (lambda: LinearUptake(0.0), "linear uptake slope must be positive, got 0.0"),
+    (lambda: LinearUptake(-0.5), "linear uptake slope must be positive, got -0.5"),
+    (lambda: TabulatedUptake(grid=(0.0,), values=(0.0,)), "tabulated uptake needs >= 2 matching samples"),
+    (lambda: TabulatedUptake(grid=(0.0, 1.0, 1.0), values=(0.0, 0.5, 0.5)),
+     "tabulated uptake grid must be strictly increasing"),
+    (lambda: TabulatedUptake(grid=(0.0, 2.0, 1.0), values=(0.0, 0.5, 0.6)),
+     "tabulated uptake grid must be strictly increasing"),
+    (lambda: PiecewiseLinear(breakpoints=()), "piecewise input needs at least one breakpoint"),
+    (lambda: PiecewiseLinear(breakpoints=((0.0, 1.0), (0.0, 2.0))), "piecewise breakpoints must have increasing times"),
+    (lambda: PiecewiseLinear(breakpoints=((5.0, 1.0), (2.0, 2.0))), "piecewise breakpoints must have increasing times"),
+    (lambda: ChemostatParams(E="half", r=1, uptake=Monod(1.0, 1.0), input=Constant(1.0)),
+     "washout fraction E must be a number, got 'half'"),
+    (lambda: ChemostatParams(E=0.5, r=1, uptake=lambda s: s, input=Constant(1.0)), "uptake must be an UptakeFunction"),
+    (lambda: ChemostatParams(E=0.5, r=1, uptake=Monod(1.0, 1.0), input=1.0), "input must be an InputSignal"),
+])
+def test_model_types_name_what_is_wrong(build, message):
+    with pytest.raises(ParameterError) as err:
+        build()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # parameters and history
 # ---------------------------------------------------------------------------

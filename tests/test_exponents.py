@@ -431,6 +431,18 @@ def test_bohl_exact_above_6000_samples():
     assert bohl_bounds(seq, window_min=70, method="full") == est
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda p: phi_sequence(p, washout_sequence(p, 50), horizon=-1), "horizon must be >= 0, got -1"),
+    (lambda p: periodic_phi(p, washout_sequence(p, 50)), "periodic_phi requires a periodic washout solution"),
+    (lambda p: reconstruct_biomass(simulate(p, fig2_init(), 40), psi_sequence(simulate(p, fig2_init(), 30))),
+     "psi must cover [-5, 35]"),
+])
+def test_exponents_usage_errors_name_the_rule(call, message):
+    with pytest.raises(UsageError) as err:
+        call(fig2_params(0.6))
+    assert str(err.value) == message
+
+
 def test_bohl_domain_and_usage_errors():
     for bad in (-0.5, math.inf, math.nan):
         with pytest.raises(DomainError, match="position 1 "):

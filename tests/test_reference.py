@@ -1,36 +1,52 @@
 """CLI output against the frozen reference package: the same argv run
 through chemodde.cli.run and chemodde_ref.cli.run gives the same exit code,
-the same stdout once the output directory is named alike, and the same
-bytes in every CSV file.  The commands cover tables that end in an exact
-cycle, which the CSV writer formats once: fig2 at 0.9, 0.6 and 0.45 (lag
-500 from rows 469, 1203 and 9031), simulate on the sinusoid (lag 500) and
-on the periodic sequence (lag 14, twice its period), and washout on both;
-and a table without one, fig2 at 0.36."""
+the same stdout and stderr once the output directory is named alike, the
+same bytes in every CSV file and the same JSON, apart from the declared
+differences below.  SVG files are not compared: their polylines and tick
+labels changed on purpose.
+
+The commands cover tables that end in an exact cycle, which the CSV writer
+formats once: fig2 at 0.9, 0.6 and 0.45 (lag 500 from rows 469, 1203 and
+9031), simulate on the sinusoid (lag 500) and on the periodic sequence
+(lag 14, twice its period), and washout on both; and a table without one,
+fig2 at 0.36.  exponents, sliding and classify run on the sinusoid and on
+the fig1 ramp (a piecewise feed); periodic runs to an orbit, to washout,
+to an orbit after 83 periods, to an orbit whose period 7 is shorter than
+its state window r + 1 = 13, and out of its period budget (exit 1).
+
+Declared JSON differences: classify.json gained the periodic phi sweep
+certificate (phi_sweeps, phi_residual), and non-finite floats are written
+as the strings "nan", "inf" and "-inf" where the reference wrote the
+non-standard NaN, Infinity and -Infinity."""
 
 import contextlib
 import io
+import json
 
 import pytest
 
 from chemodde import cli
 
-from conftest import reference_cli
+from conftest import reference
 
-SINUSOID_CFG = """
+
+def _sinusoid_cfg(offset=0.7, horizon=6000, E=0.125, r=5, period=500):
+    return f"""
 schema = 1
-model.E = 0.125
-model.r = 5
+model.E = {E}
+model.r = {r}
 uptake.kind = monod
 uptake.p_max = 1.0
 uptake.k_s = 1.0
 input.kind = sinusoid
 input.amplitude = 0.25
-input.period = 500
-input.offset = 0.7
-init.s = 0.5 0.5 0.5 0.5 0.5 0.5
-init.x = 0.2 0.2 0.2 0.2 0.2 0.2
-run.horizon = 6000
+input.period = {period}
+input.offset = {offset}
+init.s = {" ".join(["0.5"] * (r + 1))}
+init.x = {" ".join(["0.2"] * (r + 1))}
+run.horizon = {horizon}
 """
+
 
 SEQUENCE_CFG = """
 schema = 1
@@ -47,15 +63,68 @@ init.x = 0.4 0.4 0.4
 run.horizon = 4000
 """
 
+# the fig1 feed: constant 3, then a linear ramp down to 0.05
+RAMP_CFG = f"""
+schema = 1
+model.E = {1.0 / 5.5!r}
+model.r = 5
+uptake.kind = monod
+uptake.p_max = 1.0
+uptake.k_s = 1.0
+input.kind = piecewise
+input.t = 0 500 1500
+input.values = 3 3 0.05
+run.horizon = 2000
+"""
+
+CONFIGS = {
+    "sinusoid.cfg": _sinusoid_cfg(),
+    "sequence.cfg": SEQUENCE_CFG,
+    "ramp.cfg": RAMP_CFG,
+    "washout.cfg": _sinusoid_cfg(offset=0.36),
+    "slow.cfg": _sinusoid_cfg(offset=0.43),
+    "short.cfg": _sinusoid_cfg(offset=1.5, E=0.05, r=12, period=7),
+}
+
+# keys that chemodde writes and the reference does not
+ADDED_KEYS = {"classify.json": {"phi_sweeps", "phi_residual"}}
+NON_FINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+
 
 def _run(main, argv, out):
-    """Exit code, stdout with the output directory named OUT, and the bytes
-    of each CSV file written."""
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
+    """Exit code, stdout and stderr with the output directory named OUT,
+    the bytes of each CSV file and the parsed JSON files."""
+    text, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
         code = main([*argv, "--out", str(out)])
     csv = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
-    return code, text.getvalue().replace(str(out), "OUT"), csv
+    docs = {p.name: json.loads(p.read_text(), parse_constant=NON_FINITE.get) for p in sorted(out.glob("*.json"))}
+    return code, text.getvalue().replace(str(out), "OUT"), err.getvalue().replace(str(out), "OUT"), csv, docs
+
+
+def _check(tmp_path, monkeypatch, argv, code):
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CHEMODDE_OUT", raising=False)
+    own, ref = tmp_path / "own", tmp_path / "ref"
+    own.mkdir()
+    ref.mkdir()
+    got = _run(cli.run, argv, own)
+    want = _run(reference("cli").run, argv, ref)
+    assert got[0] == want[0] == code
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+    assert bool(got[2]) == (code != 0)
+    assert list(got[3]) == list(want[3])
+    for name in got[3]:
+        assert got[3][name] == want[3][name], name
+    assert list(got[4]) == list(want[4])
+    assert got[3] or got[4] or code  # a run that succeeds writes something
+    for name, doc in got[4].items():
+        added = ADDED_KEYS.get(name, set())
+        assert added <= set(doc) and not added & set(want[4][name])
+        assert {k: v for k, v in doc.items() if k not in added} == want[4][name], name
 
 
 @pytest.mark.parametrize("argv", [
@@ -69,17 +138,24 @@ def _run(main, argv, out):
     ["washout", "--config", "sequence.cfg"],
 ])
 def test_cli_csv_bytes_match_the_reference(tmp_path, monkeypatch, argv):
-    (tmp_path / "sinusoid.cfg").write_text(SINUSOID_CFG)
-    (tmp_path / "sequence.cfg").write_text(SEQUENCE_CFG)
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("CHEMODDE_OUT", raising=False)
-    own, ref = tmp_path / "own", tmp_path / "ref"
-    own.mkdir()
-    ref.mkdir()
-    got = _run(cli.run, argv, own)
-    want = _run(reference_cli().run, argv, ref)
-    assert got[0] == want[0] == 0
-    assert got[1] == want[1]
-    assert list(got[2]) == list(want[2]) and got[2]  # the same files, at least one
-    for name in got[2]:
-        assert got[2][name] == want[2][name], name
+    _check(tmp_path, monkeypatch, argv, 0)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fig1"], 0),
+    (["exponents", "--config", "sinusoid.cfg"], 0),
+    (["exponents", "--config", "ramp.cfg"], 0),
+    (["sliding", "--config", "sinusoid.cfg"], 0),
+    (["sliding", "--config", "ramp.cfg"], 0),
+    (["classify", "--config", "sinusoid.cfg"], 0),
+    (["classify", "--config", "ramp.cfg"], 0),
+    (["periodic", "--config", "sinusoid.cfg"], 0),
+    (["periodic", "--config", "washout.cfg"], 0),
+    (["periodic", "--config", "slow.cfg"], 0),
+    (["periodic", "--config", "short.cfg"], 0),
+    (["periodic", "--config", "slow.cfg", "--max-periods", "3"], 1),
+    (["neither-nor"], 0),
+    (["neither-nor", "--E", "0.3", "--r", "2", "--n-max", "4"], 0),
+])
+def test_cli_output_matches_the_reference(tmp_path, monkeypatch, argv, code):
+    _check(tmp_path, monkeypatch, argv, code)
