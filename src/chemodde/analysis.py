@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChemostatParams, InitialHistory, LinearUptake, DyadicBlocks, _validate_tol
+from .core import ChemostatParams, InitialHistory, LinearUptake, DyadicBlocks, _validate_integer, _validate_tol
 from .dynamics import (
     Trajectory,
     _initial_state,
@@ -103,6 +103,7 @@ def classify(
     `window_min` (default max(2r, 50)).  `horizon` must be >= r either way.
     """
     _validate_tol(tol)
+    horizon = _validate_integer("horizon must be an integer", horizon, -math.inf, UsageError)
     if horizon < params.r:
         raise UsageError(f"horizon {horizon} must be >= delay r={params.r}")
     omega = params.input.period
@@ -151,7 +152,7 @@ def classify(
         basis=BASIS_BOHL,
         lower=est.lower,
         upper=est.upper,
-        window_min=window_min,
+        window_min=est.window_min,
         horizon=horizon,
     )
 
@@ -217,8 +218,7 @@ def find_periodic_orbit(
     periods.  Returns PeriodicOrbit or WashoutConvergence.
     """
     _validate_tol(tol)
-    if max_periods < 1:
-        raise UsageError(f"max_periods must be >= 1, got {max_periods}")
+    max_periods = _validate_integer("max_periods must be >= 1", max_periods, 1, UsageError)
     omega = params.input.period
     if omega is None:
         raise UsageError("find_periodic_orbit requires a periodic input signal")
@@ -318,6 +318,7 @@ def attraction_rate(
     if traj_a.params != traj_b.params:
         raise UsageError("attraction_rate needs two runs of the same system")
     horizon = min(traj_a.horizon, traj_b.horizon)
+    burn_in = _validate_integer("burn_in must be an integer", burn_in, -math.inf, UsageError)
     if not 0 <= burn_in < horizon:
         raise UsageError(f"burn_in {burn_in} outside [0, horizon={horizon})")
 
@@ -406,7 +407,8 @@ def neither_nor_demo(
     """
     signal = DyadicBlocks(E, r)  # validates E, r and guards the high value
     params = ChemostatParams(E=float(E), r=int(r), uptake=LinearUptake(1.0), input=signal)
-    if not 1 <= n_max <= 9:
+    n_max = _validate_integer("n_max must be in [1, 9]", n_max, 1, UsageError)
+    if n_max > 9:
         # the classification's Bohl scan costs ~16x more per unit of n_max:
         # 8 takes 3 s and 9 takes 62 s on a 2-vCPU Xeon, 30 exceeds any memory
         raise UsageError(f"n_max must be in [1, 9], got {n_max}")

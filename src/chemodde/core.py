@@ -426,53 +426,73 @@ def _validate_steps(what, n):
         raise MemoryError(f"{what} of {n} steps is beyond the size one array can address")
 
 
-# Least lag, in steps, at which simulate and washout_sequence look for an
-# exact recurrence of their state.  The lag is the least multiple of the
-# feed's period that reaches it, so a feed of short period (a Constant has
-# period 1) costs one window compare per few hundred steps, not one a step.
+# Least lag, in steps, of an exact recurrence (see _step_to_recurrence).
+# The lag is the least multiple of the feed's period that reaches it, so a
+# feed of short period (a Constant has period 1) costs one window compare
+# per few hundred steps, not one a step.
 RECURRENCE_MIN_LAG = 256
 
 
-def _recurrence_lag(period, feed):
-    """The lag L, the least multiple of period of at least
-    RECURRENCE_MIN_LAG, when the sampled feed array is longer than L and
-    repeats with lag L bit for bit; None otherwise.  period is the input's
-    claim and is not trusted: the samples decide."""
-    if period is None:
-        return None
-    lag = -(-RECURRENCE_MIN_LAG // period) * period
-    bits = np.asarray(feed, dtype=float).view(np.int64)
-    if len(bits) <= lag or not np.array_equal(bits[lag:], bits[:-lag]):
-        return None
-    return lag
+def _step_to_recurrence(signal, t_from, t_to, states, window, advance):
+    """Step states over the feed s0 on [t_from, t_to] and return them, in
+    the list states, as float64 arrays of window + n entries for the n
+    feed values.
+
+    Each state is a list or an array whose first window entries hold the
+    state before the feed; advance(part, end) steps them all over the list
+    of feed values part, end being the number of entries filled so far.
+    The states are converted one at a time, so a list is dropped once it
+    is an array.
+
+    Exact recurrence: the lag L is the least multiple of signal.period of
+    at least RECURRENCE_MIN_LAG, taken only when the sampled feed repeats
+    with lag L bit for bit; the period a signal claims is not trusted.
+    The feed is then stepped in chunks of L, and stepping stops once the
+    last window entries of every state equal those L steps earlier as
+    64-bit integers, so -0.0 differs from 0.0 and a nan matches only the
+    same nan.  The last L entries are then repeated to the end.  A step is
+    a deterministic function of that window and s0[t], so every value is
+    the one the plain pass gives, to the bit.  Any other feed is stepped in
+    one chunk, never compared.
+    """
+    feed = np.asarray(signal.sample(t_from, t_to), dtype=float)
+    n, period = len(feed), signal.period
+    lag = n if period is None else -(-RECURRENCE_MIN_LAG // period) * period
+    bits = feed.view(np.int64)
+    if lag < n and np.array_equal(bits[lag:], bits[:-lag]):
+        chunks = (feed[i : i + lag].tolist() for i in range(0, n, lag))
+    else:  # one chunk, whose list replaces the array
+        lag, chunks, feed, bits = n, [feed.tolist()], None, None
+    # k counts chunks, not steps, so it stays a cached small int, and the
+    # compare binds no name: an object made while the lists fill would
+    # outlive their floats and keep a 1-MiB pymalloc arena of them mapped
+    for k, part in enumerate(chunks, 1):
+        advance(part, window + (k - 1) * lag)
+        if k * lag < n and np.array_equal(*np.array(
+            [[v[e : e + window] for v in states] for e in ((k - 1) * lag, k * lag)], dtype=float
+        ).view(np.int64)):
+            break
+    # the feed, a float object a value once a list, goes before the states
+    del chunks, part, feed, bits
+    end = window + min(k * lag, n)
+    for i, v in enumerate(states):
+        v = np.asarray(v, dtype=float)[:end]
+        states[i] = v if end == window + n else np.concatenate((v, np.resize(v[-lag:], window + n - end)))
+    return states
 
 
-def _same_bits(a, b):
-    """True when the float sequences a and b hold the same doubles bit for
-    bit: unlike ==, -0.0 differs from 0.0 and a nan equals the same nan."""
-    return np.array_equal(np.array(a, dtype=float).view(np.int64),
-                          np.array(b, dtype=float).view(np.int64))
-
-
-def _repeat_tail(values, lag, n):
-    """The array values extended to n entries by repeating its last lag
-    entries; values itself when it already holds n."""
-    if len(values) == n:
-        return values
-    return np.concatenate((values, np.resize(values[-lag:], n - len(values))))
-
-
-def _validate_integer(rule, v, least):
+def _validate_integer(rule, v, least, error=ParameterError):
     """v as an int: an integral number, not a bool, and >= least; otherwise
-    ParameterError with the rule and v."""
+    error, a ParameterError for a model parameter and a UsageError for a
+    budget, with the rule and v."""
     try:
         bad = isinstance(v, bool) or (not isinstance(v, int) and int(v) != v)
     except (TypeError, ValueError, OverflowError):  # int() of "two", nan, inf
         bad = True
     if bad:
-        raise ParameterError(f"{rule}, got {v!r}")
+        raise error(f"{rule}, got {v!r}")
     if int(v) < least:
-        raise ParameterError(f"{rule}, got {int(v)}")
+        raise error(f"{rule}, got {int(v)}")
     return int(v)
 
 

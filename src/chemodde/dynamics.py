@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ChemostatParams, FeasibilityReport, InitialHistory, _recurrence_lag, _repeat_tail, _same_bits,
+    ChemostatParams, FeasibilityReport, InitialHistory, _step_to_recurrence, _validate_integer,
     _validate_steps,
 )
 from .errors import ParameterError, UsageError
@@ -101,41 +101,15 @@ def _stored_nutrient_series(params, s, x, ps, horizon):
 def simulate(params: ChemostatParams, init: InitialHistory, horizon: int) -> Trajectory:
     """Integrate the system for `horizon` steps past time 0.
 
-    Returns sequences on [-r, horizon].
-
-    Exact recurrence: when the sampled feed repeats bit for bit with lag L,
-    the least multiple of its period of at least core.RECURRENCE_MIN_LAG,
-    the steps run in chunks of L.  Once a chunk leaves the last r + 1
-    values of s and of x equal, bit for bit, to those L steps earlier, the
-    rest of the horizon repeats the last L values: each step is a
-    deterministic function of that window and s0[t], so the result is the
-    one the full pass gives, to the bit.  Feeds without a period or whose
-    samples do not repeat run the one plain pass; no option controls this.
+    Returns sequences on [-r, horizon].  A periodic feed stops stepping at
+    an exact recurrence of s and x (core._step_to_recurrence).
     """
-    if horizon < 0:
-        raise UsageError(f"horizon must be >= 0, got {horizon}")
+    horizon = _validate_integer("horizon must be >= 0", horizon, 0, UsageError)
     r = params.r
-    n = horizon + r + 1
-    _validate_steps("simulation", n)
-    s, x, ps = _initial_state(params, init)
-    feed = params.input.sample(0, horizon - 1)
-    lag = _recurrence_lag(params.input.period, feed)
-    feed = feed.tolist()
-    if lag is None:
-        _integrate(params, s, x, ps, feed)
-    else:
-        w = r + 1
-        # counting chunks, not steps, keeps the counter a cached small int:
-        # an int made while the lists fill would outlive their floats and
-        # keep a 1-MiB pymalloc arena of them from being freed
-        for k in range(-(-horizon // lag)):
-            _integrate(params, s, x, ps, feed[k * lag : (k + 1) * lag])
-            if _same_bits(s[-w:] + x[-w:], s[-w - lag : -lag] + x[-w - lag : -lag]):
-                break
-    # the feed and the state lists, each a float object per step, are
-    # dropped before y is built
-    del feed
-    s, x, ps = (_repeat_tail(np.array(v), lag, n) for v in (s, x, ps))
+    _validate_steps("simulation", horizon + r + 1)
+    states = list(_initial_state(params, init))
+    s, x, ps = _step_to_recurrence(params.input, 0, horizon - 1, states, r + 1,
+                                   lambda part, end: _integrate(params, *states, part))
     y = _stored_nutrient_series(params, s, x, ps, horizon)
 
     neg = np.flatnonzero(s < 0.0)

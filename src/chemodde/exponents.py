@@ -38,7 +38,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import ChemostatParams, _validate_tol
+from .core import ChemostatParams, _validate_integer, _validate_tol
 from .dynamics import Trajectory
 from .errors import ConvergenceError, DomainError, UsageError
 from .series import TimeSeries
@@ -145,8 +145,7 @@ def phi_sequence(
     reads.
     """
     r = params.r
-    if horizon < 0:
-        raise UsageError(f"horizon must be >= 0, got {horizon}")
+    horizon = _validate_integer("horizon must be >= 0", horizon, 0, UsageError)
     if not 0.0 < c_seed < math.inf:
         raise UsageError(f"c_seed must be finite and positive, got {c_seed}")
 
@@ -265,13 +264,11 @@ def bohl_bounds(
     if method not in ("auto", "full"):
         raise UsageError(f"unknown bohl_bounds method {method!r}")
     vals = growth.values if isinstance(growth, TimeSeries) else np.asarray(growth, float)
+    window_min = _validate_integer("window_min must be >= 1", window_min, 1, UsageError)
     if gap_min is None:
         gap_min = window_min
+    gap_min = _validate_integer("gap_min must be >= 0", gap_min, 0, UsageError)
     n = len(vals)
-    if window_min < 1:
-        raise UsageError(f"window_min must be >= 1, got {window_min}")
-    if gap_min < 0:
-        raise UsageError(f"gap_min must be >= 0, got {gap_min}")
     if n < gap_min + window_min + 3:
         raise UsageError(
             f"sequence of length {n} too short for window_min={window_min}, gap_min={gap_min}"
@@ -332,8 +329,7 @@ def periodic_phi(
     of the returned profile (wrapping around the period).
     """
     _validate_tol(tol)
-    if max_sweeps < 1:
-        raise UsageError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    max_sweeps = _validate_integer("max_sweeps must be >= 1", max_sweeps, 1, UsageError)
     omega = z.period
     if omega is None:
         raise UsageError("periodic_phi requires a periodic washout solution")

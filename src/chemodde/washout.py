@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import ChemostatParams, _recurrence_lag, _repeat_tail, _validate_steps
+from .core import ChemostatParams, _step_to_recurrence, _validate_integer, _validate_steps
 from .errors import UsageError
 from .series import TimeSeries
 
@@ -81,41 +81,28 @@ def washout_sequence(
     [-r-1-tail_depth, horizon-1] (negative times resolved by the input's
     backward-extension convention); its first tail_depth + 1 steps settle
     z[-r] and are not kept.  The discarded tail is bounded by
-    (1-E)**tail_depth * sup(s0), recorded on the result.
-
-    Exact recurrence: when the sampled feed repeats bit for bit with lag L,
-    the least multiple of its period of at least core.RECURRENCE_MIN_LAG,
-    the pass runs in chunks of L.  Once a chunk ends on a z equal, bit for
-    bit, to the z L steps earlier, the rest repeats the last L values: each
-    step is a deterministic function of z and s0[t], so the values are the
-    ones the full pass gives, to the bit.  Feeds without a period or whose
-    samples do not repeat run the one plain pass; no option controls this.
+    (1-E)**tail_depth * sup(s0), recorded on the result.  A periodic feed
+    stops stepping at an exact recurrence of z (core._step_to_recurrence).
     """
     r = params.r
+    horizon = _validate_integer("horizon must be an integer", horizon, -math.inf, UsageError)
     if horizon < r:
         raise UsageError(f"horizon {horizon} must be >= delay r={r}")
     if tail_depth is None:
         tail_depth = default_tail_depth(params.E)
-    if tail_depth < 0:
-        raise UsageError(f"tail_depth must be >= 0, got {tail_depth}")
+    tail_depth = _validate_integer("tail_depth must be >= 0", tail_depth, 0, UsageError)
 
-    _validate_steps("washout", horizon + r + 1 + tail_depth)
+    n = horizon + r + 1 + tail_depth
+    _validate_steps("washout", n)
     E = params.E
-    feed = params.input.sample(-r - 1 - tail_depth, horizon - 1)
-    n = len(feed)
-    lag = _recurrence_lag(params.input.period, feed)
-    chunk = lag or n
     z = np.empty(n + 1)  # z[k] at time k - r - 1 - tail_depth
     z[0] = 0.0
-    bits = z.view(np.int64)
-    for k in range(0, n, chunk):
-        part = feed[k : k + chunk].tolist()
-        end = k + len(part)
-        z[k + 1 : end + 1] = np.fromiter(islice(_forward(float(z[k]), E, part), 1, None), float,
-                                         count=len(part))
-        if lag is not None and bits[end] == bits[end - lag]:
-            z = _repeat_tail(z[: end + 1], lag, n + 1)
-            break
+
+    def advance(part, end):
+        z[end : end + len(part)] = np.fromiter(islice(_forward(float(z[end - 1]), E, part), 1, None), float,
+                                               count=len(part))
+
+    (z,) = _step_to_recurrence(params.input, -r - 1 - tail_depth, horizon - 1, [z], 1, advance)
     values = z[tail_depth + 1 :].copy()  # a copy, so the settling tail is not kept
 
     sup_s0 = params.input.bounds()[1]
@@ -141,6 +128,7 @@ def washout_periodic(params: ChemostatParams) -> WashoutSolution:
     omega = params.input.period
     if omega is None:
         raise UsageError("washout_periodic requires a periodic input signal")
+    _validate_steps("periodic washout", omega)
 
     E = params.E
     omE = 1.0 - E

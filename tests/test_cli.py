@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -17,8 +18,8 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from chemodde import (
-    ChemostatParams, Constant, Monod, UsageError, dynamics, formatting, periodic_phi, phi_sequence, svg,
-    washout, washout_periodic, washout_sequence,
+    ChemostatParams, Constant, Monod, UsageError, core, formatting, periodic_phi, phi_sequence, svg,
+    washout_periodic, washout_sequence,
 )
 from chemodde.cli import (
     CSV_BLOCK_ROWS, COMMANDS, _cycle, _simulation_bundle, build_parser, emit_csv, emit_json, emit_svg, fig1_params,
@@ -556,10 +557,10 @@ def test_tick_labels_tell_distinct_ticks_apart(xs, labels):
 
 def _plain_bundle(monkeypatch, params, init, horizon):
     """_simulation_bundle with simulate and washout_sequence held to their
-    one plain pass: without a recurrence lag they neither chunk nor repeat."""
+    one plain pass: a least lag beyond any feed leaves one chunk, which is
+    never compared nor repeated."""
     with monkeypatch.context() as m:
-        for module in (dynamics, washout):
-            m.setattr(module, "_recurrence_lag", lambda period, feed: None)
+        m.setattr(core, "RECURRENCE_MIN_LAG", sys.maxsize)
         return _simulation_bundle(params, init, horizon)
 
 
@@ -792,6 +793,19 @@ def test_horizon_beyond_one_array_exits_1(tmp_path, capsys, command, params):
         f"error: out of memory: washout of {steps} steps is beyond the size one array can address\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["classify", "periodic"])
+def test_period_beyond_one_array_exits_1(tmp_path, capsys, command):
+    # both sampled the whole period first and ran until killed
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(FIG2_CFG.replace("input.period = 500", f"input.period = {2**61}"))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: out of memory: periodic washout of {2**61} steps is beyond the size one array can address\n"
+    )
+    assert not out.exists()
 
 
 def _no_constant(token):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from chemodde import (
     ChemostatParams,
     Constant,
     DyadicBlocks,
+    ExplicitSequence,
     InitialHistory,
     LinearUptake,
     Monod,
@@ -347,3 +350,30 @@ def test_boundedness_property_suite():
         traj = simulate(params, init, horizon=horizon)
         d = conservation_deficit(traj, z)
         assert np.max(d.values) <= 1e-12 * z.z_sup
+
+
+def _peak(run):
+    """The tracemalloc peak, in bytes, of run() after one warm-up call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("params, horizon, simulate_peak, washout_peak", [
+    # the state recurs from t = 1703 and z within two chunks
+    (fig2_params(0.6), 20_000, 964_960, 671_565),
+    # z recurs, the decaying biomass never does
+    (fig2_params(0.36), 20_000, 2_604_796, 671_493),
+    # no period: one plain pass over the whole feed
+    (dataclasses.replace(fig2_params(0.6), input=ExplicitSequence(
+        np.random.default_rng(0).uniform(0.2, 1.0, 30_000))), 30_000, 3_859_196, 1_704_560),
+], ids=["fig2-0.6", "fig2-0.36", "sequence-30k"])
+def test_simulate_and_washout_peak_memory_stays_pinned(params, horizon, simulate_peak, washout_peak):
+    # peaks in bytes, with 5% room: the feed's list must go before the state
+    # lists are converted, or the sequence run's simulate peak is 4.58 MB
+    assert _peak(lambda: simulate(params, fig2_init(), horizon)) <= 1.05 * simulate_peak
+    assert _peak(lambda: washout_sequence(params, horizon)) <= 1.05 * washout_peak

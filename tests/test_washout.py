@@ -9,9 +9,13 @@ from chemodde import (
     ChemostatParams,
     Constant,
     ExplicitSequence,
+    InitialHistory,
+    InputSignal,
     Monod,
     Sinusoid,
     UsageError,
+    classify,
+    find_periodic_orbit,
     washout_periodic,
     washout_sequence,
 )
@@ -138,6 +142,32 @@ def test_steps_beyond_one_array_are_refused_before_allocating():
     params = _params(0.125, 5, fig2_input())
     with pytest.raises(MemoryError, match=f"washout of {10**19 + 6 + default_tail_depth(0.125)} steps"):
         washout_sequence(params, horizon=10**19)
+
+
+class _HugePeriod(InputSignal):
+    """A feed claiming the period 2**61, more steps than one array can
+    address; drawing a sample fails the test."""
+
+    def sample(self, t_from, t_to):
+        pytest.fail(f"sampled [{t_from}, {t_to}]")
+
+    def bounds(self):
+        return (0.0, 1.0)
+
+    @property
+    def period(self):
+        return 2**61
+
+
+@pytest.mark.parametrize("call", [
+    washout_periodic,
+    classify,
+    lambda params: find_periodic_orbit(params, InitialHistory.constant(5, 0.5, 0.2)),
+], ids=["washout_periodic", "classify", "find_periodic_orbit"])
+def test_a_period_beyond_one_array_is_refused_before_sampling(call):
+    # sampling the whole period ran Sinusoid.sample's Python loop for ever
+    with pytest.raises(MemoryError, match=f"periodic washout of {2**61} steps is beyond"):
+        call(_params(0.125, 5, _HugePeriod()))
 
 
 def test_out_of_range_access_raises():
