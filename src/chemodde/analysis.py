@@ -28,6 +28,7 @@ from .dynamics import (
 )
 from .errors import ConvergenceError, UsageError
 from .exponents import (
+    _window_min,
     bohl_bounds,
     default_window_min,
     periodic_mean,
@@ -137,8 +138,8 @@ def classify(
             phi_residual=prof.residual,
         )
 
-    if window_min is None:
-        window_min = default_window_min(params.r)
+    # checked before the washout and the phi pass that bohl_bounds reads
+    window_min = default_window_min(params.r) if window_min is None else _window_min(window_min)
     z = washout_sequence(params, horizon)
     est = bohl_bounds(phi_sequence(params, z, horizon).growth, window_min)
     if est.lower > 1.0:

@@ -46,12 +46,18 @@ def _csv_rows(columns, lo, hi):
     one matrix of characters into which the commas and newlines go and from
     which the NUL padding is dropped; the distinct values are formatted
     once (formatting.cells on np.unique of their bits, so -0.0 and each nan
-    payload keep their own text) and the text is gathered back in order."""
-    block = np.stack([c[lo:hi].astype(float) for c in columns], axis=1)
-    keys, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
-    # numpy 2.0.0 returns inverse in the shape of its input
-    text = np.take(formatting.cells(keys.view(np.float64)), inverse.reshape(-1), axis=0)
-    text = text.reshape(len(block), len(columns), -1)
+    payload keep their own text) and the text is gathered back in order.
+    A block made only of integer columns goes to formatting.cells as it
+    is, with no np.unique: cells writes integers inside +-1e15 from their
+    digits."""
+    if all(c.dtype.kind == "i" for c in columns):
+        text = formatting.cells(np.stack([c[lo:hi] for c in columns], axis=1).reshape(-1))
+    else:
+        block = np.stack([c[lo:hi].astype(float) for c in columns], axis=1)
+        keys, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
+        # numpy 2.0.0 returns inverse in the shape of its input
+        text = np.take(formatting.cells(keys.view(np.float64)), inverse.reshape(-1), axis=0)
+    text = text.reshape(-1, len(columns), text.shape[1])
     text[:, :, -1] = ord(",")  # the last byte of a cell is always NUL
     text[:, -1, -1] = ord("\n")
     return text.tobytes().translate(None, b"\0")
@@ -94,9 +100,11 @@ def emit_csv(path, names, columns) -> None:
     periodic trajectory does once its state recurs, the rows of one cycle
     of those columns are formatted once and kept, and each later row is
     written as the text of its first cell followed by the kept text of its
-    cycle row.  Equal bits have equal text, so the bytes are those of
-    formatting every row.  Memory stays bounded by a block and one cycle
-    whatever n is."""
+    cycle row.  When the first column holds integers, as the time column
+    does, its blocks there are written from integer digits, with no
+    Schubfach search (formatting.cells).  Equal bits have equal text, so
+    the bytes are those of formatting every row.  Memory stays bounded by
+    a block and one cycle whatever n is."""
     columns = [np.asarray(c) for c in columns]
     if len(names) != len(columns) or not columns:
         raise UsageError("emit_csv needs one name per column")
@@ -303,11 +311,13 @@ def _cmd_exponents(args) -> int:
     cfg = _load(args)
     horizon = _horizon(cfg)
     params = cfg.params
+    # checked before the washout and the phi pass that bohl_bounds reads
+    if cfg.window_min is None:
+        window_min = exponents.default_window_min(params.r)
+    else:
+        window_min = exponents._window_min(cfg.window_min)
     z = washout.washout_sequence(params, horizon)
     corr = exponents.phi_sequence(params, z, horizon)
-    window_min = (
-        exponents.default_window_min(params.r) if cfg.window_min is None else cfg.window_min
-    )
     est = exponents.bohl_bounds(corr.growth, window_min)
     out = _out_dir(args)
     emit_csv(

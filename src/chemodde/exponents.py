@@ -240,6 +240,11 @@ class BohlEstimate:
     horizon: int
 
 
+def _window_min(window_min) -> int:
+    """window_min as an int; a UsageError unless it is an integer >= 1."""
+    return _validate_integer("window_min must be >= 1", window_min, 1, UsageError)
+
+
 def default_window_min(r: int) -> int:
     return max(2 * r, 50)
 
@@ -264,7 +269,7 @@ def bohl_bounds(
     if method not in ("auto", "full"):
         raise UsageError(f"unknown bohl_bounds method {method!r}")
     vals = growth.values if isinstance(growth, TimeSeries) else np.asarray(growth, float)
-    window_min = _validate_integer("window_min must be >= 1", window_min, 1, UsageError)
+    window_min = _window_min(window_min)
     if gap_min is None:
         gap_min = window_min
     gap_min = _validate_integer("gap_min must be >= 0", gap_min, 0, UsageError)

@@ -1,8 +1,8 @@
-"""Text of float arrays: exact shortest round-trip cells.
+"""Text of float and integer arrays: exact shortest round-trip cells.
 
-``cells`` writes a float64 array as a matrix of characters, one row of 48
-bytes per value, holding exactly the text of ``str(int(v))`` for a finite
-integral v below 1e15 in magnitude (``-0.0`` as ``0``) and of
+``cells`` writes a float64 or integer array as a matrix of characters, one
+row of 48 bytes per value, holding exactly the text of ``str(int(v))`` for
+a finite integral v below 1e15 in magnitude (``-0.0`` as ``0``) and of
 ``repr(float(v))`` otherwise (``-nan`` as ``nan``), with NUL bytes between
 and after the characters.  The shortest decimal that reads back to the
 same double, and of those the closest, is found on uint64 lanes with
@@ -15,6 +15,11 @@ computed with Python ints for the exponents a call meets, and kept.
 Digits are laid out through small tables of four-digit groups and of row
 templates, built on the first call.  Subnormal values are left to ``repr``,
 one value at a time, and so are nan and the infinities.
+
+An integer array whose values all lie strictly inside +-1e15, such as a
+CSV time column, skips Schubfach: its digit count is found by a search in
+a table of powers of ten, its 17 digits are |v| times a power of ten, and
+both go through the same layout tables as a float's.
 """
 
 from __future__ import annotations
@@ -198,7 +203,8 @@ def _tables():
     keep, fill: per layout key (see cells), the AND mask of the digits
     shown and the sign, "0." prefix and point ORed in, over a whole row.
     exponent: "e", sign and two or three digits of decpt - 1 at decpt +
-    324, and nothing at 0."""
+    324, and nothing at 0.
+    tens: 10**k at k for k in 0..16."""
     pairs = np.frombuffer(b"".join(b"%c\0%c\0" % tuple(b"%02d" % i) for i in range(100)), dtype=np.uint8)
     group = np.empty((100, 100, 8), dtype=np.uint8)
     group[:, :, :4] = pairs.reshape(100, 1, 4)
@@ -222,22 +228,75 @@ def _tables():
         np.frombuffer(keep, dtype=np.uint64).reshape(-1, 6),
         np.frombuffer(fill, dtype=np.uint64).reshape(-1, 6),
         np.frombuffer(exponent, dtype=np.uint64),
+        np.array([10**k for k in range(17)], dtype=np.uint64),
     )
 
 
+def _digits(d, count=True):
+    """The (n, 6) uint64 words of the rows of cells, holding the 17 digits
+    of uint64 lanes d, which it takes over, as a leading digit and four
+    groups of four; and if count, the number of significant digits of
+    each lane, else None."""
+    group, last, _, _, _, _ = _tables()
+    out = np.empty((len(d), 6), dtype=np.uint64)
+    hi = d // _U64(10**8)
+    d -= hi * _U64(10**8)
+    top = hi // _U64(10**8)
+    hi -= top * _U64(10**8)
+    out[:, 0] = np.take(group, top)
+    n = np.ones(len(d), dtype=np.int64) if count else None
+    for at, x in ((1, hi), (3, d)):
+        x4 = x // _U64(10**4)
+        x -= x4 * _U64(10**4)
+        for j, g in ((at, x4), (at + 1, x)):
+            out[:, j] = np.take(group, g)
+            if count:
+                n = np.maximum(n, np.take(last, g) + (4 * j - 3))
+    return out, n
+
+
+def _layout(out, key):
+    """Mask and fill the words of rows of cells, in place, by layout key:
+    the digits shown, the sign, the "0." prefix and the point.  Word 5,
+    the exponent's, is NUL in every keep row."""
+    _, _, keep, fill, _, _ = _tables()
+    out &= np.take(keep, key, axis=0)
+    out |= np.take(fill, key, axis=0)
+
+
+def _integer_cells(v):
+    """cells of integers strictly inside +-1e15, from their digits: decpt
+    is the digit count and the digits are |v| * 10**(17 - decpt)."""
+    tens = _tables()[5]
+    d = np.abs(v.astype(np.int64, copy=False)).view(np.uint64)
+    decpt = np.searchsorted(tens[1:16], d, side="right") + 1
+    d *= np.take(tens, 17 - decpt)
+    key = decpt + 16  # the integer layout with decpt digits
+    key[v < 0] += 372
+    out, _ = _digits(d, count=False)
+    _layout(out, key)
+    return out.view(np.uint8)
+
+
 def cells(values):
-    """The text of each value of a float64 array as an (n, 48) uint8
-    matrix, one row per value, its characters in order with NUL bytes
-    between and after them: str(int(v)) for finite integral |v| < 1e15
-    (-0.0 as 0), else repr(float(v)) (-nan as nan).
+    """The text of each value of an array as an (n, 48) uint8 matrix, one
+    row per value, its characters in order with NUL bytes between and
+    after them: str(int(v)) for finite integral |v| < 1e15 (-0.0 as 0),
+    else repr(float(v)) (-nan as nan).
 
     Bytes of a row: 0 the sign; 1-5 "0." and up to three zeros before a
     fraction below 0.1; 6-39 seventeen digits, each
     followed by a byte for the point; 40-44 "e", the exponent's sign and
-    its two or three digits; 45-47 always NUL.  A subnormal, nan or
-    infinite value, which Schubfach does not cover here, is written by repr
-    from the first byte."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
+    its two or three digits; 45-47 always NUL.  An integer array whose
+    values all lie strictly inside +-1e15 is written from its digits;
+    any other array is read as float64.  A subnormal, nan or infinite
+    value, which Schubfach does not cover here, is written by repr from
+    the first byte."""
+    v = np.asarray(values)
+    # the bounds on the values themselves: np.abs wraps -2**63 to itself
+    if v.dtype.kind in "iu" and v.size and -(10**15 - 1) <= int(v.min()) and int(v.max()) <= 10**15 - 1:
+        return _integer_cells(v)
+    v = np.ascontiguousarray(v, dtype=np.float64)
     bits = v.view(np.uint64)
     bq = bits >> _U64(52) & _EXPONENT
     normal = (bq != _U64(0)) & (bq != _EXPONENT)
@@ -251,23 +310,8 @@ def cells(values):
     d[~big] *= _U64(10)
     del k, big
 
-    # the 17 digits as a leading digit and four groups of four, each to a
-    # word of the row
-    group, last, keep, fill, exponent = _tables()
-    out = np.empty((len(v), 6), dtype=np.uint64)
-    hi = d // _U64(10**8)
-    d -= hi * _U64(10**8)
-    top = hi // _U64(10**8)
-    hi -= top * _U64(10**8)
-    out[:, 0] = np.take(group, top)
-    n = np.ones(len(v), dtype=np.int64)  # significant digits
-    for at, x in ((1, hi), (3, d)):
-        x4 = x // _U64(10**4)
-        x -= x4 * _U64(10**4)
-        for j, g in ((at, x4), (at + 1, x)):
-            out[:, j] = np.take(group, g)
-            n = np.maximum(n, np.take(last, g) + (4 * j - 3))
-    del d, hi, top, x4, x, g
+    out, n = _digits(d)
+    del d
     # an integer below 2**53 is its own shortest decimal, and no other
     # double's interval holds an integer
     integral = (decpt >= n) & (decpt <= 15) & normal | zero
@@ -278,13 +322,11 @@ def cells(values):
     key = np.where(integral, 16 + decpt, 32 + (decpt + 3) * 17 + n - 1)
     key[expo] = n[expo] - 1
     key[v < 0] += 372
-    out &= np.take(keep, key, axis=0)
-    out |= np.take(fill, key, axis=0)
-    out[:, 5] = np.take(exponent, np.where(expo, decpt + 324, 0))
+    _layout(out, key)
+    out[:, 5] = np.take(_tables()[4], np.where(expo, decpt + 324, 0))
     out = out.view(np.uint8)
     for i in np.flatnonzero(~normal & ~zero).tolist():  # subnormal, nan, inf
         text = np.frombuffer(repr(float(v[i])).encode(), dtype=np.uint8)
         out[i] = 0
         out[i, : len(text)] = text
     return out
-

@@ -8,11 +8,18 @@ with that starting index so callers never juggle array offsets by hand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _validate_integer
 from .errors import UsageError
+
+
+def _time(t) -> int:
+    """t as an int; a UsageError unless it is an integral number."""
+    return _validate_integer("time must be an integer", t, -math.inf, UsageError)
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,7 @@ class TimeSeries:
         return self.t_start <= t_from and t_to <= self.t_end
 
     def at(self, t: int) -> float:
+        t = _time(t)
         if not self.t_start <= t <= self.t_end:
             raise UsageError(
                 f"time {t} outside stored range [{self.t_start}, {self.t_end}]"
@@ -47,6 +55,7 @@ class TimeSeries:
 
     def window(self, t_from: int, t_to: int) -> np.ndarray:
         """Values on the inclusive time range [t_from, t_to]."""
+        t_from, t_to = _time(t_from), _time(t_to)
         if not self.covers(t_from, t_to):
             raise UsageError(
                 f"window [{t_from}, {t_to}] outside stored range "

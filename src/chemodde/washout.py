@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import ChemostatParams, _step_to_recurrence, _validate_integer, _validate_steps
 from .errors import UsageError
-from .series import TimeSeries
+from .series import TimeSeries, _time
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class WashoutSolution:
 
     def at(self, t: int) -> float:
         """Washout value at time t; periodic solutions wrap to any t."""
+        t = _time(t)
         if self.period is not None:
             return self.z.at(t % self.period)
         return self.z.at(t)
@@ -53,6 +54,7 @@ class WashoutSolution:
     def window(self, t_from: int, t_to: int) -> np.ndarray:
         """Values on the inclusive time range [t_from, t_to], equal to
         at(t) for each t; periodic solutions wrap to any range."""
+        t_from, t_to = _time(t_from), _time(t_to)
         if self.period is not None:
             return self.z.values[np.arange(t_from, t_to + 1) % self.period]
         return self.z.window(t_from, t_to)

@@ -31,6 +31,7 @@ from chemodde import (
     washout_periodic,
     washout_sequence,
 )
+from chemodde import analysis
 from chemodde.analysis import BASIS_BOHL, BASIS_PERIODIC, EXTINCT, INCONCLUSIVE, PERSISTENT
 from chemodde.cli import _feed, fig2_init, fig2_params
 
@@ -245,6 +246,17 @@ def test_budgets_that_are_no_integer_are_usage_errors(call, message):
     with pytest.raises(UsageError) as err:
         call(fig2_params(0.6))
     assert str(err.value) == message
+
+
+def test_classify_checks_window_min_before_the_phi_pass(monkeypatch):
+    # window_min was checked only inside bohl_bounds, after the washout and
+    # a whole phi_sequence pass (0.27 s at horizon 200000)
+    def no_phi(*args, **kwargs):
+        raise AssertionError("phi_sequence ran before window_min was checked")
+
+    monkeypatch.setattr(analysis, "phi_sequence", no_phi)
+    with pytest.raises(UsageError, match=r"^window_min must be >= 1, got 0$"):
+        classify(_RAMP, horizon=200_000, window_min=0)
 
 
 def test_orbit_rejects_zero_budget():

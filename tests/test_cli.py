@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from chemodde import (
-    ChemostatParams, Constant, Monod, UsageError, core, formatting, periodic_phi, phi_sequence, svg,
+    ChemostatParams, Constant, Monod, UsageError, core, exponents, formatting, periodic_phi, phi_sequence, svg,
     washout_periodic, washout_sequence,
 )
 from chemodde.cli import (
@@ -262,16 +262,64 @@ def test_emit_csv_formats_blocks_then_one_cycle_then_the_first_column(tmp_path, 
     calls = [
         (columns, 0, B), (columns, B, start),  # the rows before the cycle, in blocks
         (columns[1:], start, start + lag),  # one cycle of the columns after the first
-        (columns[:1], start, start + B), (columns[:1], start + B, n),  # then the first column per block
     ]
-    assert len(formatted) == len(calls)
+    assert len(formatted) == len(calls) + 2
     for values, (cols, lo, hi) in zip(formatted, calls):
         block = np.stack([c[lo:hi].astype(float) for c in cols], axis=1)
+        assert values.dtype == np.float64
         assert values.view(np.int64).tolist() == np.unique(block.view(np.int64)).tolist()
+    # then the integer first column per block, as it is, with no np.unique
+    for values, (lo, hi) in zip(formatted[len(calls):], [(start, start + B), (start + B, n)]):
+        assert values.dtype == np.int64 and values.tolist() == columns[0][lo:hi].tolist()
     lines = (tmp_path / "t.csv").read_text().split("\n")
     assert len(lines) == n + 2 and lines[-1] == ""
     for i, line in enumerate(lines[1:-1]):
         assert line.split(",") == [_format_cell(c[i]) for c in columns]
+
+
+def test_emit_csv_writes_extreme_integers_of_a_cycle_region_like_the_cell_oracle(tmp_path):
+    # an int64 first column beside columns in a cycle from row start, with
+    # values at and beyond the integer route's bounds in the first three
+    # blocks of the cycle region, -2**63 alone in its block, and only
+    # values inside them in the fourth
+    n, start, lag = 4 * B + 7, 476, 500
+    t = np.arange(n, dtype=np.int64)
+    for lo, values in [(start, [-(2**63), 0, -1]), (start + B, [10**15, -(10**15)]),
+                       (start + 2 * B, [2**53 + 1, 2**63 - 1]), (start + 3 * B, [10**15 - 1, -(10**15) + 1])]:
+        t[lo + 5 : lo + 5 + len(values)] = values
+    columns = [t, np.r_[np.arange(start) / 7, np.resize(np.arange(lag) / 3 + 0.5, n - start)], np.full(n, -0.0)]
+    assert _cycle(columns[1:], n) == (start, lag)
+    emit_csv(tmp_path / "t.csv", ["t", "a", "z"], columns)
+    lines = (tmp_path / "t.csv").read_text().split("\n")
+    assert len(lines) == n + 2 and lines[-1] == ""
+    for i, line in enumerate(lines[1:-1]):
+        assert line.split(",") == [_format_cell(c[i]) for c in columns]
+
+
+def test_fig2_cycle_region_formats_its_time_column_without_schubfach(tmp_path, monkeypatch):
+    # at a persistent offset the run ends in an exact cycle: Schubfach sees
+    # the distinct values of the blocks before it and one cycle of the
+    # columns after t, and no lane of the t blocks after it
+    shortest, lanes = formatting._shortest, []
+
+    def counting_shortest(bits):
+        lanes.append(len(bits))
+        return shortest(bits)
+
+    _, _, cols = _simulation_bundle(fig2_params(0.9), fig2_init(), 20_000)
+    columns = [np.asarray(c) for c in cols.values()]
+    n = len(columns[0])
+    start, lag = _cycle(columns[1:], n)
+    assert columns[0].dtype == np.int64 and 0 < lag and n - start > 10 * B
+
+    def distinct(cols, lo, hi):
+        block = np.stack([c[lo:hi].astype(float) for c in cols], axis=1)
+        return len(np.unique(block.view(np.int64)))
+
+    before = [distinct(columns, lo, min(lo + B, start)) for lo in range(0, start, B)]
+    monkeypatch.setattr(formatting, "_shortest", counting_shortest)
+    emit_csv(tmp_path / "t.csv", list(cols), columns)
+    assert lanes == [*before, distinct(columns[1:], start, start + lag)]
 
 
 def _cycle_oracle(columns):
@@ -925,6 +973,17 @@ def test_window_min_zero_exits_2(tmp_path, capsys, command):
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: window_min must be >= 1, got 0\n"
     assert not out.exists()
+
+
+def test_exponents_checks_window_min_before_the_phi_pass(tmp_path, capsys, monkeypatch):
+    def no_phi(*args, **kwargs):
+        raise AssertionError("phi_sequence ran before window_min was checked")
+
+    monkeypatch.setattr(exponents, "phi_sequence", no_phi)
+    cfg = tmp_path / "ramp.cfg"
+    cfg.write_text(RAMP_T0_CFG.replace("run.horizon = 400", "run.horizon = 200000"))
+    assert run(["exponents", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: window_min must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chemodde
 from chemodde import formatting
@@ -120,3 +122,49 @@ def test_import_computes_no_power_of_ten():
     cells(np.array([1.5, 2.0**-1074, 1e300]))
     filled = formatting._POW10_FILLED
     assert 0 < filled.sum() < len(filled) and formatting._POW10[:, filled][0].all()
+
+
+def test_integers_of_every_digit_count_take_the_integer_route(monkeypatch):
+    # 0, and 10**k - 1, 10**k and values of every digit count from 1 to
+    # 15, of both signs: the text is str(int(v)) and the rows are those of
+    # the same values as float64
+    rng = np.random.default_rng(24)
+    edges = [v for k in range(16) for v in (10**k - 1, 10**k) if v < 10**15]
+    drawn = [int(rng.integers(10 ** (k - 1), 10**k)) for k in range(1, 16) for _ in range(64)]
+    values = np.array([0, *edges, *(-v for v in edges), *drawn, *(-v for v in drawn)], dtype=np.int64)
+    want = cells(values.astype(np.float64))
+
+    def no_schubfach(bits):
+        raise AssertionError("an integer array inside +-1e15 reached _shortest")
+
+    monkeypatch.setattr(formatting, "_shortest", no_schubfach)
+    rows = cells(values)
+    assert rows.shape == (len(values), 48) and (rows == want).all()
+    assert _text(rows) == list(map(str, values.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**15) + 1, 10**15 - 1), min_size=1, max_size=64))
+def test_integer_cells_match_float_cells_and_str(values):
+    ints = np.array(values, dtype=np.int64)
+    rows = cells(ints)
+    assert (rows == cells(ints.astype(np.float64))).all()
+    assert _text(rows) == list(map(str, values))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32, np.uint64])
+def test_narrow_and_unsigned_integers_match_their_float64(dtype):
+    info = np.iinfo(dtype)
+    values = np.array([info.min, min(info.max, 10**15 - 1), 0, 1, info.max // 3 % 10**15], dtype=dtype)
+    assert _text(cells(values)) == list(map(str, values.tolist()))
+    assert (cells(values) == cells(values.astype(np.float64))).all()
+
+
+def test_integers_at_or_beyond_1e15_keep_the_float_route():
+    # a single value outside +-(10**15 - 1) sends the whole array through
+    # float64, where -2**63 and 2**53 + 1 round as the cell oracle does
+    for extreme in [-(2**63), 2**63 - 1, 10**15, -(10**15), 2**53 + 1]:
+        values = np.array([extreme, 1, -7, 10**15 - 1, -(10**15) + 1], dtype=np.int64)
+        assert _text(cells(values)) == [_format_cell(v) for v in values]
+    big = np.array([2**64 - 1, 10**15, 10**15 - 1], dtype=np.uint64)
+    assert _text(cells(big)) == [_format_cell(v) for v in big]

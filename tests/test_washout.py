@@ -183,6 +183,31 @@ def test_out_of_range_access_raises():
         z.window(-3, 0)
 
 
+_FIG2 = _params(0.125, 5, fig2_input())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: washout_sequence(_FIG2, 50).z.at(2.5), "time must be an integer, got 2.5"),
+    (lambda: washout_sequence(_FIG2, 50).z.window(0.5, 3), "time must be an integer, got 0.5"),
+    (lambda: washout_sequence(_FIG2, 50).at(2.5), "time must be an integer, got 2.5"),
+    (lambda: washout_sequence(_FIG2, 50).window(0, "3"), "time must be an integer, got '3'"),
+    (lambda: washout_periodic(_FIG2).at(2.5), "time must be an integer, got 2.5"),
+    (lambda: washout_periodic(_FIG2).window(0.5, 3), "time must be an integer, got 0.5"),
+], ids=["TimeSeries.at", "TimeSeries.window", "WashoutSolution.at", "WashoutSolution.window",
+        "periodic-at", "periodic-window"])
+def test_a_time_that_is_no_integer_is_a_usage_error(call, message):
+    # these raised numpy's IndexError or TypeError
+    with pytest.raises(UsageError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_integral_times_of_other_types_read_as_ints():
+    z, zp = washout_sequence(_FIG2, 50), washout_periodic(_FIG2)
+    assert z.at(np.int64(7)) == z.at(7.0) == z.at(7) and zp.at(np.int32(-3)) == zp.at(497)
+    assert z.window(np.int64(-2), 3.0).tolist() == [z.at(t) for t in range(-2, 4)]
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_window_matches_at(data):
