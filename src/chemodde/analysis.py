@@ -101,12 +101,15 @@ def classify(
     Periodic inputs use the exact one-period geometric mean; the report's
     horizon is then the period.  General inputs fall back to windowed
     lower/upper estimates over `horizon` samples with minimum window
-    `window_min` (default max(2r, 50)).  `horizon` must be >= r either way.
+    `window_min` (default max(2r, 50)).  `horizon` must be >= r and a
+    given `window_min` an integer >= 1 either way.
     """
     _validate_tol(tol)
     horizon = _validate_integer("horizon must be an integer", horizon, -math.inf, UsageError)
     if horizon < params.r:
         raise UsageError(f"horizon {horizon} must be >= delay r={params.r}")
+    # checked on either basis, before the washout; only bohl_bounds reads it
+    window_min = default_window_min(params.r) if window_min is None else _window_min(window_min)
     omega = params.input.period
     if omega is not None:
         z = washout_periodic(params)
@@ -138,8 +141,6 @@ def classify(
             phi_residual=prof.residual,
         )
 
-    # checked before the washout and the phi pass that bohl_bounds reads
-    window_min = default_window_min(params.r) if window_min is None else _window_min(window_min)
     z = washout_sequence(params, horizon)
     est = bohl_bounds(phi_sequence(params, z, horizon).growth, window_min)
     if est.lower > 1.0:

@@ -41,26 +41,8 @@ CSV_BLOCK_ROWS = 1024
 
 
 def _csv_rows(columns, lo, hi):
-    """The text of rows lo..hi of the columns, each row's cells separated by
-    commas and ended by a newline.  All cells are formatted in one pass, as
-    one matrix of characters into which the commas and newlines go and from
-    which the NUL padding is dropped; the distinct values are formatted
-    once (formatting.cells on np.unique of their bits, so -0.0 and each nan
-    payload keep their own text) and the text is gathered back in order.
-    A block made only of integer columns goes to formatting.cells as it
-    is, with no np.unique: cells writes integers inside +-1e15 from their
-    digits."""
-    if all(c.dtype.kind == "i" for c in columns):
-        text = formatting.cells(np.stack([c[lo:hi] for c in columns], axis=1).reshape(-1))
-    else:
-        block = np.stack([c[lo:hi].astype(float) for c in columns], axis=1)
-        keys, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
-        # numpy 2.0.0 returns inverse in the shape of its input
-        text = np.take(formatting.cells(keys.view(np.float64)), inverse.reshape(-1), axis=0)
-    text = text.reshape(-1, len(columns), text.shape[1])
-    text[:, :, -1] = ord(",")  # the last byte of a cell is always NUL
-    text[:, -1, -1] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
+    """The CSV text of rows lo..hi of the columns (formatting.rows)."""
+    return formatting.rows(np.stack([c[lo:hi] for c in columns], axis=1))
 
 
 def _cycle(columns, n):
@@ -75,7 +57,7 @@ def _cycle(columns, n):
         return n, 0
     recurs = np.ones(reach, dtype=bool)  # the last row at lag reach - i
     for c in columns:
-        bits = c[n - 1 - reach :].astype(float).view(np.int64)
+        bits = np.asarray(c[n - 1 - reach :], dtype=float).view(np.int64)
         recurs &= bits[:-1] == bits[-1]
     if not recurs.any():
         return n, 0
@@ -93,18 +75,15 @@ def _cycle(columns, n):
 def emit_csv(path, names, columns) -> None:
     """Write aligned columns as CSV: header row, shortest-roundtrip floats,
     integral values below 1e15 in magnitude as integers, LF-terminated,
-    locale-independent.  Rows are formatted and written CSV_BLOCK_ROWS at a
-    time, all columns of a block in one pass (_csv_rows).  When every
-    column after the first ends in an exact cycle (_cycle: the same bits
-    every lag rows from some row on, lag at most CSV_BLOCK_ROWS), as a
-    periodic trajectory does once its state recurs, the rows of one cycle
-    of those columns are formatted once and kept, and each later row is
-    written as the text of its first cell followed by the kept text of its
-    cycle row.  When the first column holds integers, as the time column
-    does, its blocks there are written from integer digits, with no
-    Schubfach search (formatting.cells).  Equal bits have equal text, so
-    the bytes are those of formatting every row.  Memory stays bounded by
-    a block and one cycle whatever n is."""
+    locale-independent (formatting.rows).  Rows are formatted and written
+    CSV_BLOCK_ROWS at a time.  When every column after the first ends in
+    an exact cycle (_cycle: the same bits every lag rows from some row on,
+    lag at most CSV_BLOCK_ROWS), as a periodic trajectory does once its
+    state recurs, the rows of one cycle of those columns are formatted
+    once and kept, and each later row is written as the text of its first
+    cell followed by the kept text of its cycle row.  Equal bits have
+    equal text, so the bytes are those of formatting every row.  Memory
+    stays bounded by a block and one cycle whatever n is."""
     columns = [np.asarray(c) for c in columns]
     if len(names) != len(columns) or not columns:
         raise UsageError("emit_csv needs one name per column")
@@ -128,10 +107,10 @@ def emit_csv(path, names, columns) -> None:
 
 
 def emit_svg(path, title, series) -> None:
-    """Write the text of svg.line_chart as UTF-8, LF-terminated on every
-    platform, a piece at a time (svg.chart_pieces), with no joined copy of
-    the text or of its bytes.  The pieces are made before the file is
-    opened, so a chart that cannot be drawn writes no file."""
+    """Write the SVG text of svg.chart_pieces as UTF-8, LF-terminated on
+    every platform, a piece at a time, with no joined copy of the text or
+    of its bytes.  The pieces are made before the file is opened, so a
+    chart that cannot be drawn writes no file."""
     pieces = svg.chart_pieces(title, series)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(pieces)

@@ -26,8 +26,6 @@ from .errors import ParameterError, UsageError
 from .series import TimeSeries
 from .washout import WashoutSolution
 
-_NO_NEGATIVE = -1
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -1,20 +1,24 @@
-"""Text of float and integer arrays: exact shortest round-trip cells.
+"""Text of float and integer arrays: exact shortest round-trip cells, and
+the CSV rows of a table made from them.
 
 ``cells`` writes a float64 or integer array as a matrix of characters, one
 row of 48 bytes per value, holding exactly the text of ``str(int(v))`` for
 a finite integral v below 1e15 in magnitude (``-0.0`` as ``0``) and of
 ``repr(float(v))`` otherwise (``-nan`` as ``nan``), with NUL bytes between
-and after the characters.  The shortest decimal that reads back to the
-same double, and of those the closest, is found on uint64 lanes with
-Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020; cf.
-U. Adams, "Ryu: fast float-to-string conversion", PLDI 2018): the double
-and the two ends of its rounding interval are scaled by a 126-bit power of
-ten, as exact 128-bit products built from 32-bit halves and rounded to
-odd, and integer comparisons pick the digits.  The powers of ten are
-computed with Python ints for the exponents a call meets, and kept.
-Digits are laid out through small tables of four-digit groups and of row
-templates, built on the first call.  Subnormal values are left to ``repr``,
-one value at a time, and so are nan and the infinities.
+and after the characters; ``rows`` joins the cells of a 2-D array into
+comma-separated, newline-ended rows.  A float array is written once per
+distinct bit pattern and the text gathered back.  The shortest decimal
+that reads back to the same double, and of those the closest, is found on
+uint64 lanes with Schubfach (R. Giulietti, "The Schubfach way to render
+doubles", 2020; cf. U. Adams, "Ryu: fast float-to-string conversion",
+PLDI 2018): the double and the two ends of its rounding interval are
+scaled by a 126-bit power of ten, as exact 128-bit products built from
+32-bit halves and rounded to odd, and integer comparisons pick the digits.
+The powers of ten are computed with Python ints for the exponents a call
+meets, and kept.  Digits are laid out through small tables of four-digit
+groups and of row templates, built on the first call.  Subnormal values
+are left to ``repr``, once per distinct bit pattern of a call, and so are
+nan and the infinities.
 
 An integer array whose values all lie strictly inside +-1e15, such as a
 CSV time column, skips Schubfach: its digit count is found by a search in
@@ -289,7 +293,9 @@ def cells(values):
     followed by a byte for the point; 40-44 "e", the exponent's sign and
     its two or three digits; 45-47 always NUL.  An integer array whose
     values all lie strictly inside +-1e15 is written from its digits;
-    any other array is read as float64.  A subnormal, nan or infinite
+    any other array is read as float64, and each of its distinct bit
+    patterns is written once (so -0.0 and each nan payload keep their own
+    text) and gathered back in order.  A subnormal, nan or infinite
     value, which Schubfach does not cover here, is written by repr from
     the first byte."""
     v = np.asarray(values)
@@ -297,6 +303,8 @@ def cells(values):
     if v.dtype.kind in "iu" and v.size and -(10**15 - 1) <= int(v.min()) and int(v.max()) <= 10**15 - 1:
         return _integer_cells(v)
     v = np.ascontiguousarray(v, dtype=np.float64)
+    keys, inverse = np.unique(v.view(np.int64), return_inverse=True)
+    v = keys.view(np.float64)
     bits = v.view(np.uint64)
     bq = bits >> _U64(52) & _EXPONENT
     normal = (bq != _U64(0)) & (bq != _EXPONENT)
@@ -329,4 +337,16 @@ def cells(values):
         text = np.frombuffer(repr(float(v[i])).encode(), dtype=np.uint8)
         out[i] = 0
         out[i, : len(text)] = text
-    return out
+    # numpy 2.0.0 returns inverse in the shape of its input
+    return np.take(out, inverse.reshape(-1), axis=0)
+
+
+def rows(table):
+    """The CSV text of a 2-D array, as bytes: the cells of each row, as
+    cells writes them, separated by commas, and each row ended by a
+    newline."""
+    text = cells(table.reshape(-1))
+    text = text.reshape(*table.shape, text.shape[1])
+    text[:, :, -1] = ord(",")  # the last byte of a cell is always NUL
+    text[:, -1, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0")

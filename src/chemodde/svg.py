@@ -195,8 +195,3 @@ def chart_pieces(title: str, series) -> list:
 
     out.append("</svg>\n")
     return out
-
-
-def line_chart(title: str, series) -> str:
-    """The SVG text of a chart: chart_pieces joined."""
-    return "".join(chart_pieces(title, series))

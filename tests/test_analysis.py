@@ -237,15 +237,33 @@ _RAMP = ChemostatParams(E=0.2, r=5, uptake=LinearUptake(0.5),
     (lambda p: periodic_phi(p, washout_periodic(p), max_sweeps=2.5), "max_sweeps must be >= 1, got 2.5"),
     (lambda p: neither_nor_demo(0.5, 0, 2.5), "n_max must be in [1, 9], got 2.5"),
     (lambda p: attraction_rate(*[simulate(p, fig2_init(), 50)] * 2, burn_in=2.5), "burn_in must be an integer, got 2.5"),
+    (lambda p: classify(p, window_min=2.5), "window_min must be >= 1, got 2.5"),  # returned Persistent
 ], ids=["simulate-horizon-2.5", "simulate-horizon-nan", "simulate-horizon-True", "washout-horizon",
         "washout-tail_depth", "phi_sequence-horizon", "bohl-window_min", "bohl-gap_min", "classify-window_min",
         "classify-horizon", "orbit-max_periods-2.5", "orbit-max_periods-nan", "periodic_phi-max_sweeps",
-        "neither_nor-n_max", "attraction-burn_in"])
+        "neither_nor-n_max", "attraction-burn_in", "classify-window_min-periodic"])
 def test_budgets_that_are_no_integer_are_usage_errors(call, message):
     # each of these ended in a TypeError, ValueError or IndexError, or ran
     with pytest.raises(UsageError) as err:
         call(fig2_params(0.6))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("window_min", [0, 2.5, -3])
+def test_classify_checks_window_min_on_a_periodic_feed_before_the_washout(monkeypatch, window_min):
+    # the periodic basis reads no window, and classify gave its verdict
+    # whatever window_min it was given
+    def no_washout(*args, **kwargs):
+        raise AssertionError("washout_periodic ran before window_min was checked")
+
+    monkeypatch.setattr(analysis, "washout_periodic", no_washout)
+    with pytest.raises(UsageError) as err:
+        classify(fig2_params(0.6), window_min=window_min)
+    assert str(err.value) == f"window_min must be >= 1, got {window_min}"
+
+
+def test_classify_of_a_periodic_feed_reports_no_window_min():
+    assert classify(fig2_params(0.6), window_min=7).window_min is None
 
 
 def test_classify_checks_window_min_before_the_phi_pass(monkeypatch):

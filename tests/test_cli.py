@@ -141,15 +141,28 @@ def _from_pool(draw, pool, n):
     return [pool[i] for i in picks.tolist()]
 
 
+# the values a column of each dtype draws from; a table mixes them, so its
+# blocks stack as numpy promotes them: int64 with uint64 as float64, int8
+# with uint8 as int16 (integer cells), bool alone as bool (float cells)
+COLUMN_VALUES = {
+    "float64": st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True),
+    "int64": st.sampled_from(EDGE_INTS) | st.integers(-(2**63), 2**63 - 1),
+    "uint64": st.sampled_from([0, 10**15 - 1, 10**15, 2**53 + 1, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    "int32": st.integers(-(2**31), 2**31 - 1),
+    "int8": st.integers(-(2**7), 2**7 - 1),
+    "uint8": st.integers(0, 2**8 - 1),
+    "bool": st.booleans(),
+    "float32": st.floats(width=32, allow_nan=True, allow_infinity=True),
+}
+
+
 @st.composite
 def _csv_column(draw, n):
-    """A float64 or int64 array, or a plain Python list, of n values drawn
-    from the edge cases above and from arbitrary floats or integers."""
-    kind = draw(st.sampled_from(["float64", "int64", "list"]))
-    if kind == "int64":
-        values = st.sampled_from(EDGE_INTS) | st.integers(-(2**63), 2**63 - 1)
-    else:
-        values = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+    """An array of one of the dtypes above, or a plain Python list of
+    floats, of n values drawn from the edge cases above and from arbitrary
+    values of the dtype."""
+    kind = draw(st.sampled_from([*COLUMN_VALUES, "list"]))
+    values = COLUMN_VALUES["float64" if kind == "list" else kind]
     col = _from_pool(draw, draw(st.lists(values, min_size=1, max_size=24)), n)
     return col if kind == "list" else np.array(col, dtype=kind)
 
@@ -167,6 +180,25 @@ def test_emit_csv_matches_cell_oracle(tmp_path, n, data):
     arrays = [np.asarray(c) for c in columns]  # what the per-cell writer indexed
     for i, line in enumerate(lines[1:-1]):
         assert line.split(",") == [_format_cell(a[i]) for a in arrays]
+
+
+@pytest.mark.parametrize("columns, schubfach", [
+    ([np.array([0, -1, 2**63 - 1]), np.array([0, 2**64 - 1, 5], dtype=np.uint64)], True),  # float64
+    ([np.array([0, -128, 127], dtype=np.int8), np.array([0, 255, 7], dtype=np.uint8)], False),  # int16
+    ([np.array([True, False, True])], True),  # bool
+], ids=["int64-uint64", "int8-uint8", "bool"])
+def test_emit_csv_routes_a_block_by_its_stacked_dtype(tmp_path, monkeypatch, columns, schubfach):
+    shortest, lanes = formatting._shortest, []
+
+    def counting_shortest(bits):
+        lanes.append(len(bits))
+        return shortest(bits)
+
+    monkeypatch.setattr(formatting, "_shortest", counting_shortest)
+    emit_csv(tmp_path / "t.csv", [f"c{i}" for i in range(len(columns))], columns)
+    assert bool(lanes) == schubfach
+    lines = (tmp_path / "t.csv").read_text().split("\n")[1:-1]
+    assert [line.split(",") for line in lines] == [[_format_cell(c[i]) for c in columns] for i in range(3)]
 
 
 def test_emit_csv_peak_memory_does_not_grow_with_rows(tmp_path):
@@ -248,12 +280,18 @@ def test_emit_csv_reuses_cells_inside_a_block_like_the_cell_oracle(tmp_path, col
 
 def test_emit_csv_formats_blocks_then_one_cycle_then_the_first_column(tmp_path, monkeypatch):
     cells, formatted = formatting.cells, []
+    shortest, lanes = formatting._shortest, []
 
     def counting_cells(values):
         formatted.append(values.copy())
         return cells(values)
 
+    def counting_shortest(bits):
+        lanes.append(bits.copy())
+        return shortest(bits)
+
     monkeypatch.setattr(formatting, "cells", counting_cells)
+    monkeypatch.setattr(formatting, "_shortest", counting_shortest)
     n, start, lag = 3 * B + 7, B + 476, 500
     column = np.r_[np.arange(start) / 7, _periodic(lag, n - start)]
     # a first column that repeats too, and a constant -0.0 column
@@ -263,12 +301,18 @@ def test_emit_csv_formats_blocks_then_one_cycle_then_the_first_column(tmp_path, 
         (columns, 0, B), (columns, B, start),  # the rows before the cycle, in blocks
         (columns[1:], start, start + lag),  # one cycle of the columns after the first
     ]
-    assert len(formatted) == len(calls) + 2
-    for values, (cols, lo, hi) in zip(formatted, calls):
+    assert len(formatted) == len(calls) + 2 and len(lanes) == len(calls)
+    for values, bits, (cols, lo, hi) in zip(formatted, lanes, calls):
+        # the block as stacked, read as floats; Schubfach then sees each of
+        # its distinct bit patterns once, 1.0 standing in for the lanes of
+        # zeros, subnormals, nan and the infinities
         block = np.stack([c[lo:hi].astype(float) for c in cols], axis=1)
         assert values.dtype == np.float64
-        assert values.view(np.int64).tolist() == np.unique(block.view(np.int64)).tolist()
-    # then the integer first column per block, as it is, with no np.unique
+        assert values.view(np.int64).tolist() == block.reshape(-1).view(np.int64).tolist()
+        keys = np.unique(block.view(np.int64)).view(np.float64)
+        normal = np.isfinite(keys) & (np.abs(keys) >= np.finfo(float).smallest_normal)
+        assert bits.tolist() == np.where(normal, np.abs(keys), 1.0).view(np.uint64).tolist()
+    # then the integer first column per block, as it is, with no Schubfach
     for values, (lo, hi) in zip(formatted[len(calls):], [(start, start + B), (start + B, n)]):
         assert values.dtype == np.int64 and values.tolist() == columns[0][lo:hi].tolist()
     lines = (tmp_path / "t.csv").read_text().split("\n")
@@ -532,9 +576,9 @@ def test_line_chart_points_match_point_oracle(series):
     drawable = any(np.any(np.isfinite(xs) & np.isfinite(ys)) for _, xs, ys, _ in series)
     if not drawable:
         with pytest.raises(UsageError):
-            svg.line_chart("t", series)
+            svg.chart_pieces("t", series)
         return
-    _assert_m4_polylines(svg.line_chart("t", series), series)
+    _assert_m4_polylines("".join(svg.chart_pieces("t", series)), series)
 
 
 def _tick_labels(text):
@@ -562,7 +606,7 @@ def test_line_chart_near_dbl_max_stays_in_the_plot_box(axis, values):
     xs, ys = (values, np.arange(len(values)) + 0.0)[:: 1 if axis == "x" else -1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = svg.line_chart("t", [("v", xs, ys, svg.STYLE_BIOMASS)])
+        text = "".join(svg.chart_pieces("t", [("v", xs, ys, svg.STYLE_BIOMASS)]))
     assert "nan" not in text and "inf" not in text
     _assert_m4_polylines(text, [("v", xs, ys, None)])
     (points,) = re.findall(r'points="([^"]*)"', text)
@@ -592,7 +636,7 @@ def test_line_chart_near_dbl_max_stays_in_the_plot_box(axis, values):
 def test_tick_labels_tell_distinct_ticks_apart(xs, labels):
     # "%.6g" labelled every tick of the first two ranges alike; a range it
     # tells apart keeps its "%.6g" labels
-    text = svg.line_chart("t", [("v", np.array(xs), np.arange(2.0), svg.STYLE_BIOMASS)])
+    text = "".join(svg.chart_pieces("t", [("v", np.array(xs), np.arange(2.0), svg.STYLE_BIOMASS)]))
     x_ticks = svg._axis(xs[0], xs[-1], 0.0)[3]
     assert _tick_labels(text) == [labels, ["-0.05", "0.225", "0.5", "0.775", "1.05"]]
     assert [v == w for v in x_ticks for w in x_ticks] == [a == b for a in labels for b in labels]
@@ -783,14 +827,15 @@ def test_svg_and_json_files_are_their_text_in_utf8_with_lf(tmp_path):
     title = "\u03c9-periodic orbit"  # not ASCII
     series = [("y", np.arange(3.0), [1.0, 2.0, 0.5], svg.STYLE_BIOMASS)]
     emit_svg(tmp_path / "a.svg", title, series)
-    assert (tmp_path / "a.svg").read_bytes() == svg.line_chart(title, series).encode("utf-8")
+    assert (tmp_path / "a.svg").read_bytes() == "".join(svg.chart_pieces(title, series)).encode("utf-8")
     payload = {"title": title, "values": [1.5, None]}
     emit_json(tmp_path / "a.json", payload)
     assert (tmp_path / "a.json").read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 def test_line_chart_escapes_its_title_and_labels():
-    text = svg.line_chart("growth < 1 & decay", [("a<b & c>d", [0.0, 1.0], [1.0, 2.0], svg.STYLE_BIOMASS)])
+    series = [("a<b & c>d", [0.0, 1.0], [1.0, 2.0], svg.STYLE_BIOMASS)]
+    text = "".join(svg.chart_pieces("growth < 1 & decay", series))
     texts = [t.text for t in ET.fromstring(text).iter("{http://www.w3.org/2000/svg}text")]
     assert texts[0] == "growth < 1 & decay" and texts[-1] == "a<b & c>d"
 
@@ -965,10 +1010,18 @@ run.T = 0
 """
 
 
-@pytest.mark.parametrize("command", ["exponents", "classify"])
-def test_window_min_zero_exits_2(tmp_path, capsys, command):
-    cfg = tmp_path / "ramp.cfg"
-    cfg.write_text(RAMP_T0_CFG)
+SINUSOID_T0_CFG = FIG2_CFG + "run.T = 0\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("exponents", RAMP_T0_CFG, id="exponents"),
+    pytest.param("classify", RAMP_T0_CFG, id="classify"),
+    pytest.param("exponents", SINUSOID_T0_CFG, id="exponents-sinusoid"),
+    pytest.param("classify", SINUSOID_T0_CFG, id="classify-sinusoid"),  # exited 0
+])
+def test_window_min_zero_exits_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "feed.cfg"
+    cfg.write_text(text)
     out = tmp_path / "out"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: window_min must be >= 1, got 0\n"

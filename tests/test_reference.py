@@ -9,20 +9,30 @@ The commands cover tables that end in an exact cycle, which the CSV writer
 formats once: fig2 at 0.9, 0.6 and 0.45 (lag 500 from rows 469, 1203 and
 9031), simulate on the sinusoid (lag 500) and on the periodic sequence
 (lag 14, twice its period), and washout on both; and a table without one,
-fig2 at 0.36.  exponents, sliding and classify run on the sinusoid and on
-the fig1 ramp (a piecewise feed); periodic runs to an orbit, to washout,
+fig2 at 0.36.  Two tables stand at the extremes of the float cells: a
+feed of 3000 samples without a period, whose blocks hold no repeated
+value (simulate and exponents), and an infeasible dyadic run, whose
+blocks hold thousands of nan and inf cells (simulate).  exponents,
+sliding and classify run on the sinusoid and on the fig1 ramp (a
+piecewise feed); periodic runs to an orbit, to washout,
 to an orbit after 83 periods, to an orbit whose period 7 is shorter than
 its state window r + 1 = 13, and out of its period budget (exit 1).
 
 Declared JSON differences: classify.json gained the periodic phi sweep
 certificate (phi_sweeps, phi_residual), and non-finite floats are written
 as the strings "nan", "inf" and "-inf" where the reference wrote the
-non-standard NaN, Infinity and -Infinity."""
+non-standard NaN, Infinity and -Infinity.
+
+The reference runs with floating-point warnings off: its
+conservation_deficit sets no errstate, and the dyadic run overflows
+there.  chemodde runs under the warnings filter of the test suite."""
 
 import contextlib
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 
 from chemodde import cli
@@ -77,6 +87,36 @@ input.values = 3 3 0.05
 run.horizon = 2000
 """
 
+# a feed without a period, as a measured one: each sample a new value
+DRIFT_CFG = f"""
+schema = 1
+model.E = 0.04
+model.r = 7
+uptake.kind = monod
+uptake.p_max = 1.0
+uptake.k_s = 1.0
+input.kind = sequence
+input.values = {" ".join(repr(1.2 + 0.6 * math.sin(i * math.sqrt(2)) + 0.3 * math.sin(i * math.pi / 97))
+                         for i in range(3000))}
+input.periodic = false
+init.s = {" ".join(["0.3"] * 8)}
+init.x = {" ".join(["0.1"] * 8)}
+run.horizon = 3000
+"""
+
+# the dyadic demonstration feed with too much uptake: s and x overflow
+DYADIC_CFG = """
+schema = 1
+model.E = 0.5
+model.r = 0
+uptake.kind = linear
+uptake.slope = 1.0
+input.kind = dyadic
+init.s = 0.25
+init.x = 0.01
+run.horizon = 2048
+"""
+
 CONFIGS = {
     "sinusoid.cfg": _sinusoid_cfg(),
     "sequence.cfg": SEQUENCE_CFG,
@@ -84,6 +124,8 @@ CONFIGS = {
     "washout.cfg": _sinusoid_cfg(offset=0.36),
     "slow.cfg": _sinusoid_cfg(offset=0.43),
     "short.cfg": _sinusoid_cfg(offset=1.5, E=0.05, r=12, period=7),
+    "drift.cfg": DRIFT_CFG,
+    "dyadic.cfg": DYADIC_CFG,
 }
 
 # keys that chemodde writes and the reference does not
@@ -111,7 +153,8 @@ def _check(tmp_path, monkeypatch, argv, code):
     own.mkdir()
     ref.mkdir()
     got = _run(cli.run, argv, own)
-    want = _run(reference("cli").run, argv, ref)
+    with np.errstate(all="ignore"):
+        want = _run(reference("cli").run, argv, ref)
     assert got[0] == want[0] == code
     assert got[1] == want[1]
     assert got[2] == want[2]
@@ -136,6 +179,8 @@ def _check(tmp_path, monkeypatch, argv, code):
     ["washout", "--config", "sinusoid.cfg"],
     ["simulate", "--config", "sequence.cfg"],
     ["washout", "--config", "sequence.cfg"],
+    ["simulate", "--config", "drift.cfg"],
+    ["simulate", "--config", "dyadic.cfg"],
 ])
 def test_cli_csv_bytes_match_the_reference(tmp_path, monkeypatch, argv):
     _check(tmp_path, monkeypatch, argv, 0)
@@ -156,6 +201,7 @@ def test_cli_csv_bytes_match_the_reference(tmp_path, monkeypatch, argv):
     (["periodic", "--config", "slow.cfg", "--max-periods", "3"], 1),
     (["neither-nor"], 0),
     (["neither-nor", "--E", "0.3", "--r", "2", "--n-max", "4"], 0),
+    (["exponents", "--config", "drift.cfg"], 0),
 ])
 def test_cli_output_matches_the_reference(tmp_path, monkeypatch, argv, code):
     _check(tmp_path, monkeypatch, argv, code)
