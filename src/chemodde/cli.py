@@ -562,7 +562,7 @@ def run(argv) -> int:
         return 1
     except MemoryError as exc:
         # a range too long to allocate, e.g. the washout tail for E near 0
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
 
 

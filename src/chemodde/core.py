@@ -95,6 +95,8 @@ class TabulatedUptake(UptakeFunction):
     The grid must start at (0, 0), values must be nondecreasing, and no
     segment may be steeper than the first one so that p'(s) <= p'(0) holds
     by construction.  Beyond the last sample the function is held constant.
+    The segment slopes are computed once, as an attribute outside the
+    dataclass fields, so equality, hashing and repr see only the samples.
     """
 
     grid: tuple
@@ -115,7 +117,8 @@ class TabulatedUptake(UptakeFunction):
             raise ParameterError("tabulated uptake must start at (0, 0)")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("tabulated uptake grid must be strictly increasing")
-        slopes = self._slopes()
+        slopes = tuple((v1 - v0) / (g1 - g0) for g0, g1, v0, v1 in zip(grid, grid[1:], values, values[1:]))
+        object.__setattr__(self, "_slopes", slopes)
         if any(m < 0 for m in slopes):
             raise ParameterError("tabulated uptake values must be nondecreasing")
         if any(m > slopes[0] for m in slopes[1:]):
@@ -123,12 +126,6 @@ class TabulatedUptake(UptakeFunction):
                 "tabulated uptake must have its steepest segment first "
                 "(p'(s) <= p'(0))"
             )
-
-    def _slopes(self):
-        return [
-            (self.values[i + 1] - self.values[i]) / (self.grid[i + 1] - self.grid[i])
-            for i in range(len(self.grid) - 1)
-        ]
 
     def _segment(self, s):
         # index of the segment containing s; right of the table -> last
@@ -143,16 +140,14 @@ class TabulatedUptake(UptakeFunction):
         if s >= self.grid[-1]:
             return self.values[-1]
         i = self._segment(s)
-        m = (self.values[i + 1] - self.values[i]) / (self.grid[i + 1] - self.grid[i])
-        return self.values[i] + m * (s - self.grid[i])
+        return self.values[i] + self._slopes[i] * (s - self.grid[i])
 
     def derivative(self, s):
         if s < 0.0:
             return 0.0
         if s >= self.grid[-1]:
             return 0.0
-        i = self._segment(s)
-        return (self.values[i + 1] - self.values[i]) / (self.grid[i + 1] - self.grid[i])
+        return self._slopes[self._segment(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +233,9 @@ class Sinusoid(InputSignal):
         # evaluates one period and repeats it by phase
         w = self.period_steps
         short = t_to - t_from < w
-        values = np.array([self.amplitude * math.sin(2.0 * math.pi * (t % w) / w) + self.offset
-                           for t in (range(t_from, t_to + 1) if short else range(w))], dtype=float)
+        ts = range(t_from, t_to + 1) if short else range(w)
+        values = np.fromiter((self.amplitude * math.sin(2.0 * math.pi * (t % w) / w) + self.offset for t in ts),
+                             float, count=len(ts))
         return values if short else values[np.arange(t_from, t_to + 1) % w]
 
     def bounds(self):

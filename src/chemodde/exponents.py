@@ -9,7 +9,9 @@ whose delay-correction ratio
 
     phi[t-r] = (c[t-r] / c[t]) * (1-E)**r
 
-rewrites it as c[t+1] = (1-E) * (1 + phi[t-r]*p(z[t-r])) * c[t].  Dividing
+rewrites it as c[t+1] = (1-E) * (1 + phi[t-r]*p(z[t-r])) * c[t].  The
+equation is linear and homogeneous, so a constant seed only scales c and
+cancels from phi: the generator always starts from c = 1.  Dividing
 consecutive window products yields the fixed-point identity
 
     phi[t+1] = prod_{k=t+1-r}^{t} (1 + phi[k]*p(z[k]))**-1,
@@ -121,18 +123,13 @@ def correction_recursion(f, seed) -> np.ndarray:
     return np.concatenate([seed, ahead])
 
 
-def phi_sequence(
-    params: ChemostatParams,
-    z: WashoutSolution,
-    horizon: int,
-    c_seed: float = 1.0,
-) -> CorrectionSequences:
+def phi_sequence(params: ChemostatParams, z: WashoutSolution, horizon: int) -> CorrectionSequences:
     """phi and the growth factors on [-r, horizon] from the log-form
     generator recursion.
 
-    The generator is seeded with c = c_seed on [-r, 0] (any finite positive
-    seed gives the same ratios up to transient; the conventional choice
-    c[0] = 1 is the default).  The log recursion
+    The generator is seeded with c = 1 on [-r, 0].  The comparison
+    equation is linear and homogeneous, so a constant seed only scales c
+    and cancels from every ratio phi.  The log recursion
 
         log c[t+1] = log c[t] + log((1-E) * (1 + p(z[t-r]) * ratio))
         ratio      = exp(log c[t-r] - log c[t]) * (1-E)**r
@@ -146,8 +143,6 @@ def phi_sequence(
     """
     r = params.r
     horizon = _validate_integer("horizon must be >= 0", horizon, 0, UsageError)
-    if not 0.0 < c_seed < math.inf:
-        raise UsageError(f"c_seed must be finite and positive, got {c_seed}")
 
     omE = 1.0 - params.E
     lomE = math.log(omE)
@@ -157,7 +152,7 @@ def phi_sequence(
 
     # log c on [-r, horizon + r]; logs[t] is log c[t - r] and cur the
     # latest log c, so each step reads and writes Python floats only
-    cur = math.log(c_seed)
+    cur = 0.0  # log c = log 1
     logs = [cur] * (r + 1)
     append, exp, log1p = logs.append, math.exp, math.log1p
     for t in range(horizon + r):
@@ -316,25 +311,23 @@ class PeriodicCorrection:
         object.__setattr__(self, "phi", arr)
 
 
-def periodic_phi(
-    params: ChemostatParams,
-    z: WashoutSolution,
-    tol: float = 1e-12,
-    max_sweeps: int = 10_000,
-) -> PeriodicCorrection:
+MAX_SWEEPS = 10_000
+
+
+def periodic_phi(params: ChemostatParams, z: WashoutSolution, tol: float = 1e-12) -> PeriodicCorrection:
     """Periodic delay-correction profile by fixed-point sweeping.
 
     Starting from phi = 1 on the initial window, the fixed-point recursion
     is iterated period after period, O(omega) each, until the max(omega, r)
     values before a period (all its windows read) agree with the new
     profile at their phases below tol in sup norm; for omega >= r, until
-    two consecutive periods agree.  Convergence is driven by the same
-    attraction that makes the ratio construction forget its seed; the
-    identity phi[t+1] * prod (1 + phi[k] p(z[k])) = 1 holds at every phase
-    of the returned profile (wrapping around the period).
+    two consecutive periods agree, or raises ConvergenceError after
+    MAX_SWEEPS periods.  Convergence is driven by the same attraction that
+    makes the ratio construction forget its seed; the identity
+    phi[t+1] * prod (1 + phi[k] p(z[k])) = 1 holds at every phase of the
+    returned profile (wrapping around the period).
     """
     _validate_tol(tol)
-    max_sweeps = _validate_integer("max_sweeps must be >= 1", max_sweeps, 1, UsageError)
     omega = z.period
     if omega is None:
         raise UsageError("periodic_phi requires a periodic washout solution")
@@ -349,7 +342,7 @@ def periodic_phi(
     span = max(omega, r)
     phase = np.arange(1 - span, 1) % omega
     before = np.ones(span)
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         values = np.fromiter(islice(phis, omega), float, omega)
         current = np.roll(values, 1)
         residual = float(np.max(np.abs(before - current[phase])))
@@ -357,16 +350,15 @@ def periodic_phi(
             return PeriodicCorrection(current, omega, sweeps=sweep, residual=residual)
         before = np.concatenate([before, values])[-span:]
     raise ConvergenceError(
-        f"periodic phi did not converge within {max_sweeps} sweeps "
+        f"periodic phi did not converge within {MAX_SWEEPS} sweeps "
         f"(last residual {residual:.3e})",
         residual=residual,
     )
 
 
-def periodic_mean(
-    params: ChemostatParams, z: WashoutSolution, phi_profile
-) -> float:
-    """Geometric mean over one period of (1-E) * (1 + phi * p(z)).
+def periodic_mean(params: ChemostatParams, z: WashoutSolution, phi_profile: PeriodicCorrection) -> float:
+    """Geometric mean over one period of (1-E) * (1 + phi * p(z)), with
+    phi read from a profile that periodic_phi certified.
 
     In the periodic case this single number is both the lower and upper
     asymptotic window mean: > 1 means persistence, <= 1 extinction.
@@ -374,7 +366,7 @@ def periodic_mean(
     omega = z.period
     if omega is None:
         raise UsageError("periodic_mean requires a periodic washout solution")
-    prof = phi_profile.phi if isinstance(phi_profile, PeriodicCorrection) else np.asarray(phi_profile, float)
+    prof = phi_profile.phi
     if len(prof) != omega:
         raise UsageError(
             f"phi profile has length {len(prof)}, expected the input period {omega}"

@@ -11,7 +11,9 @@ is the geometric average of the past input,
 and every other solution converges to it at rate (1-E) per step.  Two
 constructions are provided: a truncated backward sum with an explicit
 geometric tail bound, stored on [-r, horizon], and an exact closed form
-for periodic inputs, stored as one period and read at t % period.
+for periodic inputs, stored as one period and read at t % period.  The
+truncation depth is derived from E (default_tail_depth): the tail factor
+(1-E)**depth is below 1e-26.
 """
 
 from __future__ import annotations
@@ -74,25 +76,24 @@ def _forward(z, E, feed):
         yield z
 
 
-def washout_sequence(
-    params: ChemostatParams, horizon: int, tail_depth: int | None = None
-) -> WashoutSolution:
+def washout_sequence(params: ChemostatParams, horizon: int) -> WashoutSolution:
     """Washout values on [-r, horizon] from a truncated backward sum.
 
     One forward pass from z = 0 runs over the input on
     [-r-1-tail_depth, horizon-1] (negative times resolved by the input's
     backward-extension convention); its first tail_depth + 1 steps settle
-    z[-r] and are not kept.  The discarded tail is bounded by
-    (1-E)**tail_depth * sup(s0), recorded on the result.  A periodic feed
-    stops stepping at an exact recurrence of z (core._step_to_recurrence).
+    z[-r] and are not kept.  tail_depth = default_tail_depth(E) makes
+    (1-E)**tail_depth < 1e-26, and every solution approaches z at rate
+    (1-E) per step, so a deeper tail cannot make a double more accurate.
+    The discarded tail is bounded by (1-E)**tail_depth * sup(s0), recorded
+    on the result.  A periodic feed stops stepping at an exact recurrence
+    of z (core._step_to_recurrence).
     """
     r = params.r
     horizon = _validate_integer("horizon must be an integer", horizon, -math.inf, UsageError)
     if horizon < r:
         raise UsageError(f"horizon {horizon} must be >= delay r={r}")
-    if tail_depth is None:
-        tail_depth = default_tail_depth(params.E)
-    tail_depth = _validate_integer("tail_depth must be >= 0", tail_depth, 0, UsageError)
+    tail_depth = default_tail_depth(params.E)
 
     n = horizon + r + 1 + tail_depth
     _validate_steps("washout", n)

@@ -25,7 +25,6 @@ from chemodde import (
     classify,
     find_periodic_orbit,
     neither_nor_demo,
-    periodic_phi,
     phi_sequence,
     simulate,
     washout_periodic,
@@ -225,7 +224,6 @@ _RAMP = ChemostatParams(E=0.2, r=5, uptake=LinearUptake(0.5),
     (lambda p: simulate(p, fig2_init(), math.nan), "horizon must be >= 0, got nan"),
     (lambda p: simulate(p, fig2_init(), True), "horizon must be >= 0, got True"),  # ran as horizon 1
     (lambda p: washout_sequence(p, 202.5), "horizon must be an integer, got 202.5"),
-    (lambda p: washout_sequence(p, 200, tail_depth=2.5), "tail_depth must be >= 0, got 2.5"),
     (lambda p: phi_sequence(p, washout_sequence(p, 50), horizon=20.5), "horizon must be >= 0, got 20.5"),
     (lambda p: bohl_bounds(np.ones(300), window_min=2.5), "window_min must be >= 1, got 2.5"),
     (lambda p: bohl_bounds(np.ones(300), window_min=10, gap_min=2.5), "gap_min must be >= 0, got 2.5"),
@@ -234,13 +232,12 @@ _RAMP = ChemostatParams(E=0.2, r=5, uptake=LinearUptake(0.5),
     (lambda p: classify(p, horizon=2.5), "horizon must be an integer, got 2.5"),
     (lambda p: find_periodic_orbit(p, fig2_init(), max_periods=2.5), "max_periods must be >= 1, got 2.5"),
     (lambda p: find_periodic_orbit(p, fig2_init(), max_periods=math.nan), "max_periods must be >= 1, got nan"),
-    (lambda p: periodic_phi(p, washout_periodic(p), max_sweeps=2.5), "max_sweeps must be >= 1, got 2.5"),
     (lambda p: neither_nor_demo(0.5, 0, 2.5), "n_max must be in [1, 9], got 2.5"),
     (lambda p: attraction_rate(*[simulate(p, fig2_init(), 50)] * 2, burn_in=2.5), "burn_in must be an integer, got 2.5"),
     (lambda p: classify(p, window_min=2.5), "window_min must be >= 1, got 2.5"),  # returned Persistent
 ], ids=["simulate-horizon-2.5", "simulate-horizon-nan", "simulate-horizon-True", "washout-horizon",
-        "washout-tail_depth", "phi_sequence-horizon", "bohl-window_min", "bohl-gap_min", "classify-window_min",
-        "classify-horizon", "orbit-max_periods-2.5", "orbit-max_periods-nan", "periodic_phi-max_sweeps",
+        "phi_sequence-horizon", "bohl-window_min", "bohl-gap_min", "classify-window_min",
+        "classify-horizon", "orbit-max_periods-2.5", "orbit-max_periods-nan",
         "neither_nor-n_max", "attraction-burn_in", "classify-window_min-periodic"])
 def test_budgets_that_are_no_integer_are_usage_errors(call, message):
     # each of these ended in a TypeError, ValueError or IndexError, or ran

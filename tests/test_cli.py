@@ -859,6 +859,17 @@ def test_allocation_failure_exits_1(tmp_path, capsys):
     assert not (tmp_path / "classify.json").exists()
 
 
+def test_out_of_memory_without_text_prints_no_dangling_colon(monkeypatch, capsys):
+    # list growth or .tolist() of a huge feed raises MemoryError() with no
+    # text, and the line used to end in "out of memory: "
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setitem(COMMANDS, "washout", (exhausted, (), {}))
+    assert run(["washout"]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "washout", "simulate"])
 @pytest.mark.parametrize("feed", [
     "input.kind = sinusoid\ninput.amplitude = 0.25\ninput.period = 20\ninput.offset = 0.6",

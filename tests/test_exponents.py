@@ -16,6 +16,7 @@ from chemodde import (
     LinearUptake,
     Monod,
     ParameterError,
+    PeriodicCorrection,
     Sinusoid,
     TabulatedUptake,
     UsageError,
@@ -30,6 +31,7 @@ from chemodde import (
     washout_periodic,
     washout_sequence,
 )
+from chemodde import exponents
 from chemodde.cli import fig2_init, fig2_params
 
 from conftest import random_feasible_instance
@@ -141,7 +143,7 @@ def test_growth_is_the_growth_factor_expression(case):
     assert corr.growth.values.tobytes() == expect.tobytes()
 
 
-def _phi_sequence_indexed(params, z, horizon, c_seed):
+def _phi_sequence_indexed(params, z, horizon):
     """phi_sequence with the log-c generator indexed into a numpy array,
     reading and writing log c one numpy scalar at a time: the reference
     the list recurrence must match bit for bit."""
@@ -152,7 +154,7 @@ def _phi_sequence_indexed(params, z, horizon, c_seed):
     pz_arr = params.uptake.evaluate(z.window(-r, horizon))
     pz = pz_arr.tolist()
     log_c = np.empty(horizon + 2 * r + 1)
-    log_c[: r + 1] = math.log(c_seed)
+    log_c[: r + 1] = 0.0  # c = 1 on [-r, 0]
     for t in range(0, horizon + r):
         i = t + r
         ratio = math.exp(log_c[i - r] - log_c[i]) * omE_r
@@ -180,44 +182,27 @@ def _generator_cases(draw):
         Sinusoid(amplitude=0.25, period_steps=draw(st.integers(1, 30)), offset=0.6),
         ExplicitSequence(values=(0.4, 0.9, 0.6, 2.5), periodic=True),
     ]))
-    return _generator_case(E, r, uptake, feed, horizon, draw(st.floats(1e-300, 1e300)))
+    return _generator_case(E, r, uptake, feed, horizon)
 
 
-def _generator_case(E, r, uptake, feed, horizon, c_seed):
+def _generator_case(E, r, uptake, feed, horizon):
     params = ChemostatParams(E=E, r=r, uptake=uptake, input=feed)
-    return params, washout_sequence(params, horizon + r), horizon, c_seed
+    return params, washout_sequence(params, horizon + r), horizon
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_generator_cases())
-@example(_generator_case(0.3, 0, Monod(1.0, 1.0), Constant(0.7), 0, 1.0))
-@example(_generator_case(0.3, 4, LinearUptake(0.4), Constant(0.7), 0, 5.0))
-@example(_generator_case(0.2, 0, TabulatedUptake((0.0, 1.0), (0.0, 0.5)), Constant(0.7), 40, 1e-300))
+@example(_generator_case(0.3, 0, Monod(1.0, 1.0), Constant(0.7), 0))
+@example(_generator_case(0.3, 4, LinearUptake(0.4), Constant(0.7), 0))
+@example(_generator_case(0.2, 0, TabulatedUptake((0.0, 1.0), (0.0, 0.5)), Constant(0.7), 40))
 def test_phi_sequence_matches_indexed_generator(case):
-    params, z, horizon, c_seed = case
-    corr = phi_sequence(params, z, horizon, c_seed=c_seed)
-    log_c, phi, growth, cross = _phi_sequence_indexed(params, z, horizon, c_seed)
+    params, z, horizon = case
+    corr = phi_sequence(params, z, horizon)
+    log_c, phi, growth, cross = _phi_sequence_indexed(params, z, horizon)
     for got, want in ((corr.log_c, log_c), (corr.phi, phi), (corr.growth, growth)):
         assert got.t_start == -params.r
         assert got.values.view(np.int64).tolist() == want.view(np.int64).tolist()
     assert np.array(corr.cross_check_error).view(np.int64) == np.array(cross).view(np.int64)
-
-
-def test_seed_scale_invariance():
-    params = fig2_params(0.6)
-    z = washout_periodic(params)
-    a = phi_sequence(params, z, horizon=200, c_seed=1.0)
-    b = phi_sequence(params, z, horizon=200, c_seed=371.25)
-    assert np.max(np.abs(a.phi.values - b.phi.values)) <= 1e-12
-
-
-@pytest.mark.parametrize("c_seed", [math.inf, math.nan, 0.0, -1.0])
-def test_phi_rejects_bad_c_seed(c_seed):
-    # c_seed = inf at r = 0 used to return all-NaN phi with numpy warnings
-    params = ChemostatParams(E=0.2, r=0, uptake=Monod(1.0, 1.0), input=Constant(1.0))
-    z = washout_sequence(params, horizon=20)
-    with pytest.raises(UsageError, match="c_seed must be finite and positive"):
-        phi_sequence(params, z, horizon=20, c_seed=c_seed)
 
 
 def test_phi_needs_washout_coverage():
@@ -553,10 +538,11 @@ def test_periodic_phi_agrees_with_sequence_tail():
         assert abs(corr.phi.at(t) - prof.phi[t % 500]) <= 1e-9
 
 
-def test_periodic_phi_convergence_error_carries_residual():
+def test_periodic_phi_convergence_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(exponents, "MAX_SWEEPS", 1)
     params = fig2_params(0.6)
-    with pytest.raises(ConvergenceError) as err:
-        periodic_phi(params, washout_periodic(params), max_sweeps=1)
+    with pytest.raises(ConvergenceError, match="within 1 sweeps") as err:
+        periodic_phi(params, washout_periodic(params))
     assert err.value.residual is not None
 
 
@@ -565,12 +551,6 @@ def test_periodic_phi_rejects_bad_tolerance(tol):
     params = fig2_params(0.6)
     with pytest.raises(ParameterError):
         periodic_phi(params, washout_periodic(params), tol=tol)
-
-
-def test_periodic_phi_rejects_zero_budget():
-    params = fig2_params(0.6)
-    with pytest.raises(UsageError):
-        periodic_phi(params, washout_periodic(params), max_sweeps=0)
 
 
 def test_periodic_mean_r0_closed_form():
@@ -593,15 +573,15 @@ def test_periodic_mean_reported_values():
 def test_periodic_mean_validates_lengths():
     params = fig2_params(0.6)
     z = washout_periodic(params)
-    with pytest.raises(UsageError):
-        periodic_mean(params, z, np.ones(7))
+    with pytest.raises(UsageError, match="length 7, expected the input period 500"):
+        periodic_mean(params, z, PeriodicCorrection(np.ones(7), 7, sweeps=1, residual=0.0))
     nonper = ChemostatParams(
         E=0.125, r=5, uptake=Monod(1.0, 1.0),
         input=ExplicitSequence(values=(0.5, 0.6), periodic=False),
     )
     znp = washout_sequence(nonper, horizon=20)
-    with pytest.raises(UsageError):
-        periodic_mean(nonper, znp, np.ones(2))
+    with pytest.raises(UsageError, match="requires a periodic washout solution"):
+        periodic_mean(nonper, znp, PeriodicCorrection(np.ones(2), 2, sweeps=1, residual=0.0))
 
 
 def test_periodic_mean_brackets_window_bounds():

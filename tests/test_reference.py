@@ -17,6 +17,9 @@ sliding and classify run on the sinusoid and on the fig1 ramp (a
 piecewise feed); periodic runs to an orbit, to washout,
 to an orbit after 83 periods, to an orbit whose period 7 is shorter than
 its state window r + 1 = 13, and out of its period budget (exit 1).
+Drawn configs inside the positivity hypotheses add regimes beyond these,
+compared only where the reference runs cleanly: error texts and exit
+codes for bad inputs changed on purpose.
 
 Declared JSON differences: classify.json gained the periodic phi sweep
 certificate (phi_sweeps, phi_residual), and non-finite floats are written
@@ -34,8 +37,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from chemodde import cli
+from chemodde import InitialHistory, check_positivity_preconditions, cli, washout_sequence
+from chemodde.config import parse_config
 
 from conftest import reference
 
@@ -144,17 +150,22 @@ def _run(main, argv, out):
     return code, text.getvalue().replace(str(out), "OUT"), err.getvalue().replace(str(out), "OUT"), csv, docs
 
 
-def _check(tmp_path, monkeypatch, argv, code):
-    for name, text in CONFIGS.items():
+def _check(tmp_path, monkeypatch, argv, code, configs=CONFIGS):
+    """Compare the runs of argv; code None accepts only a clean reference
+    run and rejects the example otherwise."""
+    for name, text in configs.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CHEMODDE_OUT", raising=False)
     own, ref = tmp_path / "own", tmp_path / "ref"
     own.mkdir()
     ref.mkdir()
-    got = _run(cli.run, argv, own)
     with np.errstate(all="ignore"):
         want = _run(reference("cli").run, argv, ref)
+    if code is None:
+        assume(want[0] == 0)
+        code = 0
+    got = _run(cli.run, argv, own)
     assert got[0] == want[0] == code
     assert got[1] == want[1]
     assert got[2] == want[2]
@@ -205,3 +216,63 @@ def test_cli_csv_bytes_match_the_reference(tmp_path, monkeypatch, argv):
 ])
 def test_cli_output_matches_the_reference(tmp_path, monkeypatch, argv, code):
     _check(tmp_path, monkeypatch, argv, code)
+
+
+def _words(values):
+    return " ".join(map(repr, values))
+
+
+@st.composite
+def _drawn_runs(draw, kind):
+    """argv and config text: E, r <= 8, Monod uptake with p'(0) * sup s0 < 1,
+    a feed of the given kind, a feasible constant initial history and a
+    horizon of 200 to 2000, under a command that reads them."""
+    E = draw(st.floats(0.05, 0.9))
+    r = draw(st.integers(0, 8))
+    hi = draw(st.floats(0.3, 2.0))
+    lo = hi * draw(st.floats(0.3, 1.0))
+    k_s = draw(st.floats(0.2, 3.0))
+    p_max = draw(st.floats(0.1, 0.99)) * k_s / hi
+    level = st.floats(lo, hi)
+    if kind == "constant":
+        feed = f"input.kind = constant\ninput.value = {hi!r}"
+    elif kind == "sinusoid":
+        mid = (lo + hi) / 2
+        feed = (f"input.kind = sinusoid\ninput.amplitude = {mid - lo!r}\n"
+                f"input.period = {draw(st.integers(2, 60))}\ninput.offset = {mid!r}")
+    elif kind == "piecewise":
+        times = sorted(draw(st.sets(st.integers(0, 2000), min_size=1, max_size=4)))
+        values = draw(st.lists(level, min_size=len(times), max_size=len(times)))
+        feed = f"input.kind = piecewise\ninput.t = {_words(times)}\ninput.values = {_words(values)}"
+    else:
+        values = draw(st.lists(level, min_size=2, max_size=25 if kind == "periodic" else 400))
+        feed = f"input.kind = sequence\ninput.values = {_words(values)}\ninput.periodic = {kind == 'periodic'}"
+    horizon = draw(st.integers(200, 2000))
+    text = (f"schema = 1\nmodel.E = {E!r}\nmodel.r = {r}\nuptake.kind = monod\n"
+            f"uptake.p_max = {p_max!r}\nuptake.k_s = {k_s!r}\n{feed}\nrun.horizon = {horizon}\n")
+
+    params = parse_config(text).params
+    z = washout_sequence(params, horizon)
+    s_level = lo * draw(st.floats(0.05, 0.4))
+    x_level = lo * draw(st.floats(0.02, 0.3))
+    for _ in range(60):  # halve x until the mass condition holds
+        init = InitialHistory.constant(r, s_level, x_level)
+        if check_positivity_preconditions(params, init, z).feasible:
+            break
+        x_level /= 2
+    assume(check_positivity_preconditions(params, init, z).feasible)
+    text += f"init.s = {_words(init.s)}\ninit.x = {_words(init.x)}\n"
+
+    commands = ["simulate", "washout", "exponents", "sliding", "classify"]
+    if params.input.period is not None:
+        commands.append("periodic")
+    return [draw(st.sampled_from(commands)), "--config", "drawn.cfg"], text
+
+
+@pytest.mark.parametrize("kind", ["constant", "sinusoid", "periodic", "sequence", "piecewise"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_drawn_configs_match_the_reference(tmp_path_factory, kind, data):
+    argv, text = data.draw(_drawn_runs(kind))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check(tmp_path_factory.mktemp("drawn"), monkeypatch, argv, None, {"drawn.cfg": text})

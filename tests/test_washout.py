@@ -19,6 +19,7 @@ from chemodde import (
     washout_periodic,
     washout_sequence,
 )
+from chemodde import washout
 from chemodde.washout import default_tail_depth
 
 
@@ -86,19 +87,25 @@ def test_periodic_wrap_is_exact():
     assert math.isclose(z, zp.z.values[0], rel_tol=1e-10)
 
 
-def test_periodic_agrees_with_deep_tail_sum():
+def _with_tail_depth(monkeypatch, depth):
+    monkeypatch.setattr(washout, "default_tail_depth", lambda E: depth)
+
+
+def test_periodic_agrees_with_deep_tail_sum(monkeypatch):
     params = _params(0.125, 5, fig2_input())
     zp = washout_periodic(params)
-    zs = washout_sequence(params, horizon=1000, tail_depth=1000)
+    _with_tail_depth(monkeypatch, 1000)
+    zs = washout_sequence(params, horizon=1000)
     for t in range(-5, 1001):
         assert abs(zs.at(t) - zp.at(t)) <= 1e-10
 
 
-def test_truncation_error_below_recorded_bound():
+def test_truncation_error_below_recorded_bound(monkeypatch):
     params = _params(0.125, 5, fig2_input())
     zp = washout_periodic(params)
     for depth in (0, 3, 10, 40):
-        zs = washout_sequence(params, horizon=200, tail_depth=depth)
+        _with_tail_depth(monkeypatch, depth)
+        zs = washout_sequence(params, horizon=200)
         worst = max(abs(zs.at(t) - zp.at(t)) for t in range(-5, 201))
         assert worst <= zs.tail_error_bound + 1e-15
         assert math.isclose(
@@ -106,12 +113,13 @@ def test_truncation_error_below_recorded_bound():
         )
 
 
-def test_exponential_forgetting():
+def test_exponential_forgetting(monkeypatch):
     # two runs started from different truncations differ by exactly
     # (1-E)**(t+r) times their initial difference
     params = _params(0.35, 3, fig2_input())
-    za = washout_sequence(params, horizon=120, tail_depth=0)
     zb = washout_sequence(params, horizon=120)
+    _with_tail_depth(monkeypatch, 0)
+    za = washout_sequence(params, horizon=120)
     delta0 = za.at(-3) - zb.at(-3)
     assert delta0 != 0.0
     for t in range(-3, 121):
@@ -130,15 +138,13 @@ def test_preconditions():
     params = _params(0.125, 5, fig2_input())
     with pytest.raises(UsageError):
         washout_sequence(params, horizon=3)  # horizon < r
-    with pytest.raises(UsageError):
-        washout_sequence(params, horizon=100, tail_depth=-1)
     open_ended = _params(0.125, 5, ExplicitSequence(values=(0.5, 0.6), periodic=False))
     with pytest.raises(UsageError):
         washout_periodic(open_ended)
 
 
 def test_steps_beyond_one_array_are_refused_before_allocating():
-    # the feed runs over tail_depth + r + 1 + horizon steps
+    # the feed runs over default_tail_depth(E) + r + 1 + horizon steps
     params = _params(0.125, 5, fig2_input())
     with pytest.raises(MemoryError, match=f"washout of {10**19 + 6 + default_tail_depth(0.125)} steps"):
         washout_sequence(params, horizon=10**19)
