@@ -27,14 +27,7 @@ from .dynamics import (
     simulate,
 )
 from .errors import ConvergenceError, UsageError
-from .exponents import (
-    _window_min,
-    bohl_bounds,
-    default_window_min,
-    periodic_mean,
-    periodic_phi,
-    phi_sequence,
-)
+from .exponents import bohl_bounds, bohl_window_min, periodic_mean, periodic_phi, phi_sequence
 from .washout import WashoutSolution, washout_periodic, washout_sequence
 
 PERSISTENT = "Persistent"
@@ -109,7 +102,7 @@ def classify(
     if horizon < params.r:
         raise UsageError(f"horizon {horizon} must be >= delay r={params.r}")
     # checked on either basis, before the washout; only bohl_bounds reads it
-    window_min = default_window_min(params.r) if window_min is None else _window_min(window_min)
+    window_min = bohl_window_min(params.r, window_min)
     omega = params.input.period
     if omega is not None:
         z = washout_periodic(params)
@@ -214,10 +207,11 @@ def find_periodic_orbit(
     the previous one in sup norm; a residual below tol means the period
     map has reached its fixed point, and one more closed-loop period is
     integrated to verify and extract the profile.  If biomass drops below
-    EXTINCTION_FLOOR * sup z for a whole period the run is declared a
-    washout convergence instead.  Only the state window and the period
-    being integrated are kept, so memory does not grow with the number of
-    periods.  Returns PeriodicOrbit or WashoutConvergence.
+    EXTINCTION_FLOOR * sup z (on a zero feed, times the largest initial
+    value) for a whole period the run is declared a washout convergence
+    instead.  Only the state window and the period being integrated are
+    kept, so memory does not grow with the number of periods.  Returns
+    PeriodicOrbit or WashoutConvergence.
     """
     _validate_tol(tol)
     max_periods = _validate_integer("max_periods must be >= 1", max_periods, 1, UsageError)
@@ -232,7 +226,10 @@ def find_periodic_orbit(
     # drives them all
     feed = params.input.sample(0, omega - 1).tolist()
     window = r + 1
-    s_scale = max(z.z_sup, 1e-300)
+    # a zero feed has z = 0: the initial state sets the substrate scale and
+    # the washout floor instead, which would otherwise be 1e-300 and 0
+    scale = z.z_sup if z.z_sup != 0.0 else max(init.s + init.x)
+    s_scale = max(scale, 1e-300)
     end = np.array(s[-window:]), np.array(x[-window:])
     for n in range(1, max_periods + 1):
         # a period reads only the state window: drop what lies before it
@@ -246,7 +243,7 @@ def find_periodic_orbit(
         residual = _gap(end, prev, s_scale, x_scale)
 
         max_x_period = max(x[-omega:])
-        if max_x_period < EXTINCTION_FLOOR * z.z_sup:
+        if max_x_period < EXTINCTION_FLOOR * scale:
             return WashoutConvergence(
                 washout=z, periods_used=n, max_x_last_period=max_x_period
             )

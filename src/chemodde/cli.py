@@ -291,10 +291,7 @@ def _cmd_exponents(args) -> int:
     horizon = _horizon(cfg)
     params = cfg.params
     # checked before the washout and the phi pass that bohl_bounds reads
-    if cfg.window_min is None:
-        window_min = exponents.default_window_min(params.r)
-    else:
-        window_min = exponents._window_min(cfg.window_min)
+    window_min = exponents.bohl_window_min(params.r, cfg.window_min)
     z = washout.washout_sequence(params, horizon)
     corr = exponents.phi_sequence(params, z, horizon)
     est = exponents.bohl_bounds(corr.growth, window_min)

@@ -15,12 +15,17 @@ whitespace- or comma-separated numbers.  Keys:
     input.value                    (constant)
     input.amplitude, input.period, input.offset   (sinusoid)
     input.t, input.values          (piecewise; matching lists)
-    input.values, input.periodic   (sequence; periodic true/false)
+    input.values, input.periodic   (sequence; periodic true/false, default false)
+    (dyadic reads no input key: it is built from model.E and model.r)
     init.s, init.x    -- optional initial history, r+1 values each
     run.horizon, run.tol, run.T    -- optional run options
 
-Unknown keys are rejected so typos surface instead of being ignored, and
-so is an uptake.* or input.* key that the chosen kind does not read.
+The uptake and input sections are read through one table, _KINDS, which
+maps each kind to its constructor and each constructor argument to its
+key and parser.  The known keys and the keys each kind reads both come
+from that table: unknown keys are rejected so typos surface instead of
+being ignored, and so is an uptake.* or input.* key that the chosen kind
+does not read.
 """
 
 from __future__ import annotations
@@ -41,37 +46,6 @@ from .core import (
     TabulatedUptake,
 )
 from .errors import ParameterError, UsageError
-
-# the section.* keys each kind reads, besides section.kind itself
-_KIND_KEYS = {
-    "uptake": {
-        "monod": {"uptake.p_max", "uptake.k_s"},
-        "linear": {"uptake.slope"},
-        "tabulated": {"uptake.s", "uptake.values"},
-    },
-    "input": {
-        "constant": {"input.value"},
-        "sinusoid": {"input.amplitude", "input.period", "input.offset"},
-        "piecewise": {"input.t", "input.values"},
-        "sequence": {"input.values", "input.periodic"},
-        "dyadic": set(),
-    },
-}
-
-_KNOWN_KEYS = {
-    "schema",
-    "model.E",
-    "model.r",
-    "uptake.kind",
-    "input.kind",
-    "init.s",
-    "init.x",
-    "run.horizon",
-    "run.tol",
-    "run.T",
-    *(key for kinds in _KIND_KEYS.values() for keys in kinds.values() for key in keys),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -144,56 +118,69 @@ def _as_bool(key, value):
     raise ParameterError(f"{key}: expected true/false, got {value!r}")
 
 
-def _kind(pairs, section):
-    """section.kind, lowercased, once every other section.* key given is
-    one that kind reads."""
+def _piecewise(times, values):
+    if len(times) != len(values):
+        raise ParameterError("input.t and input.values must have matching lengths")
+    return PiecewiseLinear(breakpoints=tuple(zip(times, values)))
+
+
+# section -> kind -> (constructor, {argument: (key, parser[, default text])});
+# a key without a default is required, and a kind reads exactly its keys
+_KINDS = {
+    "uptake": {
+        "monod": (Monod, {"p_max": ("uptake.p_max", _as_float), "k_s": ("uptake.k_s", _as_float)}),
+        "linear": (LinearUptake, {"slope": ("uptake.slope", _as_float)}),
+        "tabulated": (TabulatedUptake, {
+            "grid": ("uptake.s", _as_floats), "values": ("uptake.values", _as_floats),
+        }),
+    },
+    "input": {
+        "constant": (Constant, {"value": ("input.value", _as_float)}),
+        "sinusoid": (Sinusoid, {
+            "amplitude": ("input.amplitude", _as_float),
+            "period_steps": ("input.period", _as_int),
+            "offset": ("input.offset", _as_float),
+        }),
+        "piecewise": (_piecewise, {
+            "times": ("input.t", _as_floats), "values": ("input.values", _as_floats),
+        }),
+        "sequence": (ExplicitSequence, {
+            "values": ("input.values", _as_floats), "periodic": ("input.periodic", _as_bool, "false"),
+        }),
+        # built from the model keys, which parse_config has already checked
+        "dyadic": (DyadicBlocks, {"E": ("model.E", _as_float), "r": ("model.r", _as_int)}),
+    },
+}
+
+_KNOWN_KEYS = {
+    "schema",
+    "model.E",
+    "model.r",
+    "init.s",
+    "init.x",
+    "run.horizon",
+    "run.tol",
+    "run.T",
+    *(f"{section}.kind" for section in _KINDS),
+    *(key for kinds in _KINDS.values() for _, args in kinds.values() for key, *_ in args.values()),
+}
+
+
+def _build(pairs, section):
+    """The section's object, built by its kind from the keys that kind
+    reads; any other section.* key given is an error."""
     kind = _require(pairs, f"{section}.kind").lower()
-    reads = _KIND_KEYS[section].get(kind)
-    if reads is None:
+    if kind not in _KINDS[section]:
         raise ParameterError(f"{section}.kind: unknown kind {kind!r}")
+    make, args = _KINDS[section][kind]
+    reads = {key for key, *_ in args.values()}
     for key in pairs:
         if key.startswith(f"{section}.") and key != f"{section}.kind" and key not in reads:
             raise UsageError(f"{key} is not read by {section}.kind = {kind}")
-    return kind
-
-
-def _build_uptake(pairs):
-    kind = _kind(pairs, "uptake")
-    if kind == "monod":
-        return Monod(
-            p_max=_as_float("uptake.p_max", _require(pairs, "uptake.p_max")),
-            k_s=_as_float("uptake.k_s", _require(pairs, "uptake.k_s")),
-        )
-    if kind == "linear":
-        return LinearUptake(slope=_as_float("uptake.slope", _require(pairs, "uptake.slope")))
-    return TabulatedUptake(
-        grid=tuple(_as_floats("uptake.s", _require(pairs, "uptake.s"))),
-        values=tuple(_as_floats("uptake.values", _require(pairs, "uptake.values"))),
-    )
-
-
-def _build_input(pairs, E, r):
-    kind = _kind(pairs, "input")
-    if kind == "constant":
-        return Constant(value=_as_float("input.value", _require(pairs, "input.value")))
-    if kind == "sinusoid":
-        return Sinusoid(
-            amplitude=_as_float("input.amplitude", _require(pairs, "input.amplitude")),
-            period_steps=_as_int("input.period", _require(pairs, "input.period")),
-            offset=_as_float("input.offset", _require(pairs, "input.offset")),
-        )
-    if kind == "piecewise":
-        times = _as_floats("input.t", _require(pairs, "input.t"))
-        values = _as_floats("input.values", _require(pairs, "input.values"))
-        if len(times) != len(values):
-            raise ParameterError("input.t and input.values must have matching lengths")
-        return PiecewiseLinear(breakpoints=tuple(zip(times, values)))
-    if kind == "sequence":
-        return ExplicitSequence(
-            values=_as_floats("input.values", _require(pairs, "input.values")),
-            periodic=_as_bool("input.periodic", pairs.get("input.periodic", "false")),
-        )
-    return DyadicBlocks(E=E, r=r)
+    return make(**{
+        name: parse(key, pairs.get(key, *default) if default else _require(pairs, key))
+        for name, (key, parse, *default) in args.items()
+    })
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -209,7 +196,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     if r < 0:
         raise ParameterError(f"model.r: must be >= 0, got {r}")
 
-    params = ChemostatParams(E=E, r=r, uptake=_build_uptake(pairs), input=_build_input(pairs, E, r))
+    params = ChemostatParams(E=E, r=r, uptake=_build(pairs, "uptake"), input=_build(pairs, "input"))
 
     init = None
     if "init.s" in pairs or "init.x" in pairs:

@@ -49,21 +49,16 @@ from .washout import WashoutSolution
 
 @dataclass(frozen=True)
 class CorrectionSequences:
-    """phi and the growth factors on [-r, horizon], with the generating
-    solution in log form.
+    """phi and the growth factors on [-r, horizon].
 
     growth holds a[k] = (1-E) * (1 + phi[k] * p(z[k])), the coefficients
-    whose window means bohl_bounds reads.  log_c holds log(c[t]) on
-    [-r, horizon + r]; the ratio definition of phi only ever uses
-    differences of log_c, so the generator never overflows no matter how
-    fast c grows or shrinks.  cross_check_error is the largest discrepancy
-    between the ratio construction and the direct fixed-point recursion
-    seeded from the same initial window.
+    whose window means bohl_bounds reads.  cross_check_error is the
+    largest discrepancy between the ratio construction and the direct
+    fixed-point recursion seeded from the same initial window.
     """
 
     phi: TimeSeries
     growth: TimeSeries
-    log_c: TimeSeries
     cross_check_error: float = 0.0
 
 
@@ -169,9 +164,7 @@ def phi_sequence(params: ChemostatParams, z: WashoutSolution, horizon: int) -> C
         direct = correction_recursion(pz[1 : horizon + r], phi.window(1 - r, 0))[r:]
         cross = float(np.max(np.abs(direct - phi.window(1, horizon))))
 
-    return CorrectionSequences(
-        phi=phi, growth=growth, log_c=TimeSeries(log_c, t_start=-r), cross_check_error=cross
-    )
+    return CorrectionSequences(phi=phi, growth=growth, cross_check_error=cross)
 
 
 def psi_sequence(traj: Trajectory) -> TimeSeries:
@@ -235,13 +228,13 @@ class BohlEstimate:
     horizon: int
 
 
-def _window_min(window_min) -> int:
-    """window_min as an int; a UsageError unless it is an integer >= 1."""
+def bohl_window_min(r: int, window_min: int | None) -> int:
+    """T, the minimum Bohl window length at delay r: max(2r, 50) when
+    window_min is None, else window_min, which must be an integer >= 1
+    (a UsageError otherwise)."""
+    if window_min is None:
+        return max(2 * r, 50)
     return _validate_integer("window_min must be >= 1", window_min, 1, UsageError)
-
-
-def default_window_min(r: int) -> int:
-    return max(2 * r, 50)
 
 
 def bohl_bounds(
@@ -264,7 +257,7 @@ def bohl_bounds(
     if method not in ("auto", "full"):
         raise UsageError(f"unknown bohl_bounds method {method!r}")
     vals = growth.values if isinstance(growth, TimeSeries) else np.asarray(growth, float)
-    window_min = _window_min(window_min)
+    window_min = _validate_integer("window_min must be >= 1", window_min, 1, UsageError)
     if gap_min is None:
         gap_min = window_min
     gap_min = _validate_integer("gap_min must be >= 0", gap_min, 0, UsageError)

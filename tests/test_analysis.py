@@ -129,6 +129,21 @@ def test_subthreshold_washes_out():
     assert result.max_x_last_period < 1e-14 * result.washout.z_sup
 
 
+def test_zero_feed_washes_out_against_the_initial_scale():
+    # z = 0 made the washout floor 0 and divided the substrate residual by
+    # 1e-300, so the period map ran out of periods (last residual 1.8e274)
+    params = ChemostatParams(E=0.125, r=5, uptake=Monod(1.0, 1.0), input=Constant(0.0))
+    result = find_periodic_orbit(params, InitialHistory.constant(5, 0.5, 0.2))
+    assert isinstance(result, WashoutConvergence)
+    assert result.washout.z_sup == 0.0
+    assert 0.0 < result.max_x_last_period < 1e-14 * 0.5
+    assert classify(params).verdict == EXTINCT
+    # an all-zero history has no scale either: it is the zero orbit, as before
+    orbit = find_periodic_orbit(params, InitialHistory.constant(5, 0.0, 0.0))
+    assert isinstance(orbit, PeriodicOrbit)
+    assert orbit.residual == orbit.delta == 0.0
+
+
 def test_fig2_orbit_positive_and_closed():
     params = fig2_params(0.6)
     orbit = find_periodic_orbit(params, fig2_init(), tol=1e-9)

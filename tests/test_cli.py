@@ -25,7 +25,7 @@ from chemodde.cli import (
     CSV_BLOCK_ROWS, COMMANDS, _cycle, _simulation_bundle, build_parser, emit_csv, emit_json, emit_svg, fig1_params,
     fig2_init, fig2_params, run,
 )
-from chemodde.config import _KIND_KEYS, _KNOWN_KEYS
+from chemodde.config import _KINDS, _KNOWN_KEYS
 from chemodde.washout import default_tail_depth
 
 FIG2_CFG = """
@@ -970,6 +970,18 @@ def test_periodic_orbit_files(tmp_path, fig2_cfg):
     assert len(rows) == 500
 
 
+def test_periodic_on_a_zero_feed_reports_the_washout(tmp_path):
+    # exited 1 with `last residual 1.828e+274`: z = 0 left no washout floor
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(FIG2_CFG.replace(
+        "input.kind = sinusoid\ninput.amplitude = 0.25\ninput.period = 500\ninput.offset = 0.6\n",
+        "input.kind = constant\ninput.value = 0.0\n",
+    ))
+    assert run(["periodic", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "periodic_report.json").read_text())
+    assert payload["outcome"] == "washout"
+
+
 def test_periodic_convergence_failure_exits_1(tmp_path, fig2_cfg, capsys):
     code = run(
         ["periodic", "--config", str(fig2_cfg), "--tol", "1e-16",
@@ -1448,10 +1460,11 @@ def _config_texts(draw):
     another kind."""
     valid = _config_values(draw(st.integers(0, 4)))
     pairs = {}
-    for section, kinds in _KIND_KEYS.items():
+    for section, kinds in _KINDS.items():
         kind = pairs[f"{section}.kind"] = draw(valid[f"{section}.kind"])
-        pairs.update((key, draw(valid[key])) for key in sorted(kinds[kind]))
-    shared = sorted(key for key in _KNOWN_KEYS if key.split(".")[0] not in _KIND_KEYS)
+        reads = {key for key, *_ in kinds[kind][1].values() if key.startswith(f"{section}.")}
+        pairs.update((key, draw(valid[key])) for key in sorted(reads))
+    shared = sorted(key for key in _KNOWN_KEYS if key.split(".")[0] not in _KINDS)
     pairs.update((key, draw(valid[key])) for key in shared)
     keys = sorted(pairs)
     foreign = sorted(_KNOWN_KEYS - set(keys))

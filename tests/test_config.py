@@ -1,17 +1,25 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chemodde import (
+    Constant,
     DyadicBlocks,
+    ExplicitSequence,
+    LinearUptake,
     Monod,
     ParameterError,
+    PiecewiseLinear,
     Sinusoid,
     TabulatedUptake,
     UsageError,
+    config,
     parse_config,
     load_config,
 )
-from chemodde.config import _as_floats
+from chemodde.config import _KINDS, _KNOWN_KEYS, _as_floats
 
 FULL = """
 # a fig-2 style run
@@ -181,3 +189,54 @@ def test_empty_list_is_refused(value):
     with pytest.raises(ParameterError) as err:
         _as_floats("k", value)
     assert str(err.value) == "k: expected a list of numbers"
+
+
+# (section, kind, its lines, the object they parse to); the other section
+# is monod uptake or a constant feed
+KIND_CASES = [
+    ("uptake", "monod", "uptake.p_max = 1.5\nuptake.k_s = 0.5\n", Monod(p_max=1.5, k_s=0.5)),
+    ("uptake", "linear", "uptake.slope = 0.4\n", LinearUptake(slope=0.4)),
+    ("uptake", "tabulated", "uptake.s = 0 1 2\nuptake.values = 0 0.5 0.8\n",
+     TabulatedUptake(grid=(0.0, 1.0, 2.0), values=(0.0, 0.5, 0.8))),
+    ("input", "constant", "input.value = 1.25\n", Constant(value=1.25)),
+    ("input", "sinusoid", "input.amplitude = 0.25\ninput.period = 500\ninput.offset = 0.6\n",
+     Sinusoid(amplitude=0.25, period_steps=500, offset=0.6)),
+    ("input", "piecewise", "input.t = 0 50 150\ninput.values = 1 0.6 0.2\n",
+     PiecewiseLinear(breakpoints=((0.0, 1.0), (50.0, 0.6), (150.0, 0.2)))),
+    ("input", "sequence", "input.values = 0.4, 0.9\n", ExplicitSequence(values=(0.4, 0.9))),
+    ("input", "sequence", "input.values = 0.4, 0.9\ninput.periodic = true\n",
+     ExplicitSequence(values=(0.4, 0.9), periodic=True)),
+    ("input", "dyadic", "", DyadicBlocks(E=0.125, r=2)),
+]
+
+
+def test_kind_cases_cover_the_table():
+    assert {(section, kind) for section, kind, _, _ in KIND_CASES} == {
+        (section, kind) for section, kinds in _KINDS.items() for kind in kinds
+    }
+
+
+@pytest.mark.parametrize("section, kind, lines, expected", KIND_CASES)
+def test_each_kind_parses_its_keys_to_its_object(section, kind, lines, expected):
+    _, args = _KINDS[section][kind]
+    given = {line.split("=")[0].strip() for line in lines.splitlines()}
+    reads = {key for key, *_ in args.values() if key.startswith(f"{section}.")}
+    optional = {key for key, _, *default in args.values() if default}
+    assert reads - optional <= given <= reads
+    other = {"uptake": "input.kind = constant\ninput.value = 1.0\n",
+             "input": "uptake.kind = monod\nuptake.p_max = 1.0\nuptake.k_s = 1.0\n"}[section]
+    cfg = parse_config(f"schema = 1\nmodel.E = 0.125\nmodel.r = 2\n{section}.kind = {kind}\n{lines}{other}")
+    assert getattr(cfg.params, section) == expected
+
+
+def _dotted_keys(text):
+    return set(re.findall(r"\b[a-z]+\.[A-Za-z_]\w*", text))
+
+
+def test_readme_and_docstring_name_exactly_the_known_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Configuration files", 1)[1].split("```")[1]
+    dotted = _KNOWN_KEYS - {"schema"}
+    for text in (block, config.__doc__):
+        assert _dotted_keys(text) == dotted
+        assert re.search(r"^\s*schema\b", text, re.MULTILINE)

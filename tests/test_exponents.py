@@ -71,17 +71,6 @@ def test_golden_ratio_fixed_point():
     assert abs(prof.phi[0] - GOLDEN) < 1e-10
 
 
-def test_ratio_definition_holds():
-    # phi[t-r] = c[t-r]/c[t] * (1-E)**r, read off the stored log generator
-    params = fig2_params(0.6)
-    z = washout_periodic(params)
-    corr = phi_sequence(params, z, horizon=300)
-    omE_r = (1 - params.E) ** params.r
-    for t in range(-params.r, 301):
-        ratio = math.exp(corr.log_c.at(t) - corr.log_c.at(t + params.r)) * omE_r
-        assert abs(ratio - corr.phi.at(t)) <= 1e-10 * corr.phi.at(t)
-
-
 def test_fixed_point_identity():
     # phi[t+1] * prod_{k=t+1-r}^{t} (1 + phi[k] p(z[k])) = 1
     params = fig2_params(0.6)
@@ -165,7 +154,7 @@ def _phi_sequence_indexed(params, z, horizon):
     if r > 0 and horizon > 0:
         direct = correction_recursion(pz[1 : horizon + r], phi[1 : r + 1])[r:]
         cross = float(np.max(np.abs(direct - phi[r + 1 :])))
-    return log_c, phi, growth, cross
+    return phi, growth, cross
 
 
 @st.composite
@@ -198,8 +187,8 @@ def _generator_case(E, r, uptake, feed, horizon):
 def test_phi_sequence_matches_indexed_generator(case):
     params, z, horizon = case
     corr = phi_sequence(params, z, horizon)
-    log_c, phi, growth, cross = _phi_sequence_indexed(params, z, horizon)
-    for got, want in ((corr.log_c, log_c), (corr.phi, phi), (corr.growth, growth)):
+    phi, growth, cross = _phi_sequence_indexed(params, z, horizon)
+    for got, want in ((corr.phi, phi), (corr.growth, growth)):
         assert got.t_start == -params.r
         assert got.values.view(np.int64).tolist() == want.view(np.int64).tolist()
     assert np.array(corr.cross_check_error).view(np.int64) == np.array(cross).view(np.int64)
