@@ -57,7 +57,6 @@ from .exponents import (
     PeriodicCorrection,
     bohl_bounds,
     correction_recursion,
-    periodic_mean,
     periodic_phi,
     phi_sequence,
     psi_sequence,
@@ -110,7 +109,6 @@ __all__ = [
     "load_config",
     "neither_nor_demo",
     "parse_config",
-    "periodic_mean",
     "periodic_phi",
     "phi_sequence",
     "psi_sequence",

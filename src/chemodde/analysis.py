@@ -27,7 +27,7 @@ from .dynamics import (
     simulate,
 )
 from .errors import ConvergenceError, UsageError
-from .exponents import bohl_bounds, bohl_window_min, periodic_mean, periodic_phi, phi_sequence
+from .exponents import bohl_bounds, bohl_window_min, periodic_phi, phi_sequence
 from .washout import WashoutSolution, washout_periodic, washout_sequence
 
 PERSISTENT = "Persistent"
@@ -40,7 +40,7 @@ BASIS_PERIODIC = "PeriodicMean"
 # means this close to the threshold 1 are flagged instead of decided
 BORDERLINE_BAND = 1e-9
 
-# biomass below this multiple of sup z over a whole period counts as washed out
+# |biomass| below this multiple of sup z over a whole period counts as washed out
 EXTINCTION_FLOOR = 1e-14
 
 # gaps below this are treated as zero when fitting an attraction rate
@@ -107,8 +107,7 @@ def classify(
     if omega is not None:
         z = washout_periodic(params)
         prof = periodic_phi(params, z, tol=tol)
-        mean = periodic_mean(params, z, prof)
-        margin = mean - 1.0
+        margin = prof.mean - 1.0
         if margin > BORDERLINE_BAND:
             verdict, note = PERSISTENT, ""
         elif margin < -BORDERLINE_BAND:
@@ -123,11 +122,11 @@ def classify(
         return ClassificationReport(
             verdict=verdict,
             basis=BASIS_PERIODIC,
-            lower=mean,
-            upper=mean,
+            lower=prof.mean,
+            upper=prof.mean,
             window_min=None,
             horizon=omega,
-            mean=mean,
+            mean=prof.mean,
             borderline=abs(margin) <= BORDERLINE_BAND,
             note=note,
             phi_sweeps=prof.sweeps,
@@ -188,11 +187,12 @@ class WashoutConvergence:
 
 def _gap(new, old, s_scale, x_scale):
     """Sup deviation between two stretches (s, x) of the state, s relative
-    to s_scale and x to x_scale."""
-    return max(
-        float(np.max(np.abs(new[0] - old[0]))) / s_scale,
-        float(np.max(np.abs(new[1] - old[1]))) / x_scale,
-    )
+    to s_scale and x to x_scale; nan once the state has blown up."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return max(
+            float(np.max(np.abs(new[0] - old[0]))) / s_scale,
+            float(np.max(np.abs(new[1] - old[1]))) / x_scale,
+        )
 
 
 def find_periodic_orbit(
@@ -206,7 +206,7 @@ def find_periodic_orbit(
     After each period the full (r+1)-step state window is compared with
     the previous one in sup norm; a residual below tol means the period
     map has reached its fixed point, and one more closed-loop period is
-    integrated to verify and extract the profile.  If biomass drops below
+    integrated to verify and extract the profile.  If |x| stays below
     EXTINCTION_FLOOR * sup z (on a zero feed, times the largest initial
     value) for a whole period the run is declared a washout convergence
     instead.  Only the state window and the period being integrated are
@@ -242,10 +242,9 @@ def find_periodic_orbit(
         x_scale = max(float(np.max(end[1])), float(np.max(prev[1])), 1e-300)
         residual = _gap(end, prev, s_scale, x_scale)
 
-        max_x_period = max(x[-omega:])
-        if max_x_period < EXTINCTION_FLOOR * scale:
+        if np.all(np.abs(x[-omega:]) < EXTINCTION_FLOOR * scale):
             return WashoutConvergence(
-                washout=z, periods_used=n, max_x_last_period=max_x_period
+                washout=z, periods_used=n, max_x_last_period=max(x[-omega:])
             )
         if residual < tol:
             # closed-loop verification period: re-integrate and compare

@@ -60,10 +60,18 @@ class Monod(UptakeFunction):
             raise ParameterError(f"Monod k_s must be positive, got {self.k_s}")
 
     def evaluate(self, s):
-        return self.p_max * s / (self.k_s + s)
+        try:
+            return self.p_max * s / (self.k_s + s)
+        except ZeroDivisionError:  # s = -k_s: the array path's +-inf or nan
+            with np.errstate(all="ignore"):
+                return float(self.evaluate(np.float64(s)))
 
     def derivative(self, s):
-        return self.p_max * self.k_s / (self.k_s + s) ** 2
+        try:
+            return self.p_max * self.k_s / (self.k_s + s) ** 2
+        except (OverflowError, ZeroDivisionError):  # (k_s + s)**2 outside the doubles
+            with np.errstate(all="ignore"):
+                return float(self.derivative(np.float64(s)))
 
 
 @dataclass(frozen=True)

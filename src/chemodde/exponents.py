@@ -150,12 +150,20 @@ def phi_sequence(params: ChemostatParams, z: WashoutSolution, horizon: int) -> C
     cur = 0.0  # log c = log 1
     logs = [cur] * (r + 1)
     append, exp, log1p = logs.append, math.exp, math.log1p
-    for t in range(horizon + r):
-        cur = cur + lomE + log1p(pz[t] * (exp(logs[t] - cur) * omE_r))
-        append(cur)
-    log_c = np.array(logs)
+    try:
+        for t in range(horizon + r):
+            cur = cur + lomE + log1p(pz[t] * (exp(logs[t] - cur) * omE_r))
+            append(cur)
+        log_c = np.array(logs)
+        with np.errstate(over="raise"):
+            ratio = np.exp(log_c[: horizon + r + 1] - log_c[r:])
+    except (OverflowError, FloatingPointError):
+        raise DomainError(
+            f"the phi generator overflows at E = {params.E}, r = {r}, "
+            f"where (1-E)**r = {omE_r:.3e} leaves the double range"
+        ) from None
 
-    phi = TimeSeries(np.exp(log_c[: horizon + r + 1] - log_c[r:]) * omE_r, t_start=-r)
+    phi = TimeSeries(ratio * omE_r, t_start=-r)
     growth = TimeSeries(omE * (1.0 + phi.values * pz_arr), t_start=-r)
 
     cross = 0.0
@@ -291,12 +299,14 @@ def bohl_bounds(
 @dataclass(frozen=True)
 class PeriodicCorrection:
     """Converged one-period phi profile, aligned so phi[k] sits at phase
-    k = t mod period."""
+    k = t mod period, and mean, the one-period geometric mean of
+    (1-E) * (1 + phi * p(z)): > 1 means persistence, <= 1 extinction."""
 
     phi: np.ndarray
     period: int
     sweeps: int
     residual: float
+    mean: float
 
     def __post_init__(self):
         arr = np.asarray(self.phi, dtype=float)
@@ -318,20 +328,27 @@ def periodic_phi(params: ChemostatParams, z: WashoutSolution, tol: float = 1e-12
     MAX_SWEEPS periods.  Convergence is driven by the same attraction that
     makes the ratio construction forget its seed; the identity
     phi[t+1] * prod (1 + phi[k] p(z[k])) = 1 holds at every phase of the
-    returned profile (wrapping around the period).
+    returned profile (wrapping around the period).  The mean reads the
+    p(z) values the sweeps read.
     """
     _validate_tol(tol)
     omega = z.period
     if omega is None:
         raise UsageError("periodic_phi requires a periodic washout solution")
     r = params.r
-    pz = params.uptake.evaluate(z.window(0, omega - 1)).tolist()
+    pz = params.uptake.evaluate(z.window(0, omega - 1))
+
+    def certified(phi, sweeps, residual):
+        total = 0.0
+        for a in ((1.0 - params.E) * (1.0 + phi * pz)).tolist():
+            total += math.log(a)
+        return PeriodicCorrection(phi, omega, sweeps, residual, math.exp(total / omega))
 
     if r == 0:
-        return PeriodicCorrection(np.ones(omega), omega, sweeps=1, residual=0.0)
+        return certified(np.ones(omega), sweeps=1, residual=0.0)
 
     # a sweep yields phi at phases 1 .. omega-1, then 0
-    phis = _direct_phi(islice(cycle(pz), (1 - r) % omega, None), [1.0] * r)
+    phis = _direct_phi(islice(cycle(pz.tolist()), (1 - r) % omega, None), [1.0] * r)
     span = max(omega, r)
     phase = np.arange(1 - span, 1) % omega
     before = np.ones(span)
@@ -340,32 +357,10 @@ def periodic_phi(params: ChemostatParams, z: WashoutSolution, tol: float = 1e-12
         current = np.roll(values, 1)
         residual = float(np.max(np.abs(before - current[phase])))
         if (sweep - 1) * omega >= span and residual < tol:
-            return PeriodicCorrection(current, omega, sweeps=sweep, residual=residual)
+            return certified(current, sweeps=sweep, residual=residual)
         before = np.concatenate([before, values])[-span:]
     raise ConvergenceError(
         f"periodic phi did not converge within {MAX_SWEEPS} sweeps "
         f"(last residual {residual:.3e})",
         residual=residual,
     )
-
-
-def periodic_mean(params: ChemostatParams, z: WashoutSolution, phi_profile: PeriodicCorrection) -> float:
-    """Geometric mean over one period of (1-E) * (1 + phi * p(z)), with
-    phi read from a profile that periodic_phi certified.
-
-    In the periodic case this single number is both the lower and upper
-    asymptotic window mean: > 1 means persistence, <= 1 extinction.
-    """
-    omega = z.period
-    if omega is None:
-        raise UsageError("periodic_mean requires a periodic washout solution")
-    prof = phi_profile.phi
-    if len(prof) != omega:
-        raise UsageError(
-            f"phi profile has length {len(prof)}, expected the input period {omega}"
-        )
-    growth = (1.0 - params.E) * (1.0 + prof * params.uptake.evaluate(z.window(0, omega - 1)))
-    total = 0.0
-    for a in growth.tolist():
-        total += math.log(a)
-    return math.exp(total / omega)

@@ -22,7 +22,6 @@ from chemodde import (
     conservation_deficit,
     find_periodic_orbit,
     neither_nor_demo,
-    periodic_mean,
     periodic_phi,
     phi_sequence,
     psi_sequence,
@@ -73,7 +72,7 @@ def test_criterion_01_periodic_mean_reproduction():
         start = time.perf_counter()
         z = washout_periodic(params)
         prof = periodic_phi(params, z)
-        mean = periodic_mean(params, z, prof)
+        mean = prof.mean
         elapsed = time.perf_counter() - start
         results.append((offset, mean, expected, elapsed))
     ok = all(abs(m - e) <= 1e-3 and dt < 1.0 for _, m, e, dt in results)

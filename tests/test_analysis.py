@@ -18,6 +18,7 @@ from chemodde import (
     Monod,
     ParameterError,
     PeriodicOrbit,
+    Sinusoid,
     UsageError,
     WashoutConvergence,
     attraction_rate,
@@ -394,6 +395,22 @@ def test_find_periodic_orbit_memory_does_not_grow_with_the_number_of_periods():
             tracemalloc.stop()
 
     assert peak(160) <= 1.1 * peak(40)
+
+
+def test_find_periodic_orbit_never_takes_a_blown_up_biomass_for_a_washout():
+    # p'(0) * sup z = 10.4 > 1: the substrate goes negative at t = 5 and the
+    # biomass runs to -4e4 within two periods, then to -inf and nan; a floor
+    # on max x alone called that a washout after 2 periods
+    params = ChemostatParams(
+        E=0.5, r=0, uptake=LinearUptake(1.0), input=Sinusoid(amplitude=4.0, period_steps=7, offset=8.0),
+    )
+    init = InitialHistory(s=(0.5,), x=(0.2,))
+    with pytest.raises(ConvergenceError, match="within 2 periods") as err:
+        find_periodic_orbit(params, init, max_periods=2)
+    assert err.value.residual > 1.0
+    with pytest.raises(ConvergenceError, match=r"within 400 periods \(last residual nan\)") as err:
+        find_periodic_orbit(params, init)
+    assert math.isnan(err.value.residual)
 
 
 # ---------------------------------------------------------------------------

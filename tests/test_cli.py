@@ -990,6 +990,71 @@ def test_periodic_convergence_failure_exits_1(tmp_path, fig2_cfg, capsys):
     assert code == 1
 
 
+BLOW_UP_CFG = """
+schema = 1
+model.E = 0.5
+model.r = 0
+uptake.kind = linear
+uptake.slope = 1
+input.kind = sinusoid
+input.amplitude = 4
+input.period = 7
+input.offset = 8
+init.s = 0.5
+init.x = 0.2
+"""
+
+RAMP_CFG = """
+schema = 1
+model.E = 0.5
+model.r = 1100
+uptake.kind = monod
+uptake.p_max = 1
+uptake.k_s = 1
+input.kind = piecewise
+input.t = 0 500 1500
+input.values = 3 3 0.05
+run.horizon = 2000
+"""
+
+# s[1] = -1.0 = -k_s exactly
+MINUS_K_S_CFG = """
+schema = 1
+model.E = 0.5
+model.r = 0
+uptake.kind = monod
+uptake.p_max = 3
+uptake.k_s = 1
+input.kind = constant
+input.value = 0.0
+init.s = 0.5
+init.x = 2.5
+"""
+
+
+@pytest.mark.parametrize("command, text, code", [
+    # the biomass runs to -4e4 in two periods: was reported as a washout, exit 0
+    pytest.param("simulate", BLOW_UP_CFG, 0, id="blow-up-simulate"),
+    pytest.param("periodic", BLOW_UP_CFG, 1, id="blow-up-periodic"),
+    # (1-E)**r = 0: were OverflowError tracebacks
+    pytest.param("classify", RAMP_CFG, 1, id="ramp-r1100-classify"),
+    pytest.param("exponents", RAMP_CFG, 1, id="ramp-r1100-exponents"),
+    pytest.param("sliding", RAMP_CFG, 1, id="ramp-r1100-sliding"),
+    # Monod at s = -k_s and p'(0) at k_s = 1e+-300: were ZeroDivisionError and
+    # OverflowError tracebacks
+    pytest.param("simulate", MINUS_K_S_CFG, 0, id="s-at-minus-k_s-simulate"),
+    pytest.param("periodic", MINUS_K_S_CFG, 1, id="s-at-minus-k_s-periodic"),
+    pytest.param("simulate", FIG2_CFG.replace("uptake.k_s = 1.0", "uptake.k_s = 1e300"), 0, id="k_s-1e300"),
+    pytest.param("simulate", FIG2_CFG.replace("uptake.k_s = 1.0", "uptake.k_s = 1e-300"), 0, id="k_s-1e-300"),
+])
+def test_arithmetic_outside_the_doubles_exits_cleanly(tmp_path, monkeypatch, command, text, code):
+    monkeypatch.delenv("CHEMODDE_OUT", raising=False)
+    (tmp_path / "run.cfg").write_text(text)
+    assert _run_in(tmp_path, [command, "--config", "run.cfg", "--out", "out"]) == code
+    if command == "periodic":
+        assert not (tmp_path / "out" / "periodic_report.json").exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["periodic", "--max-periods", "0"],
     ["periodic", "--tol", "0"],
@@ -1294,7 +1359,6 @@ def _run_in(work, argv):
     finally:
         os.chdir(cwd)
     err = stderr.getvalue()
-    event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2)
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
@@ -1319,6 +1383,7 @@ def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch, case):
     (tmp_path / "periodic.cfg").write_text(FUZZ_PERIODIC_CFG)
     (tmp_path / "ramp.cfg").write_text(FUZZ_RAMP_CFG)
     code = _run_in(Path(tempfile.mkdtemp(dir=tmp_path)), argv)
+    event(f"{argv[0]} exit {code}")
     if foreign is not None:
         assert code == 2
 
@@ -1497,4 +1562,5 @@ def test_cli_config_fuzz_exits_cleanly(tmp_path, monkeypatch, command, text):
     monkeypatch.delenv("CHEMODDE_OUT", raising=False)
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     (work / "run.cfg").write_text(text)
-    _run_in(work, [command, "--config", "run.cfg", "--out", "out"])
+    code = _run_in(work, [command, "--config", "run.cfg", "--out", "out"])
+    event(f"{command} exit {code}")

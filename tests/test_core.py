@@ -56,6 +56,21 @@ def test_monod_shape(p_max, k_s):
     assert all(0.0 <= d <= d0 * (1 + 1e-12) for d in ders)
 
 
+def test_monod_scalars_outside_the_doubles_give_the_array_values():
+    # these raised ZeroDivisionError or OverflowError on floats while the
+    # array path gave +-inf, nan or 0
+    p = Monod(p_max=3.0, k_s=1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert p.evaluate(-1.0) == p.evaluate(np.array([-1.0]))[0] == -math.inf
+    tiny = Monod(p_max=1e-200, k_s=1e-200)
+    assert math.isnan(tiny.evaluate(-1e-200))
+    assert Monod(p_max=1.0, k_s=1e300).derivative_at_zero() == 0.0
+    assert Monod(p_max=1.0, k_s=1e-300).derivative_at_zero() == math.inf
+    assert Monod(p_max=1.0, k_s=1.0).derivative(-1.0) == math.inf
+    for value in (p.evaluate(-1.0), Monod(p_max=1.0, k_s=1e300).derivative_at_zero()):
+        assert type(value) is float
+
+
 def test_linear_uptake_shape():
     p = LinearUptake(slope=0.4)
     assert p.evaluate(0.0) == 0.0

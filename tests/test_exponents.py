@@ -16,13 +16,11 @@ from chemodde import (
     LinearUptake,
     Monod,
     ParameterError,
-    PeriodicCorrection,
     Sinusoid,
     TabulatedUptake,
     UsageError,
     bohl_bounds,
     correction_recursion,
-    periodic_mean,
     periodic_phi,
     phi_sequence,
     psi_sequence,
@@ -32,7 +30,7 @@ from chemodde import (
     washout_sequence,
 )
 from chemodde import exponents
-from chemodde.cli import fig2_init, fig2_params
+from chemodde.cli import fig1_params, fig2_init, fig2_params
 
 from conftest import random_feasible_instance
 
@@ -527,6 +525,30 @@ def test_periodic_phi_agrees_with_sequence_tail():
         assert abs(corr.phi.at(t) - prof.phi[t % 500]) <= 1e-9
 
 
+def _range_case(E, r, horizon):
+    """Monod(1, 1) on the fig1 ramp, or for horizon 0 on a zero feed, where
+    p(z) = 0 makes log c fall by exactly log(1-E) a step."""
+    feed = fig1_params().input if horizon else Constant(0.0)
+    params = ChemostatParams(E=E, r=r, uptake=Monod(1.0, 1.0), input=feed)
+    return params, washout_sequence(params, max(horizon, r)), horizon
+
+
+# (1-E) * e = 1 on the zero feed: the loop reaches c[t-r] / c[t] = e**(r-1)
+# at t = r-1, and the last ratio, e**r, is past the doubles for r = 710
+E_INV_E = 1.0 - math.exp(-1.0)
+
+
+@pytest.mark.parametrize("E, r, horizon", [(0.5, 1100, 2000), (0.99, 200, 2000), (E_INV_E, 710, 0)])
+def test_phi_generator_outside_the_doubles_is_a_domain_error(E, r, horizon):
+    with pytest.raises(DomainError, match=rf"at E = {E}, r = {r}, where \(1-E\)\*\*r = "):
+        phi_sequence(*_range_case(E, r, horizon))
+
+
+@pytest.mark.parametrize("E, r, horizon", [(0.99, 150, 2000), (E_INV_E, 709, 0)])
+def test_phi_generator_just_inside_the_doubles_runs(E, r, horizon):
+    assert np.all(np.isfinite(phi_sequence(*_range_case(E, r, horizon)).phi.values))
+
+
 def test_periodic_phi_convergence_error_carries_residual(monkeypatch):
     monkeypatch.setattr(exponents, "MAX_SWEEPS", 1)
     params = fig2_params(0.6)
@@ -547,7 +569,7 @@ def test_periodic_mean_r0_closed_form():
     params = ChemostatParams(E=0.2, r=0, uptake=LinearUptake(0.4), input=Constant(1.0))
     z = washout_periodic(params)
     prof = periodic_phi(params, z)
-    mean = periodic_mean(params, z, prof)
+    mean = prof.mean
     assert math.isclose(mean, 0.8 * 1.4, rel_tol=1e-12)
 
 
@@ -556,21 +578,46 @@ def test_periodic_mean_reported_values():
         params = fig2_params(offset)
         z = washout_periodic(params)
         prof = periodic_phi(params, z)
-        assert abs(periodic_mean(params, z, prof) - expected) <= 1e-3
+        assert abs(prof.mean - expected) <= 1e-3
 
 
-def test_periodic_mean_validates_lengths():
-    params = fig2_params(0.6)
+def _periodic_mean_oracle(params, z, prof):
+    """The former periodic_mean: p(z) evaluated again over one period, the
+    growth factors (1-E) * (1 + phi * p(z)), and their geometric mean with
+    the logs summed in phase order."""
+    omega = z.period
+    growth = (1.0 - params.E) * (1.0 + prof.phi * params.uptake.evaluate(z.window(0, omega - 1)))
+    total = 0.0
+    for a in growth.tolist():
+        total += math.log(a)
+    return math.exp(total / omega)
+
+
+@st.composite
+def _periodic_mean_cases(draw):
+    """A periodic regime: a sinusoid or periodic-sequence feed of period
+    1..60, Monod or tabulated uptake, r in 0..20."""
+    r, period = draw(st.integers(0, 20)), draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        amplitude = draw(st.floats(0.0, 0.5))
+        feed = Sinusoid(amplitude=amplitude, period_steps=period, offset=amplitude + draw(st.floats(0.05, 1.5)))
+    else:
+        feed = ExplicitSequence(values=tuple(draw(st.lists(st.floats(0.0, 2.0), min_size=period, max_size=period))), periodic=True)
+    if draw(st.booleans()):
+        uptake = Monod(draw(st.floats(0.05, 3.0)), draw(st.floats(0.1, 3.0)))
+    else:
+        uptake = TabulatedUptake((0.0, 0.5, 1.5), (0.0, draw(st.floats(0.6, 1.5)), 1.6))  # first segment steepest
+    return ChemostatParams(E=draw(st.floats(0.02, 0.6)), r=r, uptake=uptake, input=feed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_periodic_mean_cases())
+@example(fig2_params(0.42))
+@example(ChemostatParams(E=0.2, r=0, uptake=LinearUptake(0.4), input=Constant(1.0)))
+def test_periodic_phi_mean_matches_the_former_periodic_mean(params):
     z = washout_periodic(params)
-    with pytest.raises(UsageError, match="length 7, expected the input period 500"):
-        periodic_mean(params, z, PeriodicCorrection(np.ones(7), 7, sweeps=1, residual=0.0))
-    nonper = ChemostatParams(
-        E=0.125, r=5, uptake=Monod(1.0, 1.0),
-        input=ExplicitSequence(values=(0.5, 0.6), periodic=False),
-    )
-    znp = washout_sequence(nonper, horizon=20)
-    with pytest.raises(UsageError, match="requires a periodic washout solution"):
-        periodic_mean(nonper, znp, PeriodicCorrection(np.ones(2), 2, sweeps=1, residual=0.0))
+    prof = periodic_phi(params, z)
+    assert prof.mean.hex() == _periodic_mean_oracle(params, z, prof).hex()
 
 
 def test_periodic_mean_brackets_window_bounds():
@@ -582,7 +629,7 @@ def test_periodic_mean_brackets_window_bounds():
     )
     z = washout_periodic(params)
     prof = periodic_phi(params, z)
-    mean = periodic_mean(params, z, prof)
+    mean = prof.mean
     growth = phi_sequence(params, z, horizon=4000).growth
     T = 200
     est = bohl_bounds(growth, window_min=T)
