@@ -209,9 +209,11 @@ def find_periodic_orbit(
     integrated to verify and extract the profile.  If |x| stays below
     EXTINCTION_FLOOR * sup z (on a zero feed, times the largest initial
     value) for a whole period the run is declared a washout convergence
-    instead.  Only the state window and the period being integrated are
-    kept, so memory does not grow with the number of periods.  Returns
-    PeriodicOrbit or WashoutConvergence.
+    instead.  A state window that is not finite at the end of a period
+    raises ConvergenceError at once, with a nan residual.  Only the state
+    window and the period being integrated are kept, so memory does not
+    grow with the number of periods.  Returns PeriodicOrbit or
+    WashoutConvergence.
     """
     _validate_tol(tol)
     max_periods = _validate_integer("max_periods must be >= 1", max_periods, 1, UsageError)
@@ -236,6 +238,10 @@ def find_periodic_orbit(
         del s[:-window], x[:-window], ps[:-window]
         _integrate(params, s, x, ps, feed)
         prev, end = end, (np.array(s[-window:]), np.array(x[-window:]))
+        if not np.isfinite(end).all():
+            # no later period can close: stop before the budget goes on nan arithmetic
+            raise ConvergenceError(f"period map left the doubles: the state at the end of period {n} "
+                                   "is not finite (residual nan)", residual=math.nan)
         # biomass residual is measured against its own scale: a geometric
         # extinction tail keeps a constant relative step and is never
         # mistaken for orbit closure no matter how small it gets

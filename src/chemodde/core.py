@@ -437,6 +437,21 @@ def _validate_steps(what, n):
 RECURRENCE_MIN_LAG = 256
 
 
+def _repeat_start(values, lag):
+    """S, the least i >= lag such that values[k] and values[k - lag] are
+    equal as 64-bit integers for every k >= i: where a float64 array
+    repeats with lag for good.  len(values) when the last value differs
+    from the one lag earlier, found by one scalar compare."""
+    n = len(values)
+    bits = values.view(np.int64)
+    if lag >= n or bits[-1] != bits[-1 - lag]:
+        return n
+    # distance from the end to the last k that differs, 0 for none: the
+    # last k matches, so the first True from the end is never at 0
+    back = int((bits[lag:] != bits[:-lag])[::-1].argmax())
+    return n - back if back else lag
+
+
 def _step_to_recurrence(signal, t_from, t_to, states, window, advance):
     """Step states over the feed s0 on [t_from, t_to] and return them, in
     the list states, as float64 arrays of window + n entries for the n
@@ -448,37 +463,42 @@ def _step_to_recurrence(signal, t_from, t_to, states, window, advance):
     The states are converted one at a time, so a list is dropped once it
     is an array.
 
-    Exact recurrence: the lag L is the least multiple of signal.period of
-    at least RECURRENCE_MIN_LAG, taken only when the sampled feed repeats
-    with lag L bit for bit; the period a signal claims is not trusted.
-    The feed is then stepped in chunks of L, and stepping stops once the
-    last window entries of every state equal those L steps earlier as
-    64-bit integers, so -0.0 differs from 0.0 and a nan matches only the
-    same nan.  The last L entries are then repeated to the end.  A step is
-    a deterministic function of that window and s0[t], so every value is
-    the one the plain pass gives, to the bit.  Any other feed is stepped in
-    one chunk, never compared.
+    Exact recurrence: the lag L is the least multiple of the feed's period
+    (1 for a feed without one) of at least RECURRENCE_MIN_LAG, and S is
+    where the sampled feed starts to repeat with lag L bit for bit
+    (_repeat_start); the period a signal claims is not trusted, and a feed
+    that only ends periodic, such as a ramp to a constant, has an S too.
+    The feed is stepped over [0, S) in one chunk and then in chunks of L,
+    and stepping stops once the last window entries of every state equal
+    those L steps earlier as 64-bit integers, so -0.0 differs from 0.0 and
+    a nan matches only the same nan.  The last L entries are then repeated
+    to the end.  A step is a deterministic function of that window and
+    s0[t], and from S on the feed L steps earlier is the same, so every
+    value is the one the plain pass gives, to the bit.  A feed whose last
+    value differs from the one L earlier is stepped in one chunk, never
+    compared.
     """
     feed = np.asarray(signal.sample(t_from, t_to), dtype=float)
-    n, period = len(feed), signal.period
-    lag = n if period is None else -(-RECURRENCE_MIN_LAG // period) * period
-    bits = feed.view(np.int64)
-    if lag < n and np.array_equal(bits[lag:], bits[:-lag]):
-        chunks = (feed[i : i + lag].tolist() for i in range(0, n, lag))
+    n, period = len(feed), signal.period or 1
+    lag = -(-RECURRENCE_MIN_LAG // period) * period
+    start = _repeat_start(feed, lag)
+    if start < n:  # [0, start), then chunks of lag; the generator holds no list it has yielded
+        chunks = (feed[i - lag if i > start else 0 : i].tolist() for i in range(start, n + lag, lag))
     else:  # one chunk, whose list replaces the array
-        lag, chunks, feed, bits = n, [feed.tolist()], None, None
-    # k counts chunks, not steps, so it stays a cached small int, and the
-    # compare binds no name: an object made while the lists fill would
-    # outlive their floats and keep a 1-MiB pymalloc arena of them mapped
-    for k, part in enumerate(chunks, 1):
-        advance(part, window + (k - 1) * lag)
-        if k * lag < n and np.array_equal(*np.array(
-            [[v[e : e + window] for v in states] for e in ((k - 1) * lag, k * lag)], dtype=float
+        chunks, feed = [feed.tolist()], None
+    # chunk k ends after start + k*lag steps.  k counts chunks, not steps,
+    # so it stays a cached small int, and the compare binds no name: an
+    # object made while the lists fill would outlive their floats and keep
+    # a 1-MiB pymalloc arena of them mapped
+    for k, part in enumerate(chunks):
+        advance(part, window + (start + (k - 1) * lag if k else 0))
+        if start + k * lag < n and np.array_equal(*np.array(
+            [[v[e : e + window] for v in states] for e in (start + (k - 1) * lag, start + k * lag)], dtype=float
         ).view(np.int64)):
             break
     # the feed, a float object a value once a list, goes before the states
-    del chunks, part, feed, bits
-    end = window + min(k * lag, n)
+    del chunks, part, feed
+    end = window + min(start + k * lag, n)
     for i, v in enumerate(states):
         v = np.asarray(v, dtype=float)[:end]
         states[i] = v if end == window + n else np.concatenate((v, np.resize(v[-lag:], window + n - end)))

@@ -99,8 +99,9 @@ def _stored_nutrient_series(params, s, x, ps, horizon):
 def simulate(params: ChemostatParams, init: InitialHistory, horizon: int) -> Trajectory:
     """Integrate the system for `horizon` steps past time 0.
 
-    Returns sequences on [-r, horizon].  A periodic feed stops stepping at
-    an exact recurrence of s and x (core._step_to_recurrence).
+    Returns sequences on [-r, horizon].  A feed that ends periodic, a
+    constant tail included, stops stepping at an exact recurrence of s and
+    x and repeats it to the end (core._step_to_recurrence).
     """
     horizon = _validate_integer("horizon must be >= 0", horizon, 0, UsageError)
     r = params.r

@@ -40,7 +40,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import ChemostatParams, _validate_integer, _validate_tol
+from .core import RECURRENCE_MIN_LAG, ChemostatParams, _repeat_start, _validate_integer, _validate_tol
 from .dynamics import Trajectory
 from .errors import ConvergenceError, DomainError, UsageError
 from .series import TimeSeries
@@ -96,6 +96,15 @@ def correction_recursion(f, seed) -> np.ndarray:
     for r = 0 every value is 1.  The time origin is the caller's: position
     0 is the first seed value.  This is the generic engine reused by the
     synthetic comparison-lemma suites and the phi cross-check.
+
+    Exact recurrence: with L the least multiple of r of at least
+    core.RECURRENCE_MIN_LAG, and S where f starts to repeat with lag L bit
+    for bit (core._repeat_start), the generator stops at the first block
+    boundary j >= S + r (then every L) at which phi[j-r .. j] equals the
+    window L earlier as 64-bit integers, and the last L values are
+    repeated to the end.  Every value is the one the plain pass gives, to
+    the bit; an f whose last value differs from the one L earlier runs the
+    plain pass.
     """
     f = np.asarray(f, dtype=float)
     seed = np.asarray(seed, dtype=float)
@@ -114,8 +123,23 @@ def correction_recursion(f, seed) -> np.ndarray:
         raise DomainError(f"f[{i}] = {f[i]} is not finite and nonnegative")
     if r == 0:
         return np.ones(n + 1)
-    ahead = np.fromiter(_direct_phi(iter(f.tolist()), seed.tolist()), float, n + 1 - r)
-    return np.concatenate([seed, ahead])
+    # the generator's state at a block boundary j, a multiple of r, is
+    # phi[j-r .. j] with f[j-r .. j-1]: once f repeats with lag L from
+    # j - r on and that window equals the one L earlier, so does all of phi
+    lag = -(-RECURRENCE_MIN_LAG // r) * r
+    start = _repeat_start(f, lag)
+    phi = np.empty(n + 1)
+    phi[:r] = seed
+    values = _direct_phi(iter(f.tolist()), seed.tolist())
+    done, j = r, min(-(-start // r) * r + r, n)  # the first boundary with j - r >= start
+    while True:
+        phi[done : j + 1] = np.fromiter(islice(values, j + 1 - done), float, j + 1 - done)
+        if j == n:
+            return phi
+        if np.array_equal(phi[j - r : j + 1].view(np.int64), phi[j - lag - r : j + 1 - lag].view(np.int64)):
+            phi[j + 1 :] = np.resize(phi[j + 1 - lag : j + 1], n - j)
+            return phi
+        done, j = j + 1, min(j + lag, n)
 
 
 def phi_sequence(params: ChemostatParams, z: WashoutSolution, horizon: int) -> CorrectionSequences:
@@ -132,7 +156,8 @@ def phi_sequence(params: ChemostatParams, z: WashoutSolution, horizon: int) -> C
     is stable because the exponent difference is exactly phi[t-r], which
     stays in (0, 1].  The direct fixed-point recursion (correction_recursion
     on the factors p(z[1-r .. horizon-1]) from the seed phi[1-r .. 0]) is
-    run alongside as a cross-check and its worst deviation on [1, horizon]
+    run alongside as a cross-check, stopping at an exact recurrence of phi
+    where the feed ends periodic, and its worst deviation on [1, horizon]
     is recorded.  The growth factors reuse the p(z) values the generator
     reads.
     """

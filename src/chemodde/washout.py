@@ -86,8 +86,10 @@ def washout_sequence(params: ChemostatParams, horizon: int) -> WashoutSolution:
     (1-E)**tail_depth < 1e-26, and every solution approaches z at rate
     (1-E) per step, so a deeper tail cannot make a double more accurate.
     The discarded tail is bounded by (1-E)**tail_depth * sup(s0), recorded
-    on the result.  A periodic feed stops stepping at an exact recurrence
-    of z (core._step_to_recurrence).
+    on the result.  A feed that ends periodic, a constant tail included,
+    stops stepping at an exact recurrence of z and repeats it to the end
+    (core._step_to_recurrence): on the fig1 ramp at horizon 4000, about
+    2,300 of the 4,305 steps are taken.
     """
     r = params.r
     horizon = _validate_integer("horizon must be an integer", horizon, -math.inf, UsageError)

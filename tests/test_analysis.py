@@ -408,9 +408,23 @@ def test_find_periodic_orbit_never_takes_a_blown_up_biomass_for_a_washout():
     with pytest.raises(ConvergenceError, match="within 2 periods") as err:
         find_periodic_orbit(params, init, max_periods=2)
     assert err.value.residual > 1.0
-    with pytest.raises(ConvergenceError, match=r"within 400 periods \(last residual nan\)") as err:
+    with pytest.raises(ConvergenceError, match=r"state at the end of period 3 is not finite \(residual nan\)") as err:
         find_periodic_orbit(params, init)
     assert math.isnan(err.value.residual)
+
+
+def test_find_periodic_orbit_stops_at_the_first_period_that_leaves_the_doubles(monkeypatch):
+    # the blow-up run above: s and x are +-inf at the end of period 3, and
+    # no residual after it can fall below tol
+    params = ChemostatParams(
+        E=0.5, r=0, uptake=LinearUptake(1.0), input=Sinusoid(amplitude=4.0, period_steps=7, offset=8.0),
+    )
+    periods = []
+    integrate = analysis._integrate
+    monkeypatch.setattr(analysis, "_integrate", lambda *args: periods.append(integrate(*args)))
+    with pytest.raises(ConvergenceError, match="period 3 is not finite"):
+        find_periodic_orbit(params, InitialHistory(s=(0.5,), x=(0.2,)))
+    assert len(periods) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,11 @@ def _peak(run):
     # no period: one plain pass over the whole feed
     (dataclasses.replace(fig2_params(0.6), input=ExplicitSequence(
         np.random.default_rng(0).uniform(0.2, 1.0, 30_000))), 30_000, 3_859_196, 1_704_560),
-], ids=["fig2-0.6", "fig2-0.36", "sequence-30k"])
+    # the feed is constant from t = 1500: z stops stepping at t = 2012 and
+    # the state, its biomass stuck at 1e-323, at t = 6364 (2.60 MB and
+    # 0.97 MB when every step is taken)
+    (fig1_params(), 20_000, 965_152, 617_961),
+], ids=["fig2-0.6", "fig2-0.36", "sequence-30k", "fig1-ramp"])
 def test_simulate_and_washout_peak_memory_stays_pinned(params, horizon, simulate_peak, washout_peak):
     # peaks in bytes, with 5% room: the feed's list must go before the state
     # lists are converted, or the sequence run's simulate peak is 4.58 MB

@@ -1,9 +1,10 @@
-"""Exact recurrence in simulate and washout_sequence.
+"""Exact recurrence in simulate, washout_sequence and correction_recursion.
 
-Once a periodic feed's state recurs bit for bit after L steps, both stop
-stepping and repeat their last L values.  Every test here holds them to
-the plain one-pass recursion, bit for bit: the oracles are local loops,
-_integrate over the whole feed and the _forward pass from z = 0.
+Once a feed that ends periodic has repeated for good and the state then
+recurs bit for bit after L steps, they stop stepping and repeat their last
+L values.  Every test here holds them to the plain one-pass recursion, bit
+for bit: the oracles are local loops, _integrate over the whole feed, the
+_forward pass from z = 0 and one _direct_phi pass over all the factors.
 """
 
 import dataclasses
@@ -14,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemodde import (
-    ChemostatParams, Constant, ExplicitSequence, InitialHistory, InputSignal, LinearUptake, Monod,
-    Sinusoid, simulate, washout, washout_sequence,
+    ChemostatParams, Constant, DyadicBlocks, ExplicitSequence, InitialHistory, InputSignal, LinearUptake,
+    Monod, PiecewiseLinear, Sinusoid, correction_recursion, exponents, phi_sequence, simulate, washout,
+    washout_sequence,
 )
-from chemodde.cli import fig2_init, fig2_params
+from chemodde.cli import fig1_params, fig2_init, fig2_params
 from chemodde.core import RECURRENCE_MIN_LAG
 from chemodde.dynamics import _initial_state, _integrate, _stored_nutrient_series
+from chemodde.exponents import _direct_phi
 from chemodde.washout import _forward, default_tail_depth
 
 
@@ -64,18 +67,37 @@ def _assert_plain(params, init, horizon):
     return traj
 
 
+def _draws(draw, least, most):
+    """Between least and most uniform values in [0, 2) from a drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(0.0, 2.0, draw(st.integers(least, most)))
+
+
 @st.composite
 def _cases(draw):
-    kind = draw(st.sampled_from(["sinusoid", "sequence", "constant"]))
+    kind = draw(st.sampled_from(["sinusoid", "sequence", "constant", "piecewise", "clamped", "head-tail",
+                                 "dyadic"]))
     level = st.floats(0.0, 2.0)
     if kind == "sinusoid":
         amplitude = draw(level)
         signal = Sinusoid(amplitude, draw(st.integers(1, 300)), amplitude + draw(level))
     elif kind == "sequence":
         signal = ExplicitSequence(draw(st.lists(level, min_size=1, max_size=40)), periodic=True)
-    else:
+    elif kind == "constant":
         signal = Constant(draw(level))
-    period = signal.period
+    elif kind == "piecewise":  # constant after the last breakpoint
+        times = sorted(draw(st.sets(st.integers(-50, 700), min_size=1, max_size=4)))
+        signal = PiecewiseLinear(tuple(zip(times, draw(st.lists(level, min_size=len(times),
+                                                                 max_size=len(times))))))
+    elif kind == "clamped":  # no period, held at its last value past its end
+        signal = ExplicitSequence(draw(st.lists(level, min_size=1, max_size=30))
+                                  + _draws(draw, 0, 600).tolist())
+    elif kind == "head-tail":  # a drawn head, then a constant inside the horizon
+        signal = ExplicitSequence(np.concatenate([_draws(draw, 0, 700),
+                                                  np.full(draw(st.integers(1, 900)), draw(level))]))
+    else:
+        signal = DyadicBlocks(draw(st.floats(0.2, 0.8)), draw(st.integers(0, 3)))
+    period = signal.period or 1
     r = draw(st.integers(0, max(period + 2, 12)))
     # a steep linear uptake against a high feed drives s negative, and the
     # states then run to inf and nan
@@ -90,10 +112,47 @@ def _cases(draw):
     return params, init, horizon
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(_cases())
 def test_simulate_and_washout_match_the_plain_recursion(case):
     _assert_plain(*case)
+
+
+def _plain_recursion(f, seed):
+    """correction_recursion as one _direct_phi pass over every factor."""
+    f, seed = np.asarray(f, dtype=float), np.asarray(seed, dtype=float)
+    ahead = np.fromiter(_direct_phi(iter(f.tolist()), seed.tolist()), float, len(f) + 1 - len(seed))
+    return np.concatenate([seed, ahead])
+
+
+@st.composite
+def _recursion_cases(draw):
+    """f as a drawn head, then a tail that repeats with lag L, the least
+    multiple of r of at least RECURRENCE_MIN_LAG; and a seed of r values."""
+    r = draw(st.integers(1, 12))
+    lag = _lag(r)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # phi recurs within a few lags on small factors; on factors near 1 and
+    # above, its last bits can wander for thousands of steps
+    scale = draw(st.sampled_from([0.1, 0.5, 2.0]))
+    if draw(st.booleans()):
+        # 0.0 and -0.0 tie as floats, not as bits
+        def values(size):
+            return rng.choice([0.0, -0.0, scale], size)
+    else:
+        def values(size):
+            return rng.uniform(0.0, scale, size)
+    head = values(draw(st.integers(max(r - 1, 0), 700)))
+    pattern = values(draw(st.sampled_from([d for d in (1, 2, r, lag) if lag % d == 0])))
+    tail = np.resize(pattern, draw(st.integers(0, 8 * lag + r)))
+    return np.concatenate([head, tail]), rng.uniform(0.05, 1.0, r)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_recursion_cases())
+def test_correction_recursion_matches_the_plain_pass(case):
+    f, seed = case
+    assert _bits(correction_recursion(f, seed)) == _bits(_plain_recursion(f, seed))
 
 
 def test_windows_that_differ_only_in_the_sign_of_a_zero_do_not_recur():
@@ -186,3 +245,41 @@ def test_a_recurring_fig2_washout_stops_stepping(monkeypatch):
     z = washout_sequence(fig2_params(0.6), 20_000)
     assert sum(steps) < 5_000
     assert _bits(z.z.values) == _bits(_plain_washout(fig2_params(0.6), 20_000))
+
+
+def test_the_fig1_ramp_washout_stops_stepping(monkeypatch):
+    # the feed is constant from t = 1500, and z stops stepping at t = 2012
+    # after 2,317 steps; the full pass takes 4,305 steps over the tail, the
+    # history and the horizon
+    steps = []
+
+    def counting_forward(z, E, feed):
+        steps.append(len(feed))
+        return _forward(z, E, feed)
+
+    monkeypatch.setattr(washout, "_forward", counting_forward)
+    z = washout_sequence(fig1_params(), 4_000)
+    assert sum(steps) < 2_500
+    assert _bits(z.z.values) == _bits(_plain_washout(fig1_params(), 4_000))
+
+
+def test_the_fig1_ramp_cross_check_stops_stepping(monkeypatch):
+    # phi stops at about the time z does, after 1,936 values; the full pass
+    # yields 4,000
+    yielded = []
+
+    def counting_phi(f_values, seed):
+        for phi in _direct_phi(f_values, seed):
+            yielded.append(phi)
+            yield phi
+
+    params, horizon = fig1_params(), 4_000
+    z = washout_sequence(params, horizon)
+    monkeypatch.setattr(exponents, "_direct_phi", counting_phi)
+    corr = phi_sequence(params, z, horizon)
+    assert len(yielded) < 2_100
+    r = params.r
+    pz = params.uptake.evaluate(z.window(-r, horizon))
+    direct = _plain_recursion(pz[1 : horizon + r], corr.phi.window(1 - r, 0))[r:]
+    want = float(np.max(np.abs(direct - corr.phi.window(1, horizon))))
+    assert _bits([corr.cross_check_error]) == _bits([want])

@@ -17,6 +17,9 @@ sliding and classify run on the sinusoid and on the fig1 ramp (a
 piecewise feed); periodic runs to an orbit, to washout,
 to an orbit after 83 periods, to an orbit whose period 7 is shorter than
 its state window r + 1 = 13, and out of its period budget (exit 1).
+Feeds that end constant stop stepping at an exact recurrence: fig1 at
+horizon 8000, washout on the fig1 ramp, and simulate and exponents on a
+sequence without a period that the horizon runs past.
 Drawn configs inside the positivity hypotheses add regimes beyond these,
 compared only where the reference runs cleanly: error texts and exit
 codes for bad inputs changed on purpose.
@@ -110,6 +113,23 @@ init.x = {" ".join(["0.1"] * 8)}
 run.horizon = 3000
 """
 
+# a feed without a period that the horizon runs past: held at its last
+# value from t = 399, so the state recurs near t = 1167 and phi sooner
+CLAMPED_CFG = f"""
+schema = 1
+model.E = 0.1
+model.r = 3
+uptake.kind = monod
+uptake.p_max = 1.0
+uptake.k_s = 1.0
+input.kind = sequence
+input.values = {" ".join(repr(0.9 + 0.2 * math.sin(i * math.sqrt(3))) for i in range(400))}
+input.periodic = false
+init.s = 0.3 0.3 0.3 0.3
+init.x = 0.2 0.2 0.2 0.2
+run.horizon = 3000
+"""
+
 # the dyadic demonstration feed with too much uptake: s and x overflow
 DYADIC_CFG = """
 schema = 1
@@ -132,6 +152,7 @@ CONFIGS = {
     "short.cfg": _sinusoid_cfg(offset=1.5, E=0.05, r=12, period=7),
     "drift.cfg": DRIFT_CFG,
     "dyadic.cfg": DYADIC_CFG,
+    "clamped.cfg": CLAMPED_CFG,
 }
 
 # keys that chemodde writes and the reference does not
@@ -192,6 +213,8 @@ def _check(tmp_path, monkeypatch, argv, code, configs=CONFIGS):
     ["washout", "--config", "sequence.cfg"],
     ["simulate", "--config", "drift.cfg"],
     ["simulate", "--config", "dyadic.cfg"],
+    ["washout", "--config", "ramp.cfg"],
+    ["simulate", "--config", "clamped.cfg"],
 ])
 def test_cli_csv_bytes_match_the_reference(tmp_path, monkeypatch, argv):
     _check(tmp_path, monkeypatch, argv, 0)
@@ -213,6 +236,8 @@ def test_cli_csv_bytes_match_the_reference(tmp_path, monkeypatch, argv):
     (["neither-nor"], 0),
     (["neither-nor", "--E", "0.3", "--r", "2", "--n-max", "4"], 0),
     (["exponents", "--config", "drift.cfg"], 0),
+    (["fig1", "--horizon", "8000"], 0),
+    (["exponents", "--config", "clamped.cfg"], 0),
 ])
 def test_cli_output_matches_the_reference(tmp_path, monkeypatch, argv, code):
     _check(tmp_path, monkeypatch, argv, code)
