@@ -206,14 +206,14 @@ def find_periodic_orbit(
     After each period the full (r+1)-step state window is compared with
     the previous one in sup norm; a residual below tol means the period
     map has reached its fixed point, and one more closed-loop period is
-    integrated to verify and extract the profile.  If |x| stays below
-    EXTINCTION_FLOOR * sup z (on a zero feed, times the largest initial
-    value) for a whole period the run is declared a washout convergence
-    instead.  A state window that is not finite at the end of a period
-    raises ConvergenceError at once, with a nan residual.  Only the state
-    window and the period being integrated are kept, so memory does not
-    grow with the number of periods.  Returns PeriodicOrbit or
-    WashoutConvergence.
+    integrated to verify and extract the profile.  If |x| stays at or
+    below EXTINCTION_FLOOR * sup z (on a zero feed, times the largest
+    initial value, so an all-zero state is a washout) for a whole period
+    the run is declared a washout convergence instead.  A state window
+    that is not finite at the end of a period raises ConvergenceError at
+    once, with a nan residual.  Only the state window and the period
+    being integrated are kept, so memory does not grow with the number of
+    periods.  Returns PeriodicOrbit or WashoutConvergence.
     """
     _validate_tol(tol)
     max_periods = _validate_integer("max_periods must be >= 1", max_periods, 1, UsageError)
@@ -248,7 +248,7 @@ def find_periodic_orbit(
         x_scale = max(float(np.max(end[1])), float(np.max(prev[1])), 1e-300)
         residual = _gap(end, prev, s_scale, x_scale)
 
-        if np.all(np.abs(x[-omega:]) < EXTINCTION_FLOOR * scale):
+        if np.all(np.abs(x[-omega:]) <= EXTINCTION_FLOOR * scale):
             return WashoutConvergence(
                 washout=z, periods_used=n, max_x_last_period=max(x[-omega:])
             )

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, dynamics, exponents, formatting, svg, washout
 from .config import RunConfig, load_config
-from .core import ChemostatParams, InitialHistory, Monod, PiecewiseLinear, Sinusoid
+from .core import ChemostatParams, InitialHistory, Monod, PiecewiseLinear, Sinusoid, _repeat_start
 from .errors import ChemoddeError, ParameterError, UsageError
 
 DEFAULT_HORIZON = 2000
@@ -49,9 +49,9 @@ def _cycle(columns, n):
     """(start, lag) of the exact cycle in which n rows of the columns end:
     lag is the least distance, up to CSV_BLOCK_ROWS, at which the last row
     recurs bit for bit in every column, and every row from start on has
-    the bits of the row lag before it, start as small as that allows;
-    (n, 0) if the last row does not recur within that distance.  Each
-    column is compared on its own, one bool per row accumulating."""
+    the bits of the row lag before it, start as small as that allows
+    (core._repeat_start, column by column); (n, 0) if the last row does
+    not recur within that distance."""
     reach = min(CSV_BLOCK_ROWS, n - 1)
     if not columns or reach < 1:
         return n, 0
@@ -62,14 +62,7 @@ def _cycle(columns, n):
     if not recurs.any():
         return n, 0
     lag = reach - int(np.flatnonzero(recurs)[-1])
-    differs = np.zeros(n - lag, dtype=bool)  # row i + lag against row i
-    for c in columns:
-        bits = np.asarray(c, dtype=float).view(np.int64)
-        differs |= bits[lag:] != bits[:-lag]
-    # k rows before the end lies the last row that differs; differs[-1] is
-    # False (the last row recurs), so k == 0 means that no row differs
-    k = int(np.argmax(differs[::-1]))
-    return (n - lag - k if k else 0), lag
+    return max(_repeat_start(np.asarray(c, dtype=float), lag) for c in columns) - lag, lag
 
 
 def emit_csv(path, names, columns) -> None:

@@ -222,4 +222,8 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file {path} does not exist")
-    return parse_config(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"config file {path} is not UTF-8: byte {e.start} is 0x{e.object[e.start]:02x}") from None
+    return parse_config(text, source=str(path))

@@ -452,36 +452,36 @@ def _repeat_start(values, lag):
     return n - back if back else lag
 
 
-def _step_to_recurrence(signal, t_from, t_to, states, window, advance):
-    """Step states over the feed s0 on [t_from, t_to] and return them, in
-    the list states, as float64 arrays of window + n entries for the n
-    feed values.
+def _step_to_recurrence(feed, period, states, window, advance):
+    """Step states over the feed, an array of n values, and return them,
+    in the list states, as float64 arrays of window + n entries.
 
     Each state is a list or an array whose first window entries hold the
     state before the feed; advance(part, end) steps them all over the list
     of feed values part, end being the number of entries filled so far.
-    The states are converted one at a time, so a list is dropped once it
-    is an array.
+    A step may read the last window entries of every state and the feed
+    of the last window steps, and nothing else.  The states are converted
+    one at a time, so a list is dropped once it is an array.
 
-    Exact recurrence: the lag L is the least multiple of the feed's period
-    (1 for a feed without one) of at least RECURRENCE_MIN_LAG, and S is
-    where the sampled feed starts to repeat with lag L bit for bit
-    (_repeat_start); the period a signal claims is not trusted, and a feed
-    that only ends periodic, such as a ramp to a constant, has an S too.
-    The feed is stepped over [0, S) in one chunk and then in chunks of L,
-    and stepping stops once the last window entries of every state equal
-    those L steps earlier as 64-bit integers, so -0.0 differs from 0.0 and
-    a nan matches only the same nan.  The last L entries are then repeated
-    to the end.  A step is a deterministic function of that window and
-    s0[t], and from S on the feed L steps earlier is the same, so every
+    Exact recurrence, the one rule for every caller: the lag L is the
+    least multiple of period (1 for None) of at least RECURRENCE_MIN_LAG,
+    and S is where the feed starts to repeat with lag L bit for bit
+    (_repeat_start); the period claimed is not trusted, and a feed that
+    only ends periodic, such as a ramp to a constant, has an S too.  The
+    feed is stepped over [0, S + window) in one chunk, so that the feed
+    has repeated for a whole window, and then in chunks of L; stepping
+    stops once the last window entries of every state equal those L steps
+    earlier as 64-bit integers, so -0.0 differs from 0.0 and a nan matches
+    only the same nan.  The last L entries are then repeated to the end.
+    From there on every step reads what the step L earlier read, so every
     value is the one the plain pass gives, to the bit.  A feed whose last
     value differs from the one L earlier is stepped in one chunk, never
     compared.
     """
-    feed = np.asarray(signal.sample(t_from, t_to), dtype=float)
-    n, period = len(feed), signal.period or 1
+    feed = np.asarray(feed, dtype=float)
+    n, period = len(feed), period or 1
     lag = -(-RECURRENCE_MIN_LAG // period) * period
-    start = _repeat_start(feed, lag)
+    start = min(_repeat_start(feed, lag) + window, n)
     if start < n:  # [0, start), then chunks of lag; the generator holds no list it has yielded
         chunks = (feed[i - lag if i > start else 0 : i].tolist() for i in range(start, n + lag, lag))
     else:  # one chunk, whose list replaces the array

@@ -107,7 +107,7 @@ def simulate(params: ChemostatParams, init: InitialHistory, horizon: int) -> Tra
     r = params.r
     _validate_steps("simulation", horizon + r + 1)
     states = list(_initial_state(params, init))
-    s, x, ps = _step_to_recurrence(params.input, 0, horizon - 1, states, r + 1,
+    s, x, ps = _step_to_recurrence(params.input.sample(0, horizon - 1), params.input.period, states, r + 1,
                                    lambda part, end: _integrate(params, *states, part))
     y = _stored_nutrient_series(params, s, x, ps, horizon)
 

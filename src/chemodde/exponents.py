@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, chain, cycle, islice
 from operator import mul
 
 import numpy as np
 
-from .core import RECURRENCE_MIN_LAG, ChemostatParams, _repeat_start, _validate_integer, _validate_tol
+from .core import ChemostatParams, _step_to_recurrence, _validate_integer, _validate_tol
 from .dynamics import Trajectory
 from .errors import ConvergenceError, DomainError, UsageError
 from .series import TimeSeries
@@ -97,14 +97,11 @@ def correction_recursion(f, seed) -> np.ndarray:
     0 is the first seed value.  This is the generic engine reused by the
     synthetic comparison-lemma suites and the phi cross-check.
 
-    Exact recurrence: with L the least multiple of r of at least
-    core.RECURRENCE_MIN_LAG, and S where f starts to repeat with lag L bit
-    for bit (core._repeat_start), the generator stops at the first block
-    boundary j >= S + r (then every L) at which phi[j-r .. j] equals the
-    window L earlier as 64-bit integers, and the last L values are
-    repeated to the end.  Every value is the one the plain pass gives, to
-    the bit; an f whose last value differs from the one L earlier runs the
-    plain pass.
+    The values are stepped through core._step_to_recurrence, the state
+    being the last r values of phi and the feed f[r-1:], with the period
+    r so that every lag keeps the phase of the van Herk blocks: where f
+    ends periodic the pass stops at an exact recurrence of phi, and every
+    value is the one the plain pass gives, to the bit.
     """
     f = np.asarray(f, dtype=float)
     seed = np.asarray(seed, dtype=float)
@@ -123,23 +120,18 @@ def correction_recursion(f, seed) -> np.ndarray:
         raise DomainError(f"f[{i}] = {f[i]} is not finite and nonnegative")
     if r == 0:
         return np.ones(n + 1)
-    # the generator's state at a block boundary j, a multiple of r, is
-    # phi[j-r .. j] with f[j-r .. j-1]: once f repeats with lag L from
-    # j - r on and that window equals the one L earlier, so does all of phi
-    lag = -(-RECURRENCE_MIN_LAG // r) * r
-    start = _repeat_start(f, lag)
+    # _direct_phi reads f[:r-1], then each part that advance hands over:
+    # phi[r] needs f[0 .. r-1], and every later value one more factor
+    parts = []
+    values = _direct_phi(chain(f[: r - 1].tolist(), chain.from_iterable(iter(parts.pop, None))), seed.tolist())
     phi = np.empty(n + 1)
     phi[:r] = seed
-    values = _direct_phi(iter(f.tolist()), seed.tolist())
-    done, j = r, min(-(-start // r) * r + r, n)  # the first boundary with j - r >= start
-    while True:
-        phi[done : j + 1] = np.fromiter(islice(values, j + 1 - done), float, j + 1 - done)
-        if j == n:
-            return phi
-        if np.array_equal(phi[j - r : j + 1].view(np.int64), phi[j - lag - r : j + 1 - lag].view(np.int64)):
-            phi[j + 1 :] = np.resize(phi[j + 1 - lag : j + 1], n - j)
-            return phi
-        done, j = j + 1, min(j + lag, n)
+
+    def advance(part, end):
+        parts.append(part)
+        phi[end : end + len(part)] = np.fromiter(islice(values, len(part)), float, len(part))
+
+    return _step_to_recurrence(f[r - 1 :], r, [phi], r, advance)[0]
 
 
 def phi_sequence(params: ChemostatParams, z: WashoutSolution, horizon: int) -> CorrectionSequences:

@@ -107,7 +107,8 @@ def washout_sequence(params: ChemostatParams, horizon: int) -> WashoutSolution:
         z[end : end + len(part)] = np.fromiter(islice(_forward(float(z[end - 1]), E, part), 1, None), float,
                                                count=len(part))
 
-    (z,) = _step_to_recurrence(params.input, -r - 1 - tail_depth, horizon - 1, [z], 1, advance)
+    (z,) = _step_to_recurrence(params.input.sample(-r - 1 - tail_depth, horizon - 1), params.input.period,
+                               [z], 1, advance)
     values = z[tail_depth + 1 :].copy()  # a copy, so the settling tail is not kept
 
     sup_s0 = params.input.bounds()[1]

@@ -971,15 +971,25 @@ def test_periodic_orbit_files(tmp_path, fig2_cfg):
 
 
 def test_periodic_on_a_zero_feed_reports_the_washout(tmp_path):
-    # exited 1 with `last residual 1.828e+274`: z = 0 left no washout floor
-    cfg = tmp_path / "zero.cfg"
-    cfg.write_text(FIG2_CFG.replace(
+    zero_feed = FIG2_CFG.replace(
         "input.kind = sinusoid\ninput.amplitude = 0.25\ninput.period = 500\ninput.offset = 0.6\n",
         "input.kind = constant\ninput.value = 0.0\n",
-    ))
-    assert run(["periodic", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    payload = json.loads((tmp_path / "periodic_report.json").read_text())
-    assert payload["outcome"] == "washout"
+    )
+    for i, init in enumerate([
+        # exited 1 with `last residual 1.828e+274`: z = 0 left no washout floor
+        "init.s = 0.5 0.5 0.5 0.5 0.5 0.5\ninit.x = 0.2 0.2 0.2 0.2 0.2 0.2\n",
+        # reported a zero orbit, min x = 0, where classify says Extinct: the
+        # floor is 0 when z and the whole initial state are
+        "init.s = 0 0 0 0 0 0\ninit.x = 0 0 0 0 0 0\n",
+    ]):
+        out = tmp_path / str(i)
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(zero_feed.replace("init.s = 0.5 0.5 0.5 0.5 0.5 0.5\ninit.x = 0.2 0.2 0.2 0.2 0.2 0.2\n", init))
+        assert run(["periodic", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "periodic_report.json").read_text())["outcome"] == "washout"
+        assert not (out / "periodic_orbit.csv").exists()
+        assert run(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "classify.json").read_text())["verdict"] == "Extinct"
 
 
 def test_periodic_convergence_failure_exits_1(tmp_path, fig2_cfg, capsys):
@@ -1459,6 +1469,19 @@ def test_config_error_exits_2(tmp_path, capsys, old, new, err):
     assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {err.format(cfg=cfg)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # ended in a UnicodeDecodeError traceback, exit 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(FIG2_CFG.encode().replace(b"model.r", b"\xffmodel.r"))
+    out = tmp_path / "out"
+    assert run(["classify", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    offset = FIG2_CFG.index("model.r")
+    assert captured.err == f"error: config file {cfg} is not UTF-8: byte {offset} is 0xff\n"
     assert captured.out == ""
     assert not out.exists()
 

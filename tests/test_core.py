@@ -21,6 +21,7 @@ from chemodde import (
     WashoutSolution,
     check_positivity_preconditions,
 )
+from chemodde.core import RECURRENCE_MIN_LAG, _repeat_start, _step_to_recurrence
 
 GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 60)])
 
@@ -511,3 +512,32 @@ def test_standing_hypotheses_reject_bad_z_sup(z_sup):
     params = ChemostatParams(E=0.5, r=0, uptake=LinearUptake(1.0), input=Constant(1.0))
     with pytest.raises(ParameterError, match="z_sup must be finite and >= 0"):
         _feasibility(params, z_sup)
+
+
+# ---------------------------------------------------------------------------
+# exact recurrence
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("window", [2, 5, 40])
+def test_a_step_may_read_the_feed_of_the_last_window_steps(window):
+    # a delay line: the entry appended at step t is s0[t - window + 1], so
+    # the state window holds feed values only.  The feed repeats with lag L
+    # except at S - 1, so the window at S equals the one L earlier, and
+    # repeating from there would put s0[S - 1 - L] where s0[S - 1] belongs
+    lag = RECURRENCE_MIN_LAG
+    before = [-1.0] * (window - 1)
+    feed = np.resize(np.random.default_rng(window).uniform(0.0, 1.0, lag), 5 * lag)
+    start = 2 * lag + 7
+    feed[start - 1 :: lag] += 0.5
+    assert _repeat_start(feed, lag) == start
+
+    def advance(part, end):
+        for v in part:
+            delay.append(v)
+            line.append(delay.pop(0))
+
+    delay, line = list(before), [0.0] * window
+    (got,) = _step_to_recurrence(feed, 1, [line], window, advance)
+    want = [0.0] * window + before + feed[: len(feed) - window + 1].tolist()
+    assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()

@@ -18,7 +18,9 @@ from chemodde import (
     UsageError,
     check_positivity_preconditions,
     conservation_deficit,
+    correction_recursion,
     initial_stored_nutrient,
+    phi_sequence,
     simulate,
     washout_periodic,
     washout_sequence,
@@ -371,8 +373,8 @@ def _peak(run):
     # no period: one plain pass over the whole feed
     (dataclasses.replace(fig2_params(0.6), input=ExplicitSequence(
         np.random.default_rng(0).uniform(0.2, 1.0, 30_000))), 30_000, 3_859_196, 1_704_560),
-    # the feed is constant from t = 1500: z stops stepping at t = 2012 and
-    # the state, its biomass stuck at 1e-323, at t = 6364 (2.60 MB and
+    # the feed is constant from t = 1500: z stops stepping at t = 2013 and
+    # the state, its biomass stuck at 1e-323, at t = 6370 (2.60 MB and
     # 0.97 MB when every step is taken)
     (fig1_params(), 20_000, 965_152, 617_961),
 ], ids=["fig2-0.6", "fig2-0.36", "sequence-30k", "fig1-ramp"])
@@ -381,3 +383,26 @@ def test_simulate_and_washout_peak_memory_stays_pinned(params, horizon, simulate
     # lists are converted, or the sequence run's simulate peak is 4.58 MB
     assert _peak(lambda: simulate(params, fig2_init(), horizon)) <= 1.05 * simulate_peak
     assert _peak(lambda: washout_sequence(params, horizon)) <= 1.05 * washout_peak
+
+
+def _fig1_factors(horizon):
+    """The factors p(z[1-r .. horizon-1]) and the seed phi[1-r .. 0] that
+    phi_sequence hands correction_recursion on the fig1 ramp."""
+    params = fig1_params()
+    z = washout_sequence(params, horizon)
+    f = params.uptake.evaluate(z.window(-params.r, horizon))[1 : horizon + params.r]
+    return f, phi_sequence(params, z, horizon).phi.window(1 - params.r, 0)
+
+
+@pytest.mark.parametrize("factors, recursion_peak", [
+    # phi stops stepping after 1,936 of 20,000 values, and only the factors
+    # stepped over become floats (0.95 MB with a list of every factor)
+    (lambda: _fig1_factors(20_000), 528_361),
+    # factors that never repeat: one plain pass
+    (lambda: (np.random.default_rng(0).uniform(0.0, 1.0, 30_000), np.full(5, 0.5)), 1_440_309),
+], ids=["fig1-ramp", "random-30k"])
+def test_correction_recursion_peak_memory_stays_pinned(factors, recursion_peak):
+    # peak in bytes, with 5% room: the factors' list is the one the
+    # recurrence engine makes, not a second one beside it
+    f, seed = factors()
+    assert _peak(lambda: correction_recursion(f, seed)) <= 1.05 * recursion_peak
