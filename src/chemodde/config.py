@@ -223,7 +223,8 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise UsageError(f"config file {path} does not exist")
     try:
-        text = path.read_text(encoding="utf-8")
+        # drop a byte-order mark as utf-8-sig would; the offsets below stay the file's
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise UsageError(f"config file {path} is not UTF-8: byte {e.start} is 0x{e.object[e.start]:02x}") from None
     return parse_config(text, source=str(path))

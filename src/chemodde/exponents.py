@@ -11,8 +11,8 @@ whose delay-correction ratio
 
 rewrites it as c[t+1] = (1-E) * (1 + phi[t-r]*p(z[t-r])) * c[t].  The
 equation is linear and homogeneous, so a constant seed only scales c and
-cancels from phi: the generator always starts from c = 1.  Dividing
-consecutive window products yields the fixed-point identity
+cancels from phi: phi is always seeded from c = 1.  Dividing consecutive
+window products yields the fixed-point identity
 
     phi[t+1] = prod_{k=t+1-r}^{t} (1 + phi[k]*p(z[k]))**-1,
 
@@ -23,12 +23,13 @@ gives the exact product formula
 
 For r = 0 both ratios are identically 1 and everything collapses to the
 undelayed theory.  The fixed-point identity runs forward in O(1)
-amortised time per step for any r, so the phi cross-check costs O(n) and
-a periodic sweep O(period).  Persistence and extinction are read off
-windowed geometric means of the growth factors a[k] = (1-E)*(1 + phi[k]*p(z[k])):
-liminf > 1 forces persistence, limsup < 1 forces extinction.  Finite data
-only supports windowed estimates of those limits, reported together with
-the window parameters that produced them.
+amortised time per step for any r, so phi on n steps costs O(n), as does
+its residual in the identity, and a periodic sweep O(period).  Persistence
+and extinction are read off windowed geometric means of the growth
+factors a[k] = (1-E)*(1 + phi[k]*p(z[k])): liminf > 1 forces persistence,
+limsup < 1 forces extinction.  Finite data only supports windowed
+estimates of those limits, reported together with the window parameters
+that produced them.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class CorrectionSequences:
 
     growth holds a[k] = (1-E) * (1 + phi[k] * p(z[k])), the coefficients
     whose window means bohl_bounds reads.  cross_check_error is the
-    largest discrepancy between the ratio construction and the direct
-    fixed-point recursion seeded from the same initial window.
+    residual of phi in the fixed-point identity, the largest
+    |phi[t+1] * prod_{k=t+1-r}^{t} (1 + phi[k]*p(z[k])) - 1| on [0, horizon).
     """
 
     phi: TimeSeries
@@ -94,8 +95,8 @@ def correction_recursion(f, seed) -> np.ndarray:
     phi[0..r-1], finite and positive, with r = len(seed) <= n + 1.
     Returns phi[0..n], the seed first, in O(1) amortised time per step;
     for r = 0 every value is 1.  The time origin is the caller's: position
-    0 is the first seed value.  This is the generic engine reused by the
-    synthetic comparison-lemma suites and the phi cross-check.
+    0 is the first seed value.  This is the engine of phi_sequence, also
+    run by the synthetic comparison-lemma suites.
 
     The values are stepped through core._step_to_recurrence, the state
     being the last r values of phi and the feed f[r-1:], with the period
@@ -134,62 +135,56 @@ def correction_recursion(f, seed) -> np.ndarray:
     return _step_to_recurrence(f[r - 1 :], r, [phi], r, advance)[0]
 
 
+def _identity_residual(phi, f, r) -> float:
+    """max |phi[i+r] * prod_{k=i}^{i+r-1} (1 + phi[k]*f[k]) - 1| over i >= 1,
+    the fixed-point identity's residual.  A window's product is the suffix
+    product of one block of r factors times the prefix product of the next,
+    each multiplied out afresh, so the cost is O(len(phi)) for any r."""
+    m = len(phi) - r - 1  # windows
+    if r == 0 or m <= 0:
+        return 0.0
+    blocks = np.ones((m // r + 2, r))
+    blocks.flat[: m + r - 1] = 1.0 + phi[1:-1] * f[1:-1]
+    tails = np.cumprod(blocks[:, ::-1], axis=1)[:, ::-1]
+    heads = np.cumprod(np.hstack([np.ones((len(blocks), 1)), blocks[:, :-1]]), axis=1)
+    return float(np.max(np.abs(phi[r + 1 :] * (tails[:-1] * heads[1:]).ravel()[:m] - 1.0)))
+
+
 def phi_sequence(params: ChemostatParams, z: WashoutSolution, horizon: int) -> CorrectionSequences:
-    """phi and the growth factors on [-r, horizon] from the log-form
-    generator recursion.
+    """phi and the growth factors on [-r, horizon] in one pass.
 
-    The generator is seeded with c = 1 on [-r, 0].  The comparison
-    equation is linear and homogeneous, so a constant seed only scales c
-    and cancels from every ratio phi.  The log recursion
+    On [-r, 0] phi is the ratio of the comparison equation run from c = 1,
+    in closed form
 
-        log c[t+1] = log c[t] + log((1-E) * (1 + p(z[t-r]) * ratio))
-        ratio      = exp(log c[t-r] - log c[t]) * (1-E)**r
+        phi[k] = (1-E)**-k / (1 + sum_{j=0}^{k+r-1} (1-E)**(r-j) * p(z[j-r])),
 
-    is stable because the exponent difference is exactly phi[t-r], which
-    stays in (0, 1].  The direct fixed-point recursion (correction_recursion
-    on the factors p(z[1-r .. horizon-1]) from the seed phi[1-r .. 0]) is
-    run alongside as a cross-check, stopping at an exact recurrence of phi
-    where the feed ends periodic, and its worst deviation on [1, horizon]
-    is recorded.  The growth factors reuse the p(z) values the generator
-    reads.
+    so phi[-r] = (1-E)**r and no power exceeds 1; a DomainError is raised
+    where some of these values is not a positive double.  From that seed
+    correction_recursion gives phi[1 .. horizon] on the factors
+    p(z[1-r .. horizon-1]), stopping at an exact recurrence of phi where
+    the feed ends periodic; cross_check_error is its _identity_residual.
+    The growth factors reuse the p(z) values the recursion reads.
     """
     r = params.r
     horizon = _validate_integer("horizon must be >= 0", horizon, 0, UsageError)
 
     omE = 1.0 - params.E
-    lomE = math.log(omE)
-    omE_r = omE**r
-    pz_arr = params.uptake.evaluate(z.window(-r, horizon))
-    pz = pz_arr.tolist()  # index t: p(z[t - r])
-
-    # log c on [-r, horizon + r]; logs[t] is log c[t - r] and cur the
-    # latest log c, so each step reads and writes Python floats only
-    cur = 0.0  # log c = log 1
-    logs = [cur] * (r + 1)
-    append, exp, log1p = logs.append, math.exp, math.log1p
-    try:
-        for t in range(horizon + r):
-            cur = cur + lomE + log1p(pz[t] * (exp(logs[t] - cur) * omE_r))
-            append(cur)
-        log_c = np.array(logs)
-        with np.errstate(over="raise"):
-            ratio = np.exp(log_c[: horizon + r + 1] - log_c[r:])
-    except (OverflowError, FloatingPointError):
+    pz = params.uptake.evaluate(z.window(-r, horizon))  # index t: p(z[t - r])
+    powers = np.array([omE**k for k in range(r, -1, -1)])  # index i: (1-E)**(r-i)
+    phi = powers / (1.0 + np.concatenate([[0.0], np.cumsum(powers[:r] * pz[:r])]))
+    if not np.all(phi > 0.0):
         raise DomainError(
-            f"the phi generator overflows at E = {params.E}, r = {r}, "
-            f"where (1-E)**r = {omE_r:.3e} leaves the double range"
-        ) from None
+            f"phi on [-r, 0] leaves the positive doubles at E = {params.E}, r = {r}, "
+            f"where (1-E)**r = {powers[0]:.3e}"
+        )
+    if horizon:
+        phi = np.concatenate([phi[:1], correction_recursion(pz[1 : horizon + r], phi[1:])])
 
-    phi = TimeSeries(ratio * omE_r, t_start=-r)
-    growth = TimeSeries(omE * (1.0 + phi.values * pz_arr), t_start=-r)
-
-    cross = 0.0
-    if r > 0 and horizon > 0:
-        # phi on [1, horizon] from the factors p(z[1-r .. horizon-1])
-        direct = correction_recursion(pz[1 : horizon + r], phi.window(1 - r, 0))[r:]
-        cross = float(np.max(np.abs(direct - phi.window(1, horizon))))
-
-    return CorrectionSequences(phi=phi, growth=growth, cross_check_error=cross)
+    return CorrectionSequences(
+        phi=TimeSeries(phi, t_start=-r),
+        growth=TimeSeries(omE * (1.0 + phi * pz), t_start=-r),
+        cross_check_error=_identity_residual(phi, pz, r),
+    )
 
 
 def psi_sequence(traj: Trajectory) -> TimeSeries:

@@ -119,6 +119,15 @@ def test_duplicate_key_rejected():
         parse_config("schema = 1\nschema = 1\n")
 
 
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # the mark was read into the first key: unknown key '\ufeffschema'
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(FULL, encoding="utf-8")
+    marked.write_text(FULL, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load_config(marked) == load_config(plain)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(UsageError, match="does not exist"):
         load_config(tmp_path / "nope.cfg")

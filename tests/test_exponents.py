@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from chemodde import exponents
 from chemodde.cli import fig1_params, fig2_init, fig2_params
 
 from conftest import random_feasible_instance
+from test_recurrence import _plain_recursion
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -131,28 +133,56 @@ def test_growth_is_the_growth_factor_expression(case):
 
 
 def _phi_sequence_indexed(params, z, horizon):
-    """phi_sequence with the log-c generator indexed into a numpy array,
-    reading and writing log c one numpy scalar at a time: the reference
-    the list recurrence must match bit for bit."""
+    """phi on [-r, horizon] from the log-c generator, reading and writing
+    log c one numpy scalar at a time: an oracle independent of the
+    fixed-point recursion."""
     r = params.r
     omE = 1.0 - params.E
     lomE = math.log(omE)
     omE_r = omE**r
-    pz_arr = params.uptake.evaluate(z.window(-r, horizon))
-    pz = pz_arr.tolist()
+    pz = params.uptake.evaluate(z.window(-r, horizon)).tolist()
     log_c = np.empty(horizon + 2 * r + 1)
     log_c[: r + 1] = 0.0  # c = 1 on [-r, 0]
     for t in range(0, horizon + r):
         i = t + r
         ratio = math.exp(log_c[i - r] - log_c[i]) * omE_r
         log_c[i + 1] = log_c[i] + lomE + math.log1p(pz[t] * ratio)
-    phi = np.exp(log_c[: horizon + r + 1] - log_c[r:]) * omE_r  # phi on [-r, horizon]
-    growth = omE * (1.0 + phi * pz_arr)
-    cross = 0.0
-    if r > 0 and horizon > 0:
-        direct = correction_recursion(pz[1 : horizon + r], phi[1 : r + 1])[r:]
-        cross = float(np.max(np.abs(direct - phi[r + 1 :])))
-    return phi, growth, cross
+    return np.exp(log_c[: horizon + r + 1] - log_c[r:]) * omE_r
+
+
+def _closed_form_seed(params, pz):
+    """phi on [-r, 0], phi[k] = (1-E)**-k / (1 + sum_{j<k+r} (1-E)**(r-j) p(z[j-r])),
+    one Python float at a time; pz[j] is p(z[j - r])."""
+    r = params.r
+    omE = 1.0 - params.E
+    seed, total = [], 0.0
+    for i in range(r + 1):
+        seed.append(omE ** (r - i) / (1.0 + total))
+        if i < r:
+            total += omE ** (r - i) * pz[i]
+    return np.array(seed)
+
+
+def _plain_phi(params, z, horizon):
+    """phi on [-r, horizon]: the closed-form seed, then one plain
+    fixed-point pass over every factor; all ones for r = 0."""
+    r = params.r
+    if r == 0:
+        return np.ones(horizon + 1)
+    pz = params.uptake.evaluate(z.window(-r, horizon))
+    seed = _closed_form_seed(params, pz)
+    if horizon == 0:
+        return seed
+    return np.concatenate([seed[:1], _plain_recursion(pz[1 : horizon + r], seed[1:])])
+
+
+def _residual_oracle(phi, f, r):
+    """max |phi[i+r] * prod_{k=i}^{i+r-1} (1 + phi[k] f[k]) - 1| over
+    i >= 1, each window multiplied out left to right."""
+    worst = 0.0
+    for i in range(1, len(phi) - r):
+        worst = max(worst, abs(phi[i + r] * math.prod(1.0 + phi[k] * f[k] for k in range(i, i + r)) - 1.0))
+    return worst
 
 
 @st.composite
@@ -183,13 +213,63 @@ def _generator_case(E, r, uptake, feed, horizon):
 @example(_generator_case(0.3, 4, LinearUptake(0.4), Constant(0.7), 0))
 @example(_generator_case(0.2, 0, TabulatedUptake((0.0, 1.0), (0.0, 0.5)), Constant(0.7), 40))
 def test_phi_sequence_matches_indexed_generator(case):
+    # bit for bit the closed-form seed and one plain pass.  The log-c
+    # generator's phi is off by a few ulp(log c) (up to 2.7 here), and
+    # |log c| <= (horizon + 2r) * |log(1 - 0.95)| < 1000 on these cases
     params, z, horizon = case
+    r = params.r
     corr = phi_sequence(params, z, horizon)
-    phi, growth, cross = _phi_sequence_indexed(params, z, horizon)
+    phi = _plain_phi(params, z, horizon)
+    pz = params.uptake.evaluate(z.window(-r, horizon))
+    growth = (1.0 - params.E) * (1.0 + phi * pz)
     for got, want in ((corr.phi, phi), (corr.growth, growth)):
-        assert got.t_start == -params.r
+        assert got.t_start == -r
         assert got.values.view(np.int64).tolist() == want.view(np.int64).tolist()
-    assert np.array(corr.cross_check_error).view(np.int64) == np.array(cross).view(np.int64)
+    assert corr.cross_check_error <= 1e-14
+    assert corr.cross_check_error == pytest.approx(_residual_oracle(phi, pz, r), abs=4 * r * 2.0**-52)
+    log_form = _phi_sequence_indexed(params, z, horizon)
+    np.testing.assert_allclose(corr.phi.values, log_form, rtol=8 * 1000 * 2.0**-52, atol=0.0)
+
+
+def _decimal_phi(params, z, horizon):
+    """phi on [-r, horizon] from a 60-digit decimal run of the comparison
+    equation c[t+1] = (1-E) c[t] + c[t-r] p(z[t-r]) (1-E)**(r+1) from
+    c = 1 on [-r, 0], on the float values of p(z)."""
+    r = params.r
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        omE = 1 - decimal.Decimal(params.E)
+        lift = omE ** (r + 1)
+        pz = [decimal.Decimal(v) for v in params.uptake.evaluate(z.window(-r, horizon)).tolist()]
+        c = [decimal.Decimal(1)] * (r + 1)  # list index i holds c[i - r]
+        for t in range(horizon + r):
+            c.append(omE * c[-1] + c[t] * pz[t] * lift)
+        return np.array([float(c[i] / c[i + r] * omE**r) for i in range(horizon + r + 1)])
+
+
+@pytest.mark.parametrize("params, horizon", [(fig1_params(), 4000), (fig2_params(0.45), 3000)])
+def test_phi_sequence_matches_a_decimal_run_of_the_comparison_equation(params, horizon):
+    # the log-c generator read 1.6e-13 on the ramp: its ulp(log c) grows
+    # with the horizon, while the fixed-point pass stays within a few ulps
+    z = washout_sequence(params, horizon)
+    got = phi_sequence(params, z, horizon).phi.values
+    np.testing.assert_allclose(got, _decimal_phi(params, z, horizon), rtol=1e-14, atol=0.0)
+
+
+@st.composite
+def _residual_cases(draw):
+    r = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = r + 1 + draw(st.integers(0, 40))
+    return rng.uniform(0.01, 1.0, n), rng.uniform(0.0, 3.0, n), r
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_residual_cases())
+def test_identity_residual_matches_a_window_loop(case):
+    # on phi that does not solve the identity, so every window counts
+    phi, f, r = case
+    assert exponents._identity_residual(phi, f, r) == pytest.approx(_residual_oracle(phi, f, r), rel=1e-13)
 
 
 def test_phi_needs_washout_coverage():
@@ -527,26 +607,28 @@ def test_periodic_phi_agrees_with_sequence_tail():
 
 def _range_case(E, r, horizon):
     """Monod(1, 1) on the fig1 ramp, or for horizon 0 on a zero feed, where
-    p(z) = 0 makes log c fall by exactly log(1-E) a step."""
+    p(z) = 0 makes c fall by exactly (1-E) a step."""
     feed = fig1_params().input if horizon else Constant(0.0)
     params = ChemostatParams(E=E, r=r, uptake=Monod(1.0, 1.0), input=feed)
     return params, washout_sequence(params, max(horizon, r)), horizon
 
 
-# (1-E) * e = 1 on the zero feed: the loop reaches c[t-r] / c[t] = e**(r-1)
-# at t = r-1, and the last ratio, e**r, is past the doubles for r = 710
+# (1-E) * e = 1: on the zero feed c[t-r] / c[t] reaches e**r, past the
+# doubles for r = 710, while phi[-r] = (1-E)**r = 4.476e-309 is subnormal
 E_INV_E = 1.0 - math.exp(-1.0)
 
 
-@pytest.mark.parametrize("E, r, horizon", [(0.5, 1100, 2000), (0.99, 200, 2000), (E_INV_E, 710, 0)])
+@pytest.mark.parametrize("E, r, horizon", [(0.5, 1100, 2000), (0.99, 200, 2000)])
 def test_phi_generator_outside_the_doubles_is_a_domain_error(E, r, horizon):
     with pytest.raises(DomainError, match=rf"at E = {E}, r = {r}, where \(1-E\)\*\*r = "):
         phi_sequence(*_range_case(E, r, horizon))
 
 
-@pytest.mark.parametrize("E, r, horizon", [(0.99, 150, 2000), (E_INV_E, 709, 0)])
+@pytest.mark.parametrize("E, r, horizon", [(0.99, 150, 2000), (E_INV_E, 709, 0), (E_INV_E, 710, 0), (E_INV_E, 710, 50)])
 def test_phi_generator_just_inside_the_doubles_runs(E, r, horizon):
-    assert np.all(np.isfinite(phi_sequence(*_range_case(E, r, horizon)).phi.values))
+    corr = phi_sequence(*_range_case(E, r, horizon))
+    assert np.all(np.isfinite(corr.phi.values)) and np.all(corr.phi.values > 0.0)
+    assert corr.cross_check_error <= 1e-14
 
 
 def test_periodic_phi_convergence_error_carries_residual(monkeypatch):
