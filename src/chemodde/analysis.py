@@ -14,10 +14,10 @@ solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import frozen
 from .core import ChemostatParams, InitialHistory, LinearUptake, DyadicBlocks, _validate_integer, _validate_tol
 from .dynamics import (
     Trajectory,
@@ -47,7 +47,7 @@ EXTINCTION_FLOOR = 1e-14
 GAP_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassificationReport:
     """Verdict with the numbers that justify it.
 
@@ -151,7 +151,7 @@ def classify(
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class PeriodicOrbit:
     """A residual-verified positive periodic solution.
 
@@ -175,7 +175,7 @@ class PeriodicOrbit:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@frozen
 class WashoutConvergence:
     """The trajectory collapsed onto the washout solution: biomass fell
     below the extinction floor."""
@@ -277,7 +277,7 @@ def find_periodic_orbit(
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class AttractionRate:
     """Fitted geometric rate of trajectory convergence.
 
@@ -355,7 +355,7 @@ def attraction_rate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class BlockEndCheck:
     n: int
     t: int
@@ -364,7 +364,7 @@ class BlockEndCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class NeitherNorReport:
     """Outcome of the dyadic-blocks demonstration.
 

@@ -17,12 +17,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, dynamics, exponents, formatting, svg, washout
+from ._records import asdict, replace
 from .config import RunConfig, load_config
 from .core import ChemostatParams, InitialHistory, Monod, PiecewiseLinear, Sinusoid, _repeat_start
 from .errors import ChemoddeError, ParameterError, UsageError

@@ -30,9 +30,9 @@ does not read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._records import frozen
 from .core import (
     ChemostatParams,
     Constant,
@@ -47,7 +47,7 @@ from .core import (
 )
 from .errors import ParameterError, UsageError
 
-@dataclass(frozen=True)
+@frozen
 class RunConfig:
     """Parsed configuration: the problem plus run options."""
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import frozen
 from .errors import ParameterError
 
 
@@ -46,7 +46,7 @@ class UptakeFunction:
         return self.derivative(0.0)
 
 
-@dataclass(frozen=True)
+@frozen
 class Monod(UptakeFunction):
     """Saturating uptake p(s) = p_max * s / (k_s + s)."""
 
@@ -74,7 +74,7 @@ class Monod(UptakeFunction):
                 return float(self.derivative(np.float64(s)))
 
 
-@dataclass(frozen=True)
+@frozen
 class LinearUptake(UptakeFunction):
     """Unsaturated uptake p(s) = slope * s.
 
@@ -96,7 +96,7 @@ class LinearUptake(UptakeFunction):
         return self.slope
 
 
-@dataclass(frozen=True)
+@frozen
 class TabulatedUptake(UptakeFunction):
     """Monotone piecewise-linear uptake through sample points.
 
@@ -104,7 +104,7 @@ class TabulatedUptake(UptakeFunction):
     segment may be steeper than the first one so that p'(s) <= p'(0) holds
     by construction.  Beyond the last sample the function is held constant.
     The segment slopes are computed once, as an attribute outside the
-    dataclass fields, so equality, hashing and repr see only the samples.
+    record fields, so equality, hashing and repr see only the samples.
     """
 
     grid: tuple
@@ -192,7 +192,7 @@ def _check_nonnegative(name, *values):
             raise ParameterError(f"{name} values must be finite and >= 0, got {v}")
 
 
-@dataclass(frozen=True)
+@frozen
 class Constant(InputSignal):
     value: float
 
@@ -210,7 +210,7 @@ class Constant(InputSignal):
         return 1
 
 
-@dataclass(frozen=True)
+@frozen
 class Sinusoid(InputSignal):
     """s0[t] = amplitude * sin(2*pi*t/period) + offset, period an integer.
 
@@ -254,10 +254,12 @@ class Sinusoid(InputSignal):
         return self.period_steps
 
 
-@dataclass(frozen=True)
+@frozen
 class PiecewiseLinear(InputSignal):
     """Linear interpolation through (time, value) breakpoints; clamped to the
-    first value before the first breakpoint and to the last one after."""
+    first value before the first breakpoint and to the last one after.
+    The times and values are also kept as read-only arrays, built once,
+    outside the record fields."""
 
     breakpoints: tuple  # ((t0, v0), (t1, v1), ...) with increasing t
 
@@ -271,10 +273,14 @@ class PiecewiseLinear(InputSignal):
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
             raise ParameterError("piecewise breakpoints must have increasing times")
         _check_nonnegative("piecewise input", *(v for _, v in pts))
+        for name, column in zip(("_times", "_values"), np.array(pts).T):
+            column = column.copy()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def sample(self, t_from, t_to):
         t = np.arange(t_from, t_to + 1).astype(float)
-        times, values = np.array(self.breakpoints).T
+        times, values = self._times, self._values
         out = np.full(t.shape, values[-1])
         out[t <= times[0]] = values[0]
         # interpolate strictly inside the breakpoints only, so no ratio
@@ -293,7 +299,7 @@ class PiecewiseLinear(InputSignal):
         return (min(vals), max(vals))
 
 
-@dataclass(frozen=True)
+@frozen
 class ExplicitSequence(InputSignal):
     """A finite list of values, optionally repeated periodically.
 
@@ -337,7 +343,7 @@ class ExplicitSequence(InputSignal):
         return len(self.values) if self.periodic else None
 
 
-@dataclass(frozen=True)
+@frozen
 class DyadicBlocks(InputSignal):
     """Demonstration-only input alternating on dyadic intervals.
 
@@ -387,7 +393,7 @@ class DyadicBlocks(InputSignal):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ChemostatParams:
     """Full problem statement: washout fraction, delay, uptake and feed."""
 
@@ -520,7 +526,7 @@ def _validate_integer(rule, v, least, error=ParameterError):
     return int(v)
 
 
-@dataclass(frozen=True)
+@frozen
 class InitialHistory:
     """Initial window (s, x) on times -r..0, each of length r + 1."""
 
@@ -550,7 +556,7 @@ class InitialHistory:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class FeasibilityReport:
     """Outcome of the two positivity preconditions, built by
     dynamics.check_positivity_preconditions.  A failed check is

@@ -14,10 +14,10 @@ x[t] = (1-E)**r * (x[t-r] + y[t-r]) are exposed as checkable quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import frozen
 from .core import (
     ChemostatParams, FeasibilityReport, InitialHistory, _step_to_recurrence, _validate_integer,
     _validate_steps,
@@ -27,7 +27,7 @@ from .series import TimeSeries
 from .washout import WashoutSolution
 
 
-@dataclass(frozen=True)
+@frozen
 class Trajectory:
     """One integrated run: s, x on [-r, horizon], y on [0, horizon].
 

@@ -35,12 +35,12 @@ that produced them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, cycle, islice
 from operator import mul
 
 import numpy as np
 
+from ._records import frozen
 from .core import ChemostatParams, _step_to_recurrence, _validate_integer, _validate_tol
 from .dynamics import Trajectory
 from .errors import ConvergenceError, DomainError, UsageError
@@ -48,7 +48,7 @@ from .series import TimeSeries
 from .washout import WashoutSolution
 
 
-@dataclass(frozen=True)
+@frozen
 class CorrectionSequences:
     """phi and the growth factors on [-r, horizon].
 
@@ -233,7 +233,7 @@ def reconstruct_biomass(traj: Trajectory, psi: TimeSeries) -> TimeSeries:
     return TimeSeries(vals, t_start=0)
 
 
-@dataclass(frozen=True)
+@frozen
 class BohlEstimate:
     """Windowed bounds for the asymptotic geometric means of a growth
     sequence.  lower/upper are the min/max window geometric means over all
@@ -308,7 +308,7 @@ def bohl_bounds(
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class PeriodicCorrection:
     """Converged one-period phi profile, aligned so phi[k] sits at phase
     k = t mod period, and mean, the one-period geometric mean of

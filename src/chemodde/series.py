@@ -9,10 +9,10 @@ with that starting index so callers never juggle array offsets by hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import frozen
 from .core import _validate_integer
 from .errors import UsageError
 
@@ -22,7 +22,7 @@ def _time(t) -> int:
     return _validate_integer("time must be an integer", t, -math.inf, UsageError)
 
 
-@dataclass(frozen=True)
+@frozen
 class TimeSeries:
     """Immutable sequence ``values[i] = value at time t_start + i``."""
 

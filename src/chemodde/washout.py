@@ -19,17 +19,17 @@ truncation depth is derived from E (default_tail_depth): the tail factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
+from ._records import frozen
 from .core import ChemostatParams, _step_to_recurrence, _validate_integer, _validate_steps
 from .errors import UsageError
 from .series import TimeSeries, _time
 
 
-@dataclass(frozen=True)
+@frozen
 class WashoutSolution:
     """Washout values, plus the exact period if the input has one.
 

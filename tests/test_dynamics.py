@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -25,6 +24,7 @@ from chemodde import (
     washout_periodic,
     washout_sequence,
 )
+from chemodde._records import replace
 from chemodde.cli import fig1_init, fig1_params, fig2_init, fig2_params
 from chemodde.dynamics import _initial_state, _integrate
 
@@ -371,7 +371,7 @@ def _peak(run):
     # z recurs, the decaying biomass never does
     (fig2_params(0.36), 20_000, 2_604_796, 671_493),
     # no period: one plain pass over the whole feed
-    (dataclasses.replace(fig2_params(0.6), input=ExplicitSequence(
+    (replace(fig2_params(0.6), input=ExplicitSequence(
         np.random.default_rng(0).uniform(0.2, 1.0, 30_000))), 30_000, 3_859_196, 1_704_560),
     # the feed is constant from t = 1500: z stops stepping at t = 2013 and
     # the state, its biomass stuck at 1e-323, at t = 6370 (2.60 MB and

@@ -7,8 +7,6 @@ for bit: the oracles are local loops, _integrate over the whole feed, the
 _forward pass from z = 0 and one _direct_phi pass over all the factors.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +17,7 @@ from chemodde import (
     Monod, PiecewiseLinear, Sinusoid, correction_recursion, exponents, phi_sequence, simulate, washout,
     washout_sequence,
 )
+from chemodde._records import replace
 from chemodde.cli import fig1_params, fig2_init, fig2_params
 from chemodde.core import RECURRENCE_MIN_LAG
 from chemodde.dynamics import _initial_state, _integrate, _stored_nutrient_series
@@ -192,7 +191,7 @@ class _ClaimedPeriod(InputSignal):
 def test_a_claimed_period_the_samples_do_not_keep_runs_the_plain_pass():
     # the state recurs near t = 1700; repeating it to the end would miss
     # the raised sample at t = 15000
-    params = dataclasses.replace(fig2_params(0.6), input=_ClaimedPeriod())
+    params = replace(fig2_params(0.6), input=_ClaimedPeriod())
     traj = _assert_plain(params, fig2_init(), 20_000)
     assert traj.s.at(15_001) != traj.s.at(14_501)
 
@@ -222,7 +221,7 @@ class _CountingMonod(Monod):
 def test_a_recurring_fig2_run_stops_stepping():
     # at offset 0.6 the window of s and x recurs from t = 1703 with lag 500;
     # the full pass evaluates the uptake about 20,000 times
-    params = dataclasses.replace(fig2_params(0.6), uptake=_CountingMonod(1.0, 1.0))
+    params = replace(fig2_params(0.6), uptake=_CountingMonod(1.0, 1.0))
     _CountingMonod.calls = 0
     traj = simulate(params, fig2_init(), 20_000)
     assert _CountingMonod.calls < 5_000
