@@ -478,6 +478,8 @@ def _cmd_fig2(args) -> int:
     print(
         f"periodic mean of (1-E)(1+phi p(z)) = {report.mean:.4f} -> verdict {report.verdict}"
     )
+    if traj.first_negative_s is not None:
+        print(f"warning: substrate went negative at t = {traj.first_negative_s}")
     print(f"final biomass x({horizon}) = {traj.x.at(horizon):.3e}")
     return 0
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -215,7 +216,8 @@ class Sinusoid(InputSignal):
     """s0[t] = amplitude * sin(2*pi*t/period) + offset, period an integer.
 
     Evaluated with math.sin on t mod period, so that times t and
-    t + period give exactly equal values in floating point.
+    t + period give exactly equal values in floating point; one period is
+    evaluated at most once per object.
     """
 
     amplitude: float
@@ -235,16 +237,26 @@ class Sinusoid(InputSignal):
                 f"sinusoid must stay nonnegative: offset {self.offset} < amplitude {self.amplitude}"
             )
 
+    def _at(self, ts):
+        """The values at the times in the range ts."""
+        w = self.period_steps
+        return np.fromiter((self.amplitude * math.sin(2.0 * math.pi * (t % w) / w) + self.offset for t in ts),
+                           float, count=len(ts))
+
+    @cached_property
+    def _period(self):
+        """One period of values, read-only, kept outside the record fields."""
+        period = self._at(range(self.period_steps))
+        period.flags.writeable = False
+        return period
+
     def sample(self, t_from, t_to):
         # a range shorter than a period evaluates its own phases only, so a
-        # long period never costs more than the range; a longer range
-        # evaluates one period and repeats it by phase
-        w = self.period_steps
-        short = t_to - t_from < w
-        ts = range(t_from, t_to + 1) if short else range(w)
-        values = np.fromiter((self.amplitude * math.sin(2.0 * math.pi * (t % w) / w) + self.offset for t in ts),
-                             float, count=len(ts))
-        return values if short else values[np.arange(t_from, t_to + 1) % w]
+        # long period never costs more than the range; a longer range reads
+        # the period, evaluated on first need
+        if t_to - t_from + 1 < self.period_steps:
+            return self._at(range(t_from, t_to + 1))
+        return self._period[np.arange(t_from, t_to + 1) % self.period_steps]
 
     def bounds(self):
         return (self.offset - self.amplitude, self.offset + self.amplitude)

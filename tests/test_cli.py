@@ -589,6 +589,58 @@ def _tick_labels(text):
     ]
 
 
+def _assert_points_as_percent_2f(values):
+    """svg._points writes the bytes "%.2f,%.2f" does, the values read as x
+    and, reversed, as y."""
+    px = np.asarray(values, dtype=float)
+    py = px[::-1].copy()
+    assert svg._points(px, py) == " ".join(["%.2f,%.2f" % p for p in zip(px.tolist(), py.tolist())])
+
+
+def _ulp_steps(values, steps):
+    """Each value moved by steps ulps, downwards for steps < 0."""
+    values = np.asarray(values, dtype=float)
+    for _ in range(abs(steps)):
+        values = np.nextafter(values, math.copysign(math.inf, steps))
+    return values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 1000.0, exclude_max=True) | st.integers(0, 99_999).map(lambda m: m / 100),
+                min_size=1, max_size=50))
+def test_polyline_points_are_percent_2f_of_the_plot_box(values):
+    _assert_points_as_percent_2f(values)
+
+
+# m/8 with m odd is a tie that "%.2f" rounds half to even; the doubles
+# nearest x.xx5 lie either side of it
+TIES = (2 * np.arange(4000) + 1) / 8
+X_XX5 = (10 * np.arange(100_000) + 5) / 1000
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(TIES, id="ties"),
+    *(pytest.param(_ulp_steps(TIES, k), id=f"ties{k:+d}ulp") for k in (-4, -3, -2, -1, 1, 2, 3, 4)),
+    pytest.param(_ulp_steps(X_XX5, -1), id="x.xx5-below"),
+    pytest.param(_ulp_steps(X_XX5, 1), id="x.xx5-above"),
+    pytest.param([0.0, 5e-324, 1e-300, 0.00499, float(np.nextafter(0.005, 0.0)), 0.005], id="zero"),
+    pytest.param([9.995, 99.995, 999.99, 999.995, float(np.nextafter(1000.0, 0.0))], id="top"),
+])
+def test_polyline_points_at_ties_and_edges_are_percent_2f(values):
+    _assert_points_as_percent_2f(values)
+
+
+def test_polyline_points_round_exact_ties_half_to_even():
+    assert svg._points(np.array([0.125, 999.875]), np.array([0.375, 0.0])) == "0.12,0.38 999.88,0.00"
+    assert svg._points(np.array([np.nextafter(1000.0, 0.0)]), np.array([9.995])) == "1000.00,9.99"
+
+
+@pytest.mark.parametrize("bad", [-0.0, -5e-324, -1.0, 1000.0, 1e300, math.inf, math.nan])
+def test_polyline_points_outside_the_plot_box_raise(bad):
+    with pytest.raises(ValueError, match="outside"):
+        svg._points(np.array([1.0, 2.0]), np.array([3.0, bad]))
+
+
 # ranges whose span or ticks overflow, or which adding 1.0 leaves empty; a
 # constant DBL_MAX can only be widened downwards
 NEAR_DBL_MAX = [
@@ -709,6 +761,20 @@ def test_fig2_extinct_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0.9753" in out
     assert "Extinct" in out
+
+
+@pytest.mark.parametrize("offset, t_negative", [("1000", 66), ("10", 62), ("0.6", None)])
+def test_fig2_flags_a_negative_substrate_as_simulate_does(tmp_path, capsys, offset, t_negative):
+    # a large offset drives the substrate below 0: simulated as-is and flagged
+    assert run(["fig2", "--offset", offset, "--horizon", "200", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    traj, _, _ = _simulation_bundle(fig2_params(float(offset)), fig2_init(), 200)
+    assert traj.first_negative_s == t_negative
+    assert lines[1].startswith("periodic mean of") and lines[-1].startswith("final biomass x(200) = ")
+    if t_negative is None:
+        assert len(lines) == 3 and not any(line.startswith("warning") for line in lines)
+    else:
+        assert lines[2:-1] == [f"warning: substrate went negative at t = {t_negative}"]
 
 
 def test_fig2_deterministic_output(tmp_path):

@@ -170,6 +170,36 @@ def test_sinusoid_matches_formula():
         assert sig.sample(t, t)[0] == period[t]
 
 
+def test_sinusoid_evaluates_one_period_per_object(monkeypatch):
+    calls = []
+    sin = math.sin
+    monkeypatch.setattr(math, "sin", lambda x: calls.append(x) or sin(x))
+    sig = Sinusoid(amplitude=0.25, period_steps=500, offset=0.6)
+    for t_from, t_to in ((0, 499), (-3000, 20_000), (7, 600), (0, 499)):
+        sig.sample(t_from, t_to)
+    assert len(calls) == 500
+    sig.sample(10, 20)  # shorter than a period: its own 11 phases
+    assert len(calls) == 511
+    # a short range never evaluates a long period
+    Sinusoid(amplitude=0.25, period_steps=10**9, offset=0.6).sample(-5, 5)
+    assert len(calls) == 522
+
+
+@pytest.mark.parametrize("t_from, t_to", [
+    (0, 499), (-3000, 20_000), (-1234, -2), (-7, 3), (250, 260), (499, 998), (5, 4),
+])
+def test_sinusoid_kept_period_gives_a_fresh_objects_bits(t_from, t_to):
+    sig = Sinusoid(amplitude=0.25, period_steps=500, offset=0.6)
+    sig.sample(-600, 600)  # evaluates and keeps the period
+    got = sig.sample(t_from, t_to)
+    got[:] = -1.0  # a sample is the caller's own array
+    got = sig.sample(t_from, t_to)
+    fresh = Sinusoid(amplitude=0.25, period_steps=500, offset=0.6)
+    assert _bits(got) == _bits(fresh.sample(t_from, t_to))
+    assert _bits(got) == _bits([_sinusoid_oracle(fresh, t) for t in range(t_from, t_to + 1)])
+    assert sig == fresh and hash(sig) == hash(fresh) and repr(sig) == repr(fresh)
+
+
 @pytest.mark.parametrize("amplitude, offset, message", [
     (0.25, math.inf, "sinusoid offset must be finite, got inf"),
     (0.25, math.nan, "sinusoid offset must be finite, got nan"),

@@ -247,9 +247,10 @@ def test_a_recurring_fig2_washout_stops_stepping(monkeypatch):
 
 
 def test_the_fig1_ramp_washout_stops_stepping(monkeypatch):
-    # the feed is constant from t = 1500, and z stops stepping at t = 2012
-    # after 2,317 steps; the full pass takes 4,305 steps over the tail, the
-    # history and the horizon
+    # the feed is constant from t = 1500, and z stops stepping after 2,318
+    # steps, the last of which reads the feed at t = 2012 and gives z at
+    # t = 2013; the full pass takes 4,305 steps over the tail, the history
+    # and the horizon
     steps = []
 
     def counting_forward(z, E, feed):
