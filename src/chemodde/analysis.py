@@ -27,7 +27,7 @@ from .dynamics import (
     simulate,
 )
 from .errors import ConvergenceError, UsageError
-from .exponents import bohl_bounds, bohl_window_min, periodic_phi, phi_sequence
+from .exponents import bohl_bounds, bohl_window_min, check_bohl_horizon, periodic_phi, phi_sequence
 from .washout import WashoutSolution, washout_periodic, washout_sequence
 
 PERSISTENT = "Persistent"
@@ -94,8 +94,9 @@ def classify(
     Periodic inputs use the exact one-period geometric mean; the report's
     horizon is then the period.  General inputs fall back to windowed
     lower/upper estimates over `horizon` samples with minimum window
-    `window_min` (default max(2r, 50)).  `horizon` must be >= r and a
-    given `window_min` an integer >= 1 either way.
+    `window_min` (default max(2r, 50)) = T, and need a horizon of at
+    least max(r, 2T + 2 - r).  `horizon` must be >= r and a given
+    `window_min` an integer >= 1 either way.
     """
     _validate_tol(tol)
     horizon = _validate_integer("horizon must be an integer", horizon, -math.inf, UsageError)
@@ -133,6 +134,7 @@ def classify(
             phi_residual=prof.residual,
         )
 
+    check_bohl_horizon(horizon, params.r, window_min)
     z = washout_sequence(params, horizon)
     est = bohl_bounds(phi_sequence(params, z, horizon).growth, window_min)
     if est.lower > 1.0:
@@ -414,7 +416,7 @@ def neither_nor_demo(
     n_max = _validate_integer("n_max must be in [1, 9]", n_max, 1, UsageError)
     if n_max > 9:
         # the classification's Bohl scan costs ~16x more per unit of n_max:
-        # 8 takes 3 s and 9 takes 62 s on a 2-vCPU Xeon, 30 exceeds any memory
+        # 8 takes 2 s and 9 takes 43 s on a 2-vCPU Xeon, 30 exceeds any memory
         raise UsageError(f"n_max must be in [1, 9], got {n_max}")
     if x_init is None:
         x_init = 0.01

@@ -285,6 +285,7 @@ def _cmd_exponents(args) -> int:
     params = cfg.params
     # checked before the washout and the phi pass that bohl_bounds reads
     window_min = exponents.bohl_window_min(params.r, cfg.window_min)
+    exponents.check_bohl_horizon(horizon, params.r, window_min)
     z = washout.washout_sequence(params, horizon)
     corr = exponents.phi_sequence(params, z, horizon)
     est = exponents.bohl_bounds(corr.growth, window_min)
@@ -523,23 +524,34 @@ COMMANDS = {
 }
 
 
-def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
-    """The parser with a subparser for each of the named commands."""
+def _add_command(parser, name) -> None:
+    """Give `parser` the flags and defaults of command `name`."""
+    fn, flags, defaults = COMMANDS[name]
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
+    parser.set_defaults(fn=fn, **defaults)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with a subparser for each command."""
     parser = _Parser(prog="chemodde", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name in names:
-        fn, flags, defaults = COMMANDS[name]
-        p = sub.add_parser(name)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(fn=fn, **defaults)
+    for name in COMMANDS:
+        _add_command(sub.add_parser(name), name)
     return parser
 
 
 def run(argv) -> int:
-    # a known command needs only its own subparser; anything else gets the
-    # full parser, whose help and errors list every command
-    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
+    # a known command needs only a parser of its own, built as the full
+    # parser builds its subparser; anything else gets the full parser, whose
+    # help and errors list every command
+    if argv and argv[0] in COMMANDS:
+        parser = _Parser(prog=f"chemodde {argv[0]}")
+        _add_command(parser, argv[0])
+        parser.set_defaults(command=argv[0])
+        argv = argv[1:]
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

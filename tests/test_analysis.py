@@ -33,7 +33,7 @@ from chemodde import (
 )
 from chemodde import analysis
 from chemodde.analysis import BASIS_BOHL, BASIS_PERIODIC, EXTINCT, INCONCLUSIVE, PERSISTENT
-from chemodde.cli import _feed, fig2_init, fig2_params
+from chemodde.cli import _feed, fig1_params, fig2_init, fig2_params
 
 from conftest import reference
 
@@ -230,6 +230,29 @@ def test_classify_rejects_horizon_below_delay_on_every_basis(horizon):
             classify(params, horizon=horizon)
     # the periodic basis reads one period whatever the horizon
     assert classify(fig2_params(0.6), horizon=5).horizon == 500
+
+
+def test_classify_rejects_a_horizon_too_short_for_the_bohl_scan(monkeypatch):
+    # the fig1 ramp: r = 5 and T = 50, so n = horizon + 6 growth factors
+    # reach bohl_bounds' 2T + 3 from horizon 97 on; 96 used to run the
+    # washout and the phi pass, then fail on a length the caller never gave
+    params = fig1_params()
+
+    def no_washout(*args, **kwargs):
+        raise AssertionError("the washout ran before the horizon was checked")
+
+    monkeypatch.setattr(analysis, "washout_sequence", no_washout)
+    for horizon, window_min, least in [(96, None, 97), (5, None, 97), (16, 10, 17)]:
+        with pytest.raises(UsageError) as err:
+            classify(params, horizon=horizon, window_min=window_min)
+        assert str(err.value) == (
+            f"horizon {horizon} too short for Bohl windows with T = {window_min or 50}; "
+            f"the least horizon is {least}"
+        )
+    monkeypatch.undo()
+    assert classify(params, horizon=97).horizon == 97
+    assert classify(params, horizon=17, window_min=10).window_min == 10
+    assert classify(params, horizon=5, window_min=1).horizon == 5  # the least is r here
 
 
 _RAMP = ChemostatParams(E=0.2, r=5, uptake=LinearUptake(0.5),

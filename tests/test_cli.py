@@ -18,8 +18,8 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from chemodde import (
-    ChemostatParams, Constant, Monod, UsageError, core, exponents, formatting, periodic_phi, phi_sequence, svg,
-    washout_periodic, washout_sequence,
+    ChemostatParams, Constant, Monod, UsageError, analysis, core, exponents, formatting, periodic_phi, phi_sequence,
+    svg, washout_periodic, washout_sequence,
 )
 from chemodde.cli import (
     CSV_BLOCK_ROWS, COMMANDS, _cycle, _simulation_bundle, build_parser, emit_csv, emit_json, emit_svg, fig1_params,
@@ -1080,6 +1080,8 @@ init.s = 0.5
 init.x = 0.2
 """
 
+# horizon 3302 = 2T + 2 - r at T = 2r, the least the Bohl scan accepts, so
+# classify and exponents reach the phi pass
 RAMP_CFG = """
 schema = 1
 model.E = 0.5
@@ -1090,7 +1092,7 @@ uptake.k_s = 1
 input.kind = piecewise
 input.t = 0 500 1500
 input.values = 3 3 0.05
-run.horizon = 2000
+run.horizon = 3302
 """
 
 # s[1] = -1.0 = -k_s exactly
@@ -1203,6 +1205,43 @@ def test_exponents_checks_window_min_before_the_phi_pass(tmp_path, capsys, monke
     assert capsys.readouterr().err == "error: window_min must be >= 1, got 0\n"
 
 
+FIG1_RAMP_CFG = """
+schema = 1
+model.E = 0.18181818181818182
+model.r = 5
+uptake.kind = monod
+uptake.p_max = 1.0
+uptake.k_s = 1.0
+input.kind = piecewise
+input.t = 0.0 500.0 1500.0
+input.values = 3.0 3.0 0.05
+run.horizon = 4000
+"""
+
+
+@pytest.mark.parametrize("command", ["classify", "exponents"])
+def test_horizon_too_short_for_the_bohl_scan_exits_2_before_the_work(tmp_path, capsys, monkeypatch, command):
+    # r = 5 and T = 50: the least horizon is 2T + 2 - r = 97; 96 used to run
+    # the washout and the phi pass, then report "sequence of length 102 too
+    # short for window_min=50, gap_min=50"
+    def no_washout(*args, **kwargs):
+        raise AssertionError("the washout ran before the horizon was checked")
+
+    monkeypatch.setattr(analysis, "washout_sequence", no_washout)
+    monkeypatch.setattr("chemodde.washout.washout_sequence", no_washout)
+    cfg = tmp_path / "ramp.cfg"
+    cfg.write_text(FIG1_RAMP_CFG)
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--horizon", "96", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: horizon 96 too short for Bohl windows with T = 50; the least horizon is 97\n"
+    assert captured.out == ""
+    assert not out.exists()
+    monkeypatch.undo()
+    assert run([command, "--config", str(cfg), "--horizon", "97", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv, err", [
     (["fig1", "--horizon", "0"], "fig1 summarises the constant phase [100, 500]; horizon 0 < 500"),
     (["fig1", "--horizon", "300"], "fig1 summarises the constant phase [100, 500]; horizon 300 < 500"),
@@ -1286,21 +1325,21 @@ def _run_captured(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def test_run_builds_only_the_named_subparser(tmp_path, fig2_cfg, monkeypatch):
+def test_run_builds_one_parser_for_a_known_command(tmp_path, fig2_cfg, monkeypatch):
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     code, _, err = _run_captured(["classify", "--config", str(fig2_cfg), "--out", str(tmp_path)])
     assert (code, err) == (0, "")
-    assert built == ["classify"]
+    assert built == ["chemodde classify"]
     built.clear()
     assert _run_captured(["bogus"])[0] == 2
-    assert built == list(COMMANDS)
+    assert built == ["chemodde"] + [f"chemodde {name}" for name in COMMANDS]
 
 
 def test_full_parser_output_without_a_known_command():

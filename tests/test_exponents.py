@@ -483,6 +483,56 @@ def test_bohl_exact_above_6000_samples():
     assert bohl_bounds(seq, window_min=70, method="full") == est
 
 
+def _bohl_scan_oracle(vals, window_min, gap_min):
+    """bohl_bounds' scan as it was before it divided only the extreme sums:
+    every window sum of each length w is divided by w, then the min and
+    max of those means are taken."""
+    prefix = np.concatenate([[0.0], np.cumsum(np.log(vals))])
+    n = len(vals)
+    start = gap_min + 2
+    lo, hi = np.inf, -np.inf
+    for w in range(window_min + 1, min(2 * window_min + 1, n - start) + 1):
+        means = (prefix[start + w :] - prefix[start : n + 1 - w]) / w
+        lo = min(lo, float(means.min()))
+        hi = max(hi, float(means.max()))
+    return math.exp(lo), math.exp(hi)
+
+
+def _fig1_ramp_case():
+    params = fig1_params()  # r = 5, T = gap_min = 50, n = 4006
+    growth = phi_sequence(params, washout_sequence(params, 4000), 4000).growth.values
+    return growth, 50, 50
+
+
+@st.composite
+def _bohl_bit_cases(draw):
+    kind = draw(st.sampled_from(["drawn", "shortest", "constant runs", "signed with zeros"]))
+    if kind == "drawn":
+        return draw(_bohl_cases())
+    window_min = draw(st.integers(1, 40))
+    gap_min = draw(st.integers(0, 40))
+    least = gap_min + window_min + 3
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "shortest":  # one length, T + 1, is scanned
+        return np.exp(rng.normal(0.0, 0.05, size=least)), window_min, gap_min
+    n = draw(st.integers(least, least + 300))
+    runs = rng.integers(1, 2 * window_min + 3, size=n)
+    if kind == "constant runs":  # windows inside one run tie
+        levels = rng.uniform(0.5, 2.0, size=n)
+    else:  # runs of 1.0 have log exactly 0, so their window sums are exact zeros
+        levels = rng.choice([1.0, 1.0, rng.uniform(1.0, 1.5), rng.uniform(0.7, 1.0)], size=n)
+    return np.repeat(levels, runs)[:n], window_min, gap_min
+
+
+@example(_fig1_ramp_case())
+@given(_bohl_bit_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_bohl_equals_the_per_window_division_scan_bit_for_bit(case):
+    vals, window_min, gap_min = case
+    est = bohl_bounds(vals, window_min, gap_min)
+    assert (est.lower, est.upper) == _bohl_scan_oracle(vals, window_min, gap_min)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda p: phi_sequence(p, washout_sequence(p, 50), horizon=-1), "horizon must be >= 0, got -1"),
     (lambda p: periodic_phi(p, washout_sequence(p, 50)), "periodic_phi requires a periodic washout solution"),
@@ -499,7 +549,7 @@ def test_bohl_domain_and_usage_errors():
     for bad in (-0.5, math.inf, math.nan):
         with pytest.raises(DomainError, match="position 1 "):
             bohl_bounds(np.array([1.0, bad] + [1.0] * 200), window_min=10)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^sequence of length 30 too short for window_min=20, gap_min=20$"):
         bohl_bounds(np.ones(30), window_min=20)
     with pytest.raises(UsageError, match="windowed"):
         bohl_bounds(np.ones(300), window_min=10, method="windowed")
